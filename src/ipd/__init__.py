@@ -1,8 +1,8 @@
 """Inferentially private disclosure: optimal signals under posterior bounds.
 
 The package models a binary payoff state and a finite secret, builds the
-budget-optimal information structure (closed form for binary secrets, an
-LP over boundary-cut assignments otherwise), turns structures into signal
+budget-optimal information structure (closed form for binary secrets, one
+LP over every boundary-cut column otherwise), turns structures into signal
 mechanisms and back, and verifies the geometric shape every optimum must
 have. Brute-force oracles are included so the solvers never have to be
 taken on faith.
@@ -37,8 +37,8 @@ from .errors import (
     IpdError,
     MassNotNormalized,
     MeanMismatch,
-    NoFeasibleAssignment,
     NotBinarySecret,
+    SolverError,
     UnsupportedSize,
     ValidationError,
     ZeroMassContext,
@@ -50,7 +50,6 @@ from .general import (
     LpProblem,
     LpSolution,
     assemble_lp,
-    enumerate_assignments,
     solve_general,
     solve_lp,
 )
@@ -73,6 +72,7 @@ from .numeric import CHECK_TOL, NORM_TOL, PATH_TOL, check_slack
 from .oracle import (
     OracleReport,
     binary_grid_oracle,
+    enumerate_assignments,
     naive_c_enumeration,
     random_structure_oracle,
 )
@@ -99,7 +99,6 @@ __all__ = [
     "MeanMismatch",
     "Mechanism",
     "NORM_TOL",
-    "NoFeasibleAssignment",
     "NotBinarySecret",
     "OracleReport",
     "PATH_TOL",
@@ -108,6 +107,7 @@ __all__ = [
     "Regime",
     "RegimeTag",
     "RegionReport",
+    "SolverError",
     "UnsupportedSize",
     "UtilityFn",
     "ValidationError",

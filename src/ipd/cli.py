@@ -7,7 +7,8 @@ accept plain numbers ("0.7"), zero, and exact log forms ("ln2", "2ln3",
 
 Exit codes: 0 success; 1 semantic verification failure (a verify that finds
 the budget violated, an oracle that beats the solver); 2 input or validation
-error, reported as a JSON object on stderr; 3 secret-count cap exceeded.
+error or LP solver failure, reported as a JSON object on stderr; 3
+secret-count cap exceeded.
 The IPD_TOLERANCE environment variable overrides the default 1e-9 slack of
 the verification checks.
 """
@@ -35,7 +36,7 @@ from .analysis import (
 )
 from .binary import solve_binary
 from .errors import IpdError, UnsupportedSize, ValidationError
-from .general import solve_general
+from .general import MAX_SECRETS, solve_general
 from .model import posterior_summary, sample_signal
 from .numeric import check_slack
 from .oracle import OracleReport, binary_grid_oracle, random_structure_oracle
@@ -154,26 +155,9 @@ def cmd_solve_general(args) -> int:
     prior = decode_prior(read_json(args.prior))
     eps, exp_eps = parse_eps(args.eps)
     u = _load_utility(args.utility)
-    sink = None
-    on_assignment = None
-    if args.diagnostics:
-        sink = open(args.diagnostics, "w", encoding="utf-8")
-
-        def on_assignment(record: dict) -> None:
-            sink.write(json.dumps(record) + "\n")
-
-    try:
-        solution = solve_general(
-            prior,
-            eps,
-            u,
-            exp_eps=exp_eps,
-            max_secrets=args.max_secrets,
-            on_assignment=on_assignment,
-        )
-    finally:
-        if sink is not None:
-            sink.close()
+    solution = solve_general(
+        prior, eps, u, exp_eps=exp_eps, max_secrets=args.max_secrets
+    )
     if args.out_structure:
         write_json(args.out_structure, encode_structure(solution.structure))
     if args.out_mechanism:
@@ -337,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-structure")
     p.add_argument("--out-mechanism")
-    p.add_argument("--max-secrets", type=int, default=5)
-    p.add_argument("--diagnostics", help="write per-assignment JSON lines here")
+    p.add_argument("--max-secrets", type=int, default=MAX_SECRETS)
     p.set_defaults(func=cmd_solve_general)
 
     p = sub.add_parser("verify", help="check a structure against a budget")

@@ -58,19 +58,8 @@ class DegenerateRatio(IpdError):
 
 
 class UnsupportedSize(IpdError):
-    """The secret support exceeds the configured enumeration cap."""
+    """The secret support exceeds the configured size cap."""
 
 
-class NoFeasibleAssignment(IpdError):
-    """No enumerated assignment produced a feasible linear program."""
-
-    def __init__(self, message: str, diagnostics: tuple = ()):  # pragma: no cover
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
-class ZeroBaselineUtility(IpdError):
-    """The perfect-privacy baseline utility is zero, so the gain ratio is
-    undefined; gain computations report infinity with a flag instead of
-    raising this, but the type names the condition for callers that want
-    to treat it as an error."""
+class SolverError(IpdError):
+    """The LP backend failed, or its answer is not a valid optimal structure."""

@@ -1,32 +1,40 @@
 """LP-based optimal disclosure for any finite secret.
 
 The optimum for n secrets lives on at most one all-yellow signal, one
-all-white signal, and a bank of middle signals whose yellow region is a
+all-white signal, and a chain of middle signals whose yellow region is a
 top-aligned block of rows. A middle column is encoded by three cut indices
 (i, b, c): rows 1..n+1-i are yellow, rows 1..b get the wide width (factor
 e**eps) inside the yellow block, rows c..n get it below the block. Widths
 within such a column are all tied to the bottom row's width, and its
-posterior depends only on the prior and the cut, not on the widths. That
-turns the search into: enumerate monotone sequences of cuts, solve one small
-LP per sequence, keep the best.
+posterior depends only on the prior and the cut, not on the widths.
 
-enumerate_assignments yields the sequences, assemble_lp/solve_lp handle one
-linear program, solve_general drives the loop and rebuilds the winning
-structure and mechanism.
+Every cut column meets the budget on its own, so one LP whose middle
+variables are all the non-uniform cut columns at once admits only private
+structures, and each chain's LP is that LP with some columns held at zero;
+by the structure theorem the best chain, and so this LP, reaches the global
+optimum. A piecewise-linear utility can leave the LP on an optimal vertex
+whose positive columns are not a chain; only then does a second LP hold the
+objective within CHECK_TOL of the optimum and maximize the strictly convex
+quadratic utility, which lands on a chain.
+
+assemble_lp/solve_lp handle one linear program; solve_general builds the
+bank, runs one or two LPs, and rebuilds the structure from the chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .analysis import UtilityFn, expected_utility
-from .errors import NoFeasibleAssignment, UnsupportedSize, ValidationError
+from .binary import _width_ratios
+from .errors import SolverError, UnsupportedSize, ValidationError
 from .model import InfoStructure, Mechanism, Prior, compress, structure_to_mechanism
-from .numeric import CHECK_TOL, Scalar, is_exact, log_of, ratio_bound
+from .numeric import CHECK_TOL, Scalar, is_exact, ratio_bound
+
+MAX_SECRETS = 20  # the dense LP has O(n**3) columns and O(n**2) rows
 
 
 class CutColumn(NamedTuple):
@@ -37,26 +45,33 @@ class CutColumn(NamedTuple):
     c: int
 
 
-def _cut_in_range(n: int, col: CutColumn) -> bool:
-    return (
-        2 <= col.i <= n
-        and 0 <= col.b <= n + 1 - col.i
-        and n + 2 - col.i <= col.c <= n + 1
-    )
-
-
-def _may_follow(first: CutColumn, second: CutColumn) -> bool:
-    """Whether second can sit to the right of first in an assignment."""
+def may_follow(first: CutColumn, second: CutColumn) -> bool:
+    """Whether second can sit to the right of first in a chain."""
     return second.i >= first.i and second.b <= first.b and second.c <= first.c
+
+
+def all_cuts(n: int) -> list[CutColumn]:
+    """Every in-range cut for n secrets, sorted by (i, -b, -c).
+
+    The key lists any chain in its own order, so a sorted set of cuts is a
+    chain exactly when each column may follow its predecessor.
+    """
+    return [
+        CutColumn(i, b, c)
+        for i in range(2, n + 1)
+        for b in range(n + 1 - i, -1, -1)
+        for c in range(n + 1, n + 1 - i, -1)
+    ]
 
 
 @dataclass(frozen=True)
 class CutAssignment:
-    """An ordered bank of middle columns for an n-secret instance.
+    """A bank of distinct in-range middle columns for an n-secret instance.
 
-    Columns are kept in decreasing-posterior order, which the cut encoding
-    makes equivalent to i non-decreasing with b and c non-increasing. The
-    budget rides along so the expansion to width factors is self-contained.
+    The budget rides along so the expansion to width factors is
+    self-contained. A chain, the shape an optimal structure has, lists its
+    columns in decreasing-posterior order, which the cut encoding makes
+    equivalent to i non-decreasing with b and c non-increasing.
     """
 
     n: int
@@ -70,20 +85,20 @@ class CutAssignment:
             raise ValidationError("budget factor must be at least 1")
         cols = tuple(CutColumn(*c) for c in self.columns)
         object.__setattr__(self, "columns", cols)
+        in_range = set(all_cuts(self.n))
         for col in cols:
-            if not _cut_in_range(self.n, col):
+            if col not in in_range:
                 raise ValidationError(f"cut {col} out of range for n={self.n}")
-        for first, second in zip(cols, cols[1:]):
-            if not _may_follow(first, second):
-                raise ValidationError(
-                    f"cuts {first} and {second} are not in monotone order"
-                )
         if len(set(cols)) != len(cols):
             raise ValidationError("duplicate cut columns")
 
     @property
-    def eps(self) -> float:
-        return log_of(self.exp_eps)
+    def is_chain(self) -> bool:
+        """True when each column may follow the one before it."""
+        return all(
+            may_follow(first, second)
+            for first, second in zip(self.columns, self.columns[1:])
+        )
 
     def yellow_rows(self, col: CutColumn) -> range:
         """1-based rows of the yellow block of this column."""
@@ -116,56 +131,25 @@ class CutAssignment:
         return tuple((col.i, self.factor_vector(col)) for col in self.columns)
 
 
-def enumerate_assignments(
-    n: int,
-    eps: float | None = None,
-    *,
-    exp_eps: Scalar | None = None,
-    max_columns_per_i: int | None = None,
-) -> Iterator[CutAssignment]:
-    """Yield every valid assignment for n secrets, the empty one first.
+def _full_bank(n: int, exp_eps: Scalar) -> CutAssignment:
+    """Every cut column the single LP needs, sorted by (i, -b, -c).
 
-    Assignments are monotone sequences of distinct cuts; the count grows
-    quickly with n (12 for n=2, 320 for n=3). max_columns_per_i caps how
-    many columns may share one yellow-block index; the default 3n never
-    binds for small n.
+    At a positive budget that is every column that is not width-uniform (a
+    uniform column never binds the budget, so it never strictly helps). At a
+    zero budget every column is uniform and all columns sharing an i are the
+    same column, so one per i remains.
     """
-    if n < 2:
-        raise ValidationError("need at least 2 secrets")
-    w = ratio_bound(eps, exp_eps)
-    cap = 3 * n if max_columns_per_i is None else max_columns_per_i
-    triples = sorted(
-        (
-            CutColumn(i, b, c)
-            for i in range(2, n + 1)
-            for b in range(0, n + 2 - i)
-            for c in range(n + 2 - i, n + 2)
-        ),
-        key=lambda t: (t.i, -t.b, -t.c),
-    )
-
-    def grow(
-        start: int, chain: tuple[CutColumn, ...], per_i: dict[int, int]
-    ) -> Iterator[CutAssignment]:
-        for idx in range(start, len(triples)):
-            col = triples[idx]
-            if chain and not _may_follow(chain[-1], col):
-                continue
-            if per_i.get(col.i, 0) >= cap:
-                continue
-            extended = chain + (col,)
-            yield CutAssignment(n, extended, w)
-            yield from grow(
-                idx + 1, extended, {**per_i, col.i: per_i.get(col.i, 0) + 1}
-            )
-
-    yield CutAssignment(n, (), w)
-    yield from grow(0, (), {})
+    if exp_eps == 1:
+        cols = [CutColumn(i, 0, n + 2 - i) for i in range(2, n + 1)]
+    else:
+        every = CutAssignment(n, tuple(all_cuts(n)), exp_eps)
+        cols = [col for col in every.columns if not every.is_width_uniform(col)]
+    return CutAssignment(n, tuple(cols), exp_eps)
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """One assignment's linear program, stored dense.
+    """The linear program of one bank of columns, stored dense.
 
     Variables: a width ratio per non-bottom row of the all-yellow column, a
     width ratio per non-top row of the all-white column, then the bottom-row
@@ -195,7 +179,7 @@ class LpSolution:
 
 
 def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProblem:
-    """Build the LP for one assignment; the budget is the assignment's own.
+    """Build the LP for one bank of columns; the budget is the bank's own.
 
     The all-yellow column's bottom row and the all-white column's top row
     are fixed by the prior (the bottom secret's yellow mass has nowhere else
@@ -316,8 +300,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve one assembled LP with the dual-simplex backend.
 
     Infeasibility is an answer, not an error; anything else unexpected from
-    the backend is raised.
+    the backend raises SolverError. scipy is imported here, on first use, so
+    commands that never solve an LP do not pay for loading it.
     """
+    from scipy.optimize import linprog
+
     c = -np.asarray(problem.objective)
     a_ub = np.asarray(problem.a_ub) if problem.a_ub else None
     b_ub = np.asarray(problem.b_ub) if problem.b_ub else None
@@ -337,7 +324,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if result.status == 2:
         return LpSolution("infeasible", None, None, None)
     if result.status != 0:
-        raise RuntimeError(f"LP solver failed: {result.message}")
+        raise SolverError(f"LP solver failed: {result.message}")
     x = np.asarray(result.x)
     residual = float(
         np.max(np.abs(np.asarray(problem.a_eq) @ x - np.asarray(problem.b_eq)))
@@ -350,18 +337,47 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution("optimal", tuple(float(v) for v in x), objective, residual)
 
 
-def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructure:
-    """Rebuild the width grid from LP values and restore exact row sums.
+def _support(problem: LpProblem, solution: LpSolution) -> CutAssignment:
+    """The columns with positive LP value, in the bank's (i, -b, -c) order."""
+    bank = problem.assignment
+    middle = solution.values[2 * (bank.n - 1) :]
+    cols = tuple(col for col, x in zip(bank.columns, middle) if x > 0)
+    return CutAssignment(bank.n, cols, bank.exp_eps)
 
+
+def _hold_and_maximize_quadratic(
+    problem: LpProblem, solution: LpSolution
+) -> tuple[LpProblem, LpSolution]:
+    """Among the optima of problem, the one best for the quadratic utility.
+
+    The row objective . x + offset >= optimum - CHECK_TOL keeps the primary
+    value; a tighter slack lets solver round-off cut off the chain optima.
+    """
+    secondary = assemble_lp(problem.prior, UtilityFn("quadratic"), problem.assignment)
+    floor = solution.objective - problem.offset - CHECK_TOL
+    held = replace(
+        secondary,
+        a_ub=secondary.a_ub + (tuple(-v for v in problem.objective),),
+        b_ub=secondary.b_ub + (-floor,),
+    )
+    return held, solve_lp(held)
+
+
+def _structure_from_lp(
+    problem: LpProblem, solution: LpSolution, chain: CutAssignment
+) -> InfoStructure:
+    """Rebuild the width grid of the chain's columns and restore exact row sums.
+
+    Columns of the bank outside the chain carry no mass and are left out.
     The solver's 1e-9-level residuals would trip the structure's own
     normalization checks, so each row's yellow and white widths are rescaled
     to hit the prior's conditionals exactly.
     """
     prior = problem.prior
-    assignment = problem.assignment
     n = prior.n
-    m = len(assignment.columns)
+    m = len(chain.columns)
     values = solution.values
+    middle = dict(zip(problem.assignment.columns, values[2 * (n - 1) :]))
     anchor_yellow = float(prior.q[n - 1])
     anchor_white = float(1 - prior.q[0])
 
@@ -373,12 +389,11 @@ def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructur
         yellow[j][0] = True
         ratio = 1.0 if j == 0 else values[(n - 1) + (j - 1)]
         widths[j][m + 1] = ratio * anchor_white
-    for k, col in enumerate(assignment.columns):
-        factors = assignment.factor_vector(col)
-        base = max(values[2 * (n - 1) + k], 0.0)
+    for k, col in enumerate(chain.columns):
+        factors = chain.factor_vector(col)
         for j in range(n):
-            widths[j][k + 1] = float(factors[j] / factors[n - 1]) * base
-            yellow[j][k + 1] = (j + 1) in assignment.yellow_rows(col)
+            widths[j][k + 1] = float(factors[j] / factors[n - 1]) * middle[col]
+            yellow[j][k + 1] = (j + 1) in chain.yellow_rows(col)
 
     slack = max(CHECK_TOL, 10 * (solution.max_residual or 0.0))
     for j in range(n):
@@ -392,9 +407,7 @@ def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructur
                     if yellow[j][t] is color:
                         widths[j][t] *= scale
             elif target > slack:
-                raise RuntimeError(
-                    "LP solution does not cover a row's required mass"
-                )
+                raise SolverError("LP solution does not cover a row's required mass")
 
     signals = ("t1", *(f"t{k + 2}" for k in range(m)), f"t{m + 2}")
     return InfoStructure(
@@ -422,24 +435,26 @@ def solve_general(
     u: UtilityFn | None = None,
     *,
     exp_eps: Scalar | None = None,
-    max_secrets: int = 5,
-    on_assignment: Callable[[dict], None] | None = None,
+    max_secrets: int = MAX_SECRETS,
 ) -> GeneralSolution:
-    """Best eps-private structure for a given utility, any small n.
+    """Best eps-private structure for a given utility and up to max_secrets.
 
-    Runs one LP per enumerated assignment and keeps the best objective.
-    Ties within 1e-9 prefer assignments without width-uniform columns (a
-    uniform column never strictly helps and would blur the binding-ratio
-    fingerprint), then the lexicographically smallest cut sequence, so the
-    result is deterministic regardless of evaluation order. The winning
-    widths are compressed before the mechanism is derived. on_assignment,
-    when given, receives a dict per assignment for diagnostics.
+    Solves one LP over every non-uniform cut column. When the columns with
+    positive value do not form a chain (possible only on ties, as with a
+    piecewise-linear utility), a second LP keeps the objective within
+    CHECK_TOL of the optimum and maximizes the quadratic utility, which
+    breaks the tie toward a chain. A budget past the point where full
+    disclosure is private solves at that point, with the same optimum. The
+    reported assignment is the chain of positive columns sorted by
+    (i, -b, -c); the structure is rebuilt from those columns alone and
+    compressed before the mechanism is derived.
 
     Raises:
-        UnsupportedSize: n exceeds max_secrets (enumeration grows fast).
-        NoFeasibleAssignment: every LP was infeasible; cannot happen for a
-            valid prior, but reported with per-assignment diagnostics rather
-            than silently returning nonsense.
+        UnsupportedSize: n exceeds max_secrets (the dense LP has O(n**3)
+            columns and O(n**2) rows).
+        SolverError: the LP backend failed, the LP was infeasible (seen
+            only at extreme budgets with a conditional of 0 or 1), or the
+            tie-break still left a non-chain.
     """
     if u is None:
         raise TypeError("solve_general needs a utility function")
@@ -448,41 +463,22 @@ def solve_general(
             f"{prior.n} secrets exceeds the cap of {max_secrets}; "
             "raise max_secrets to proceed"
         )
-    w = ratio_bound(eps, exp_eps)
-    best: tuple | None = None
-    diagnostics = []
-    for assignment in enumerate_assignments(prior.n, exp_eps=w):
-        problem = assemble_lp(prior, u, assignment)
-        solution = solve_lp(problem)
-        record = {
-            "columns": [list(col) for col in assignment.columns],
-            "status": solution.status,
-            "objective": solution.objective,
-        }
-        diagnostics.append(record)
-        if on_assignment is not None:
-            on_assignment(record)
-        if solution.status != "optimal":
-            continue
-        uniform = sum(
-            1 for col in assignment.columns if assignment.is_width_uniform(col)
-        )
-        key = (uniform, assignment.columns)
-        if (
-            best is None
-            or solution.objective > best[0] + CHECK_TOL
-            or (solution.objective > best[0] - CHECK_TOL and key < best[1])
-        ):
-            best = (solution.objective, key, problem, solution)
-    if best is None:
-        raise NoFeasibleAssignment(
-            "no assignment admitted a feasible program", tuple(diagnostics)
-        )
-    _, _, problem, solution = best
-    structure = compress(_structure_from_lp(problem, solution))
+    # Past the widest conditional ratio full disclosure is private and optimal,
+    # so the LP runs there: a larger budget adds nothing but ill-conditioning.
+    w = min(ratio_bound(eps, exp_eps), max(_width_ratios(prior.q[0], prior.q[-1])))
+    problem = assemble_lp(prior, u, _full_bank(prior.n, w))
+    solution = solve_lp(problem)
+    if solution.status == "optimal" and not _support(problem, solution).is_chain:
+        problem, solution = _hold_and_maximize_quadratic(problem, solution)
+    if solution.status != "optimal":
+        raise SolverError(f"the LP over every cut column is {solution.status}")
+    chain = _support(problem, solution)
+    if not chain.is_chain:
+        raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
+    structure = compress(_structure_from_lp(problem, solution, chain))
     return GeneralSolution(
         structure=structure,
         mechanism=structure_to_mechanism(structure),
-        assignment=problem.assignment,
+        assignment=chain,
         utility=float(expected_utility(structure, u)),
     )

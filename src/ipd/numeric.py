@@ -26,8 +26,11 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction
 from typing import Union
+
+from .errors import ValidationError
 
 Scalar = Union[int, float, Fraction]
 
@@ -36,6 +39,7 @@ CHECK_TOL = 1e-9
 PATH_TOL = 1e-7
 
 _TOLERANCE_ENV = "IPD_TOLERANCE"
+_MAX_EPS = math.log(sys.float_info.max)  # beyond it e**eps overflows a float
 
 
 def check_slack() -> float:
@@ -43,17 +47,22 @@ def check_slack() -> float:
     raw = os.environ.get(_TOLERANCE_ENV)
     if raw is None:
         return CHECK_TOL
-    value = float(raw)
-    if value <= 0.0:
-        raise ValueError(f"{_TOLERANCE_ENV} must be positive, got {raw!r}")
+    message = f"{_TOLERANCE_ENV} must be a finite positive number, got {raw!r}"
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValidationError(message) from None
+    if not 0.0 < value < math.inf:
+        raise ValidationError(message)
     return value
 
 
 def exactify(x: Scalar) -> Scalar:
     """Promote ints to Fraction so integer division cannot fall back to float.
 
-    Floats and Fractions pass through unchanged; booleans are rejected because
-    a True/False probability is always a bug at the call site.
+    Finite floats and Fractions pass through unchanged. Booleans are rejected
+    (a True/False probability is always a bug at the call site), and so are
+    NaN and infinities, which would slip past every range check.
     """
     if isinstance(x, bool):
         raise TypeError("probabilities must be numbers, not booleans")
@@ -61,6 +70,8 @@ def exactify(x: Scalar) -> Scalar:
         return Fraction(x)
     if not isinstance(x, (float, Fraction)):
         raise TypeError(f"expected a real number, got {type(x).__name__}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValidationError(f"expected a finite number, got {x!r}")
     return x
 
 
@@ -80,10 +91,10 @@ def ratio_bound(eps: float | None = None, exp_eps: Scalar | None = None) -> Scal
     if exp_eps is not None:
         bound = exactify(exp_eps)
         if bound < 1:
-            raise ValueError(f"exp_eps must be >= 1, got {exp_eps!r}")
+            raise ValidationError(f"exp_eps must be >= 1, got {exp_eps!r}")
         return bound
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps!r}")
+    if not 0 <= eps <= _MAX_EPS:
+        raise ValidationError(f"eps must be in [0, {_MAX_EPS:.2f}], got {eps!r}")
     return math.exp(eps)
 
 

@@ -3,11 +3,12 @@
 Nothing here is used by the solvers themselves. binary_grid_oracle sweeps
 the two free widths of the binary optimum over a lattice and recovers the
 middle widths from the row-sum algebra; random_structure_oracle throws
-random private structures at a solver; naive_c_enumeration regenerates the
-middle-column cut patterns by raw product enumeration plus filtering. Each
-gives an independent path to the same answers the closed forms and the LP
-produce, which is the whole point: the tests assert the solvers are never
-beaten and the enumerations agree.
+random private structures at a solver; enumerate_assignments lists every
+chain of cut columns, whose LPs the single LP of solve_general must match;
+naive_c_enumeration regenerates the middle-column cut patterns by raw
+product enumeration plus filtering. Each gives an independent path to the
+same answers the closed forms and the LP produce, which is the whole point:
+the tests assert the solvers are never beaten and the enumerations agree.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .analysis import UtilityFn, check_ip, expected_utility
 from .binary import solve_binary
 from .errors import NotBinarySecret, UnsupportedSize, ValidationError
-from .general import solve_general
+from .general import CutAssignment, CutColumn, all_cuts, may_follow, solve_general
 from .model import InfoStructure, Prior, posterior_summary
 from .numeric import Scalar, check_slack, log_of, ratio_bound
 
@@ -306,6 +307,21 @@ def _random_batch(
         widths / np.maximum(wsum, 1e-300) * (1.0 - qs),
     )
     return widths, yellow
+
+
+def enumerate_assignments(
+    n: int, eps: float | None = None, *, exp_eps: Scalar | None = None
+) -> list[CutAssignment]:
+    """Every chain of distinct cut columns for n secrets, the empty one first.
+
+    The count grows quickly with n (12 for n=2, 320 for n=3). Solving each
+    chain's LP and keeping the best is the slow reference for solve_general.
+    """
+    w = ratio_bound(eps, exp_eps)
+    chains: list[tuple[CutColumn, ...]] = [()]
+    for col in all_cuts(n):  # sorted, so every chain grows in its own order
+        chains += [c + (col,) for c in chains if not c or may_follow(c[-1], col)]
+    return [CutAssignment(n, chain, w) for chain in chains]
 
 
 def canonical_matrix(

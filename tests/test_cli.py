@@ -1,18 +1,24 @@
 """End-to-end tests of the command-line interface and the JSON round trips.
 
 Commands run in-process through main(argv) so exit codes and output are
-captured without spawning interpreters.
+captured without spawning interpreters; only the import-cost check starts a
+fresh one.
 """
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ipd
 from ipd import ValidationError, load_prior, posterior_summary, solve_binary
 from ipd.cli import main, parse_eps
+from ipd.general import MAX_SECRETS
 from ipd.serialize import (
     decode_mechanism,
     decode_number,
@@ -186,6 +192,47 @@ class TestSolveCommand:
         assert "solve-general" in err["message"]
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "case", ["nan-prior-solve", "nan-prior-solve-general", "tolerance", "huge-eps"]
+    )
+    def test_bad_input_is_a_json_error_not_a_traceback(
+        self, case, prior_file, fixture_solution, tmp_path, monkeypatch, capsys
+    ):
+        nan_prior = tmp_path / "nan_prior.json"
+        nan_prior.write_text(
+            '{"secrets": [{"name": "a", "p": 0.5, "q_y1": NaN},'
+            ' {"name": "b", "p": 0.5, "q_y1": 0.25}]}'
+        )
+        structure = str(tmp_path / "st.json")
+        write_json(structure, encode_structure(fixture_solution.structure))
+        argv = {
+            "nan-prior-solve": ["solve", str(nan_prior), "--eps", "0.5"],
+            "nan-prior-solve-general": [
+                "solve-general", str(nan_prior), "--eps", "0.5", "--utility", "abs"
+            ],
+            "tolerance": ["verify", structure, "--eps", "ln2"],
+            "huge-eps": ["solve", prior_file, "--eps", "1e308"],
+        }[case]
+        if case == "tolerance":
+            monkeypatch.setenv("IPD_TOLERANCE", "abc")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert isinstance(json.loads(err), dict)
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_scipy_optimize(self):
+        code = "import sys, ipd.cli; print('scipy.optimize' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(ipd.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert done.stdout.strip() == "False"
+
+
 class TestVerifyCommand:
     def test_solver_output_verifies_clean(self, prior_file, tmp_path, capsys):
         st_path = str(tmp_path / "st.json")
@@ -224,34 +271,31 @@ class TestSolveGeneralCommand:
         assert payload["assignment"] == [[2, 1, 3], [2, 0, 2]]
 
     def test_size_cap_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "six.json"
+        n = MAX_SECRETS + 1
+        path = tmp_path / "too_many.json"
         rows = [
-            {"name": f"s{k}", "p": "1/6", "q_y1": str(Fraction(9 - k, 10))}
-            for k in range(6)
+            {"name": f"s{k}", "p": f"1/{n}", "q_y1": str(Fraction(k + 1, n + 1))}
+            for k in range(n)
         ]
         path.write_text(json.dumps({"secrets": rows}))
         assert main(["solve-general", str(path), "--eps", "0.5", "--utility", "abs"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnsupportedSize"
 
-    def test_diagnostics_file_lists_all_assignments(self, prior_file, tmp_path, capsys):
-        diag = tmp_path / "diag.jsonl"
-        code = main(
-            [
-                "solve-general",
-                prior_file,
-                "--eps",
-                "ln2",
-                "--utility",
-                "abs",
-                "--diagnostics",
-                str(diag),
-            ]
-        )
-        assert code == 0
-        records = [json.loads(line) for line in diag.read_text().splitlines()]
-        assert len(records) == 12
-        assert {record["status"] for record in records} <= {"optimal", "infeasible"}
+    def test_lp_backend_failure_exits_2_with_json_error(
+        self, prior_file, monkeypatch, capsys
+    ):
+        import scipy.optimize
+
+        class Failed:
+            status = 4
+            message = "numerical difficulties"
+
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: Failed())
+        assert main(["solve-general", prior_file, "--eps", "ln2", "--utility", "abs"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SolverError"
+        assert "numerical difficulties" in err["message"]
 
 
 class TestUtilityCommand:

@@ -1,4 +1,4 @@
-"""Tests for the assignment enumeration, LP assembly, and the general solver."""
+"""Tests for the cut banks, the chain enumeration, LP assembly, and the general solver."""
 
 import math
 from fractions import Fraction
@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ipd.general
 from ipd import (
     CutAssignment,
     CutColumn,
+    SolverError,
     UnsupportedSize,
     UtilityFn,
     ValidationError,
@@ -19,10 +21,13 @@ from ipd import (
     expected_utility,
     load_prior,
     posterior_summary,
+    random_structure_oracle,
     solve_binary,
     solve_general,
     solve_lp,
 )
+from ipd.general import MAX_SECRETS, LpSolution
+from ipd.numeric import PATH_TOL
 
 from conftest import random_binary_prior
 
@@ -42,21 +47,12 @@ class TestEnumeration:
     def test_chains_are_monotone_and_distinct(self):
         for assignment in enumerate_assignments(3, exp_eps=Fraction(2)):
             cols = assignment.columns
+            assert assignment.is_chain
             assert len(set(cols)) == len(cols)
             for first, second in zip(cols, cols[1:]):
                 assert second.i >= first.i
                 assert second.b <= first.b
                 assert second.c <= first.c
-
-    def test_column_cap_limits_chain_growth(self):
-        capped = list(enumerate_assignments(2, exp_eps=Fraction(2), max_columns_per_i=1))
-        full = list(enumerate_assignments(2, exp_eps=Fraction(2)))
-        assert len(capped) < len(full)
-        for assignment in capped:
-            per_i = {}
-            for col in assignment.columns:
-                per_i[col.i] = per_i.get(col.i, 0) + 1
-            assert all(v <= 1 for v in per_i.values())
 
     def test_factor_vector_expansion(self):
         a = CutAssignment(n=2, columns=(CutColumn(2, 1, 3),), exp_eps=Fraction(2))
@@ -69,10 +65,20 @@ class TestEnumeration:
             CutAssignment(n=2, columns=(CutColumn(4, 0, 3),), exp_eps=Fraction(2))
 
     def test_non_monotone_chain_rejected(self):
+        # a bank may hold any distinct columns; only is_chain judges the order
+        bank = CutAssignment(
+            n=2,
+            columns=(CutColumn(2, 0, 2), CutColumn(2, 1, 3)),
+            exp_eps=Fraction(2),
+        )
+        assert not bank.is_chain
+        assert CutAssignment(2, bank.columns[::-1], Fraction(2)).is_chain
+
+    def test_duplicate_column_rejected(self):
         with pytest.raises(ValidationError):
             CutAssignment(
                 n=2,
-                columns=(CutColumn(2, 0, 2), CutColumn(2, 1, 3)),
+                columns=(CutColumn(2, 1, 3), CutColumn(2, 1, 3)),
                 exp_eps=Fraction(2),
             )
 
@@ -184,25 +190,14 @@ class TestSolveGeneral:
         assert solution.structure.num_signals <= 10
 
     def test_secret_cap_is_enforced(self):
-        prior = load_prior([(1 / 3, 0.9), (1 / 3, 0.5), (1 / 3, 0.1)])
+        n = MAX_SECRETS + 1
+        prior = load_prior([(Fraction(1, n), Fraction(k + 1, n + 1)) for k in range(n)])
         with pytest.raises(UnsupportedSize):
-            solve_general(prior, 0.5, UtilityFn("abs"), max_secrets=2)
+            solve_general(prior, 0.5, UtilityFn("abs"))
 
     def test_missing_utility_raises_type_error(self, fixture_prior_exact):
         with pytest.raises(TypeError):
             solve_general(fixture_prior_exact, 0.5)
-
-    def test_diagnostics_callback_sees_every_assignment(self, fixture_prior_exact):
-        records = []
-        solve_general(
-            fixture_prior_exact,
-            u=UtilityFn("abs"),
-            exp_eps=Fraction(2),
-            on_assignment=records.append,
-        )
-        assert len(records) == 12
-        assert all(record["status"] in ("optimal", "infeasible") for record in records)
-        assert any(record["columns"] == [[2, 1, 3], [2, 0, 2]] for record in records)
 
     def test_agreement_with_binary_solver_on_random_priors(self):
         rng = np.random.default_rng(21)
@@ -216,3 +211,64 @@ class TestSolveGeneral:
             assert solve_general(prior, eps, u).utility == pytest.approx(
                 closed, abs=1e-7
             )
+
+    def test_tie_between_chains_and_non_chains_resolves_to_a_chain(self):
+        # the first LP can stop on the non-chain (2,1,3), (3,1,4), (3,0,2),
+        # whose shape fails c_lower_right; the outcome must be a chain either way
+        prior = load_prior([(0.65, 0.83), (0.197, 0.38), (0.153, 0.26)])
+        solution = solve_general(prior, 0.33, UtilityFn("abs"))
+        assert solution.assignment.is_chain
+        assert check_regions(solution.structure, 0.33).all_flags
+        assert solution.utility == pytest.approx(0.6948052072871898, abs=PATH_TOL)
+
+    @pytest.mark.parametrize(
+        "pairs", [[(0.5, 0.75), (0.5, 0.25)], [(0.2, 0.8), (0.5, 0.3), (0.3, 0.1)]]
+    )
+    def test_huge_budget_gives_full_disclosure(self, pairs):
+        # e**50 is far past every conditional ratio; the LP must not see it
+        prior = load_prior(pairs)
+        solution = solve_general(prior, 50.0, UtilityFn("abs"))
+        assert solution.assignment.columns == ()
+        assert solution.utility == pytest.approx(1.0, abs=1e-12)
+        assert check_ip(solution.structure, 50.0).satisfied
+
+    @pytest.mark.parametrize("family", ["abs", "quadratic"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_single_lp_matches_the_best_chain(self, family, seed):
+        rng = np.random.default_rng(seed)
+        prior = load_prior(
+            list(zip(rng.dirichlet(np.ones(3)).tolist(), rng.uniform(0, 1, 3).tolist()))
+        )
+        eps = float(rng.uniform(0.1, 2.0))
+        u = UtilityFn(family)
+        best = -math.inf
+        for chain in enumerate_assignments(3, eps):
+            solution = solve_lp(assemble_lp(prior, u, chain))
+            if solution.status == "optimal":
+                best = max(best, solution.objective)
+        assert solve_general(prior, eps, u).utility == pytest.approx(best, abs=PATH_TOL)
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_larger_supports_are_private_well_shaped_and_unbeaten(self, n):
+        rng = np.random.default_rng(n)
+        prior = load_prior(
+            list(zip(rng.dirichlet(np.ones(n)).tolist(), rng.uniform(0, 1, n).tolist()))
+        )
+        u = UtilityFn("abs")
+        solution = solve_general(prior, 0.6, u)
+        assert solution.assignment.is_chain
+        assert check_ip(solution.structure, 0.6).satisfied
+        assert check_regions(solution.structure, 0.6).all_flags
+        report = random_structure_oracle(prior, 0.6, u, trials=1000, seed=n)
+        assert report.best_utility <= solution.utility + 1e-9
+
+    def test_non_chain_after_the_tie_break_is_a_solver_error(self, monkeypatch):
+        # every column positive cannot be a chain at n=3, in either stage
+        def everything_positive(problem):
+            ones = (1.0,) * len(problem.var_names)
+            return LpSolution("optimal", ones, 0.0, 0.0)
+
+        monkeypatch.setattr(ipd.general, "solve_lp", everything_positive)
+        prior = load_prior([(1 / 3, 0.9), (1 / 3, 0.5), (1 / 3, 0.1)])
+        with pytest.raises(SolverError):
+            solve_general(prior, 0.5, UtilityFn("abs"))
