@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import MeanMismatch, ValidationError
-from .model import InfoStructure, PosteriorSummary, Prior, posterior_summary
+from .model import InfoStructure, PosteriorSummary, Prior, column_stats
 from .numeric import Scalar, check_slack, exactify, is_exact, log_of, ratio_bound
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import to avoid a cycle
@@ -281,15 +281,10 @@ def check_regions(
     prior = st.prior
     n = prior.n
 
-    kept = [t for t in range(st.num_signals) if st.signal_mass(t) > 0]
-    post_of: dict[int, Scalar] = {}
-    for t in kept:
-        mass = st.signal_mass(t)
-        yellow = sum(
-            prior.p[s] * st.widths[s][t] * st.cells[s][t] for s in range(n)
-        )
-        post_of[t] = yellow / mass
-    kept.sort(key=lambda t: (-float(post_of[t]), t))
+    post_of = {
+        t: post for t, (_, post, _) in enumerate(column_stats(st)) if post is not None
+    }
+    kept = sorted(post_of, key=lambda t: (-float(post_of[t]), t))
 
     witnesses: dict[str, tuple | None] = {
         "cells_binary": None,
@@ -435,8 +430,7 @@ def blackwell_dominates(a: PosteriorSummary, b: PosteriorSummary) -> BlackwellRe
 def expected_utility(st: InfoStructure, u: UtilityFn) -> Scalar:
     """E[u(q_T)] over positive-mass signals; exact for rational structures
     except with the negentropy family."""
-    summary = posterior_summary(st)
-    return sum(p * u(q) for p, q in zip(summary.p, summary.q))
+    return sum(mass * u(post) for mass, post, _ in column_stats(st) if post is not None)
 
 
 @dataclass(frozen=True)

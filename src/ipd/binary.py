@@ -122,6 +122,25 @@ def classify_regime(
     return Regime(tag, r1, r2)
 
 
+def pack_columns(
+    prior: Prior,
+    labels: tuple[str, ...],
+    width_pairs: tuple[tuple[Scalar, Scalar], ...],
+    cell_pairs: tuple[tuple[Scalar, Scalar], ...],
+) -> InfoStructure:
+    """The binary structure of the given (high-q row, low-q row) column pairs.
+
+    Columns whose two widths are both zero are left out.
+    """
+    kept = [k for k, (hi, lo) in enumerate(width_pairs) if hi != 0 or lo != 0]
+    return InfoStructure(
+        prior=prior,
+        signals=tuple(labels[k] for k in kept),
+        widths=tuple(tuple(width_pairs[k][row] for k in kept) for row in (0, 1)),
+        cells=tuple(tuple(cell_pairs[k][row] for k in kept) for row in (0, 1)),
+    )
+
+
 def _build_solution(
     prior: Prior,
     regime: Regime,
@@ -129,23 +148,7 @@ def _build_solution(
     width_pairs: tuple[tuple[Scalar, Scalar], ...],
     cell_pairs: tuple[tuple[Scalar, Scalar], ...],
 ) -> BinarySolution:
-    kept = [
-        k
-        for k, (hi, lo) in enumerate(width_pairs)
-        if not (hi == 0 and lo == 0)
-    ]
-    structure = InfoStructure(
-        prior=prior,
-        signals=tuple(labels[k] for k in kept),
-        widths=(
-            tuple(width_pairs[k][0] for k in kept),
-            tuple(width_pairs[k][1] for k in kept),
-        ),
-        cells=(
-            tuple(cell_pairs[k][0] for k in kept),
-            tuple(cell_pairs[k][1] for k in kept),
-        ),
-    )
+    structure = pack_columns(prior, labels, width_pairs, cell_pairs)
     return BinarySolution(
         structure=structure,
         mechanism=structure_to_mechanism(structure),

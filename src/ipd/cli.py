@@ -7,8 +7,9 @@ accept plain numbers ("0.7"), zero, and exact log forms ("ln2", "2ln3",
 
 Exit codes: 0 success; 1 semantic verification failure (a verify that finds
 the budget violated, an oracle that beats the solver); 2 input or validation
-error or LP solver failure, reported as a JSON object on stderr; 3
-secret-count cap exceeded.
+error or LP solver failure, reported as a JSON object on stderr (an unknown
+secret label, a document row that is not a list and a negative seed are input
+errors too); 3 secret-count cap exceeded.
 The IPD_TOLERANCE environment variable overrides the default 1e-9 slack of
 the verification checks.
 """

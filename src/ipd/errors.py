@@ -17,6 +17,12 @@ class ValidationError(IpdError, ValueError):
     """Malformed or inconsistent input data."""
 
 
+class UnknownLabel(ValidationError, KeyError):
+    """A secret or signal label that the object does not have."""
+
+    __str__ = ValidationError.__str__  # KeyError's own would quote the message
+
+
 class NonPositiveMass(ValidationError):
     """A secret was given zero or negative marginal mass."""
 

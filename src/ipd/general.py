@@ -178,6 +178,34 @@ class LpSolution:
     max_residual: float | None
 
 
+def _relative_widths(assignment: CutAssignment) -> list[list[float]]:
+    """Per column of the bank, each row's width over the bottom row's."""
+    n = assignment.n
+    return [
+        [float(f[j] / f[n - 1]) for j in range(n)]
+        for f in map(assignment.factor_vector, assignment.columns)
+    ]
+
+
+def _objective(
+    prior: Prior, u: UtilityFn, rel: list[list[float]], posts: tuple[Scalar, ...]
+) -> tuple[tuple[float, ...], float]:
+    """LP objective coefficients and constant offset for utility u.
+
+    The anchor rows of the all-yellow and all-white columns are the offset;
+    each middle column earns u at its fixed posterior per unit of mass.
+    """
+    p = [float(x) for x in prior.p]
+    top = float(u(1)) * float(prior.q[-1])  # u(1) times the all-yellow anchor width
+    bottom = float(u(0)) * float(1 - prior.q[0])  # u(0) times the all-white one
+    objective = [top * x for x in p[:-1]] + [bottom * x for x in p[1:]]
+    objective += [
+        float(u(post)) * sum(x * r for x, r in zip(p, row))
+        for row, post in zip(rel, posts)
+    ]
+    return tuple(objective), top * p[-1] + bottom * p[0]
+
+
 def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProblem:
     """Build the LP for one bank of columns; the budget is the bank's own.
 
@@ -210,10 +238,7 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
         + [f"width_{labels[k]}_row{n}" for k in range(m)]
     )
 
-    factors = [assignment.factor_vector(col) for col in assignment.columns]
-    rel = [
-        [float(f[j] / f[n - 1]) for j in range(n)] for f in factors
-    ]
+    rel = _relative_widths(assignment)
     posts = tuple(
         assignment.column_posterior(prior, col) for col in assignment.columns
     )
@@ -264,28 +289,14 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
                 a_ub.append(row)
                 b_ub.append(0.0)
 
-    objective = [0.0] * num_vars
-    offset = 0.0
-    u_top = float(u(1))
-    u_bottom = float(u(0))
-    p = prior.p
-    for j in range(n - 1):
-        objective[idx_yellow[j]] = u_top * float(anchor_yellow) * float(p[j])
-    offset += u_top * float(anchor_yellow) * float(p[n - 1])
-    for j in range(1, n):
-        objective[idx_white[j - 1]] = u_bottom * float(anchor_white) * float(p[j])
-    offset += u_bottom * float(anchor_white) * float(p[0])
-    for k in range(m):
-        mass_per_unit = sum(float(p[j]) * rel[k][j] for j in range(n))
-        objective[idx_mid[k]] = float(u(posts[k])) * mass_per_unit
-
+    objective, offset = _objective(prior, u, rel, posts)
     inv_w = float(1 / w) if is_exact(w) else 1.0 / w_f
     bounds = [(inv_w, w_f)] * (2 * (n - 1)) + [(0.0, 1.0)] * m
     return LpProblem(
         prior=prior,
         assignment=assignment,
         var_names=tuple(var_names),
-        objective=tuple(objective),
+        objective=objective,
         offset=offset,
         a_eq=tuple(tuple(r) for r in a_eq),
         b_eq=tuple(b_eq),
@@ -352,13 +363,21 @@ def _hold_and_maximize_quadratic(
 
     The row objective . x + offset >= optimum - CHECK_TOL keeps the primary
     value; a tighter slack lets solver round-off cut off the chain optima.
+    The constraint rows are the first LP's; only the objective is rebuilt.
     """
-    secondary = assemble_lp(problem.prior, UtilityFn("quadratic"), problem.assignment)
+    objective, offset = _objective(
+        problem.prior,
+        UtilityFn("quadratic"),
+        _relative_widths(problem.assignment),
+        problem.column_posteriors,
+    )
     floor = solution.objective - problem.offset - CHECK_TOL
     held = replace(
-        secondary,
-        a_ub=secondary.a_ub + (tuple(-v for v in problem.objective),),
-        b_ub=secondary.b_ub + (-floor,),
+        problem,
+        objective=objective,
+        offset=offset,
+        a_ub=problem.a_ub + (tuple(-v for v in problem.objective),),
+        b_ub=problem.b_ub + (-floor,),
     )
     return held, solve_lp(held)
 
@@ -389,10 +408,9 @@ def _structure_from_lp(
         yellow[j][0] = True
         ratio = 1.0 if j == 0 else values[(n - 1) + (j - 1)]
         widths[j][m + 1] = ratio * anchor_white
-    for k, col in enumerate(chain.columns):
-        factors = chain.factor_vector(col)
+    for k, (col, rel) in enumerate(zip(chain.columns, _relative_widths(chain))):
         for j in range(n):
-            widths[j][k + 1] = float(factors[j] / factors[n - 1]) * middle[col]
+            widths[j][k + 1] = rel[j] * middle[col]
             yellow[j][k + 1] = (j + 1) in chain.yellow_rows(col)
 
     slack = max(CHECK_TOL, 10 * (solution.max_residual or 0.0))
@@ -415,7 +433,7 @@ def _structure_from_lp(
         signals=signals,
         widths=tuple(tuple(row) for row in widths),
         cells=tuple(
-            tuple(1 if yellow[j][t] else 0 for t in range(m + 2))
+            tuple(1.0 if yellow[j][t] else 0.0 for t in range(m + 2))
             for j in range(n)
         ),
     )

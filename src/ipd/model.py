@@ -27,6 +27,7 @@ from .errors import (
     MassNotNormalized,
     NonPositiveMass,
     NotEquivalentSignals,
+    UnknownLabel,
     ValidationError,
     ZeroMassContext,
 )
@@ -45,6 +46,13 @@ def _clamp_noise(x: Scalar) -> Scalar:
         if 1.0 < x < 1.0 + NORM_TOL:
             return 1.0
     return x
+
+
+def _label_index(labels: tuple[str, ...], label: str, kind: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise UnknownLabel(f"unknown {kind} {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -105,10 +113,7 @@ class Prior:
         return sum(ps * qs for ps, qs in zip(self.p, self.q))
 
     def secret_index(self, label: str) -> int:
-        try:
-            return self.secrets.index(label)
-        except ValueError:
-            raise KeyError(f"unknown secret {label!r}") from None
+        return _label_index(self.secrets, label, "secret")
 
     def user_order(self) -> tuple[int, ...]:
         """Canonical indices arranged back into the user's input order."""
@@ -254,10 +259,7 @@ class InfoStructure:
         return len(self.signals)
 
     def signal_index(self, label: str) -> int:
-        try:
-            return self.signals.index(label)
-        except ValueError:
-            raise KeyError(f"unknown signal {label!r}") from None
+        return _label_index(self.signals, label, "signal")
 
     def signal_mass(self, t: int) -> Scalar:
         """Marginal mass P(T=t) of column t."""
@@ -312,29 +314,42 @@ class PosteriorSummary:
         return sum(pt * qt for pt, qt in zip(self.p, self.q))
 
 
+ColumnStats = tuple[Scalar, Scalar | None, tuple[Scalar, ...] | None]
+
+
+def column_stats(st: InfoStructure) -> tuple[ColumnStats, ...]:
+    """Per column t: (P(T=t), P(Y=1 | T=t), P(S | T=t)).
+
+    The two posteriors are None on a zero-mass column. This is the one place
+    a column's statistics are computed; every other routine reads them here.
+    """
+    prior = st.prior
+    stats = []
+    for t in range(st.num_signals):
+        mass = st.signal_mass(t)
+        if mass == 0:
+            stats.append((mass, None, None))
+            continue
+        yellow = sum(
+            prior.p[s] * st.widths[s][t] * st.cells[s][t] for s in range(prior.n)
+        )
+        s_post = tuple(prior.p[s] * st.widths[s][t] / mass for s in range(prior.n))
+        stats.append((mass, yellow / mass, s_post))
+    return tuple(stats)
+
+
 def posterior_summary(st: InfoStructure) -> PosteriorSummary:
     """Summarize a structure into signal masses and posteriors.
 
     Zero-mass signals carry no information and are dropped.
     """
-    prior = st.prior
-    signals, masses, posts, s_rows = [], [], [], []
-    for t, label in enumerate(st.signals):
-        mass = st.signal_mass(t)
-        if mass == 0:
-            continue
-        yellow = sum(
-            prior.p[s] * st.widths[s][t] * st.cells[s][t] for s in range(prior.n)
-        )
-        signals.append(label)
-        masses.append(mass)
-        posts.append(yellow / mass)
-        s_rows.append(
-            tuple(prior.p[s] * st.widths[s][t] / mass for s in range(prior.n))
-        )
-    return PosteriorSummary(
-        signals=tuple(signals), p=tuple(masses), q=tuple(posts), s_post=tuple(s_rows)
-    )
+    kept = [
+        (label, *stats)
+        for label, stats in zip(st.signals, column_stats(st))
+        if stats[1] is not None
+    ]
+    signals, masses, posts, s_rows = zip(*kept)
+    return PosteriorSummary(signals=signals, p=masses, q=posts, s_post=s_rows)
 
 
 @dataclass(frozen=True)
@@ -389,18 +404,7 @@ class Mechanism:
                     )
 
     def signal_index(self, label: str) -> int:
-        try:
-            return self.signals.index(label)
-        except ValueError:
-            raise KeyError(f"unknown signal {label!r}") from None
-
-
-def _extreme_signal_indices(st: InfoStructure) -> tuple[int, int]:
-    """Indices of the highest- and lowest-posterior positive-mass signals."""
-    summary = posterior_summary(st)
-    top_label = summary.signals[max(range(len(summary.q)), key=lambda i: summary.q[i])]
-    bot_label = summary.signals[min(range(len(summary.q)), key=lambda i: summary.q[i])]
-    return st.signal_index(top_label), st.signal_index(bot_label)
+        return _label_index(self.signals, label, "signal")
 
 
 def structure_to_mechanism(st: InfoStructure) -> Mechanism:
@@ -418,7 +422,12 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
     prior = st.prior
     k = st.num_signals
     slack = check_slack()
-    top, bot = _extreme_signal_indices(st)
+    # The first highest- and lowest-posterior columns among those with mass.
+    posts = {
+        t: post for t, (_, post, _) in enumerate(column_stats(st)) if post is not None
+    }
+    top = max(posts, key=posts.__getitem__)
+    bot = min(posts, key=posts.__getitem__)
     kernel = []
     for s in range(prior.n):
         qs = prior.q[s]
@@ -510,41 +519,41 @@ def split_signal(
     )
 
 
-def _column_stats(
-    st: InfoStructure, t: int
-) -> tuple[Scalar, Scalar | None, tuple[Scalar, ...] | None]:
-    """Mass, posterior, and secret posterior of column t (None when empty)."""
-    mass = st.signal_mass(t)
-    if mass == 0:
-        return mass, None, None
-    prior = st.prior
-    yellow = sum(
-        prior.p[s] * st.widths[s][t] * st.cells[s][t] for s in range(prior.n)
+def _equivalent(a: ColumnStats, b: ColumnStats, slack: float) -> bool:
+    """Whether two positive-mass columns agree on P(Y|T) and P(S|T)."""
+    return abs(a[1] - b[1]) <= slack and all(
+        abs(x - y) <= slack for x, y in zip(a[2], b[2])
     )
-    s_post = tuple(prior.p[s] * st.widths[s][t] / mass for s in range(prior.n))
-    return mass, yellow / mass, s_post
 
 
-def _merge_columns(st: InfoStructure, indices: Sequence[int]) -> tuple[tuple, tuple]:
-    """Width rows and cell rows with the given columns summed into the first.
+def _merge_columns(st: InfoStructure, groups: Sequence[Sequence[int]]) -> InfoStructure:
+    """The structure with each group of column indices summed into its first.
 
-    Cell posteriors of the merged column are the width-weighted average per
-    row, which preserves each row's yellow mass exactly.
+    Groups are ordered, and each becomes one column with its first member's
+    label; a column in no group is dropped and a one-column group is copied
+    unchanged. A merged cell posterior is the width-weighted average of the
+    group's cells in that row, which preserves each row's yellow mass exactly.
     """
-    keep = indices[0]
-    drop = set(indices[1:])
     widths, cells = [], []
-    for s in range(st.prior.n):
-        w_row, c_row = list(st.widths[s]), list(st.cells[s])
-        total = sum(st.widths[s][i] for i in indices)
-        yellow = sum(st.widths[s][i] * st.cells[s][i] for i in indices)
-        w_row[keep] = total
-        c_row[keep] = yellow / total if total > 0 else 0
-        widths.append(
-            tuple(x for i, x in enumerate(w_row) if i not in drop)
-        )
-        cells.append(tuple(x for i, x in enumerate(c_row) if i not in drop))
-    return tuple(widths), tuple(cells)
+    for w_row, c_row in zip(st.widths, st.cells):
+        w_out, c_out = [], []
+        for group in groups:
+            if len(group) == 1:
+                w_out.append(w_row[group[0]])
+                c_out.append(c_row[group[0]])
+                continue
+            total = sum(w_row[i] for i in group)
+            yellow = sum(w_row[i] * c_row[i] for i in group)
+            w_out.append(total)
+            c_out.append(yellow / total if total > 0 else 0)
+        widths.append(tuple(w_out))
+        cells.append(tuple(c_out))
+    return InfoStructure(
+        prior=st.prior,
+        signals=tuple(st.signals[group[0]] for group in groups),
+        widths=tuple(widths),
+        cells=tuple(cells),
+    )
 
 
 def merge_signals(st: InfoStructure, group: Iterable[str]) -> InfoStructure:
@@ -564,26 +573,22 @@ def merge_signals(st: InfoStructure, group: Iterable[str]) -> InfoStructure:
     indices = sorted(st.signal_index(t) for t in labels)
     if len(indices) == 1:
         return st
+    stats = column_stats(st)
     slack = check_slack()
-    reference: tuple | None = None
-    for i in indices:
-        mass, post, s_post = _column_stats(st, i)
-        if post is None:
-            continue
-        if reference is None:
-            reference = (st.signals[i], post, s_post)
-            continue
-        ref_label, ref_post, ref_s_post = reference
-        if abs(post - ref_post) > slack or any(
-            abs(a - b) > slack for a, b in zip(s_post, ref_s_post)
-        ):
+    positive = [i for i in indices if stats[i][1] is not None]
+    for i in positive[1:]:
+        if not _equivalent(stats[i], stats[positive[0]], slack):
             raise NotEquivalentSignals(
-                f"signals {ref_label!r} and {st.signals[i]!r} have different posteriors"
+                f"signals {st.signals[positive[0]]!r} and {st.signals[i]!r} "
+                "have different posteriors"
             )
-    widths, cells = _merge_columns(st, indices)
-    drop = set(indices[1:])
-    signals = tuple(t for i, t in enumerate(st.signals) if i not in drop)
-    return InfoStructure(prior=st.prior, signals=signals, widths=widths, cells=cells)
+    members = set(indices)
+    groups = [
+        indices if t == indices[0] else [t]
+        for t in range(st.num_signals)
+        if t == indices[0] or t not in members
+    ]
+    return _merge_columns(st, groups)
 
 
 def compress(st: InfoStructure) -> InfoStructure:
@@ -594,41 +599,19 @@ def compress(st: InfoStructure) -> InfoStructure:
     result has no zero-mass columns and no two equivalent columns, so applying
     compress twice changes nothing.
     """
-    stats = [(_column_stats(st, t)) for t in range(st.num_signals)]
-    classes: list[list[int]] = []
+    stats = column_stats(st)
     slack = check_slack()
-    for t, (mass, post, s_post) in enumerate(stats):
-        if post is None:
+    classes: list[list[int]] = []
+    for t, col in enumerate(stats):
+        if col[1] is None:
             continue
         for members in classes:
-            _, ref_post, ref_s_post = stats[members[0]]
-            if abs(post - ref_post) <= slack and all(
-                abs(a - b) <= slack for a, b in zip(s_post, ref_s_post)
-            ):
+            if _equivalent(col, stats[members[0]], slack):
                 members.append(t)
                 break
         else:
             classes.append([t])
-    if not classes:
-        raise ValidationError("structure has no positive-mass signal")
-    merged_widths = []
-    merged_cells = []
-    signals = tuple(st.signals[members[0]] for members in classes)
-    for s in range(st.prior.n):
-        w_row, c_row = [], []
-        for members in classes:
-            total = sum(st.widths[s][i] for i in members)
-            yellow = sum(st.widths[s][i] * st.cells[s][i] for i in members)
-            w_row.append(total)
-            c_row.append(yellow / total if total > 0 else 0)
-        merged_widths.append(tuple(w_row))
-        merged_cells.append(tuple(c_row))
-    return InfoStructure(
-        prior=st.prior,
-        signals=signals,
-        widths=tuple(merged_widths),
-        cells=tuple(merged_cells),
-    )
+    return _merge_columns(st, classes)
 
 
 def sample_signal(
@@ -644,12 +627,16 @@ def sample_signal(
         count: Number of draws; 0 gives an empty list.
 
     Raises:
+        UnknownLabel: The mechanism's prior has no secret s.
+        ValidationError: y is not 0 or 1, or count or rng_seed is negative.
         ZeroMassContext: P(S=s, Y=y) is zero under the prior.
     """
     if y not in (0, 1):
         raise ValidationError(f"state must be 0 or 1, got {y!r}")
     if count < 0:
         raise ValidationError("count must be nonnegative")
+    if rng_seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {rng_seed}")
     idx = m.prior.secret_index(s)
     mass = m.prior.p[idx] * (m.prior.q[idx] if y == 1 else 1 - m.prior.q[idx])
     if mass == 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import UtilityFn, check_ip, expected_utility
-from .binary import solve_binary
+from .binary import pack_columns, solve_binary
 from .errors import NotBinarySecret, UnsupportedSize, ValidationError
 from .general import CutAssignment, CutColumn, all_cuts, may_follow, solve_general
 from .model import InfoStructure, Prior, posterior_summary
@@ -134,27 +134,9 @@ def _binary_point_structure(
     prior: Prior, w: float, l10: float, l21: float, l31: float, l41: float
 ) -> InfoStructure:
     q0, q1 = (float(x) for x in prior.q)
-    pairs = (
-        (l10, q1),
-        (w * l21, l21),
-        (l31 / w, l31),
-        (1 - q0, l41),
-    )
+    pairs = ((l10, q1), (w * l21, l21), (l31 / w, l31), (1 - q0, l41))
     cells = ((1, 1), (1, 0), (1, 0), (0, 0))
-    kept = [k for k, (hi, lo) in enumerate(pairs) if hi > 0 or lo > 0]
-    labels = ("t1", "t2", "t3", "t4")
-    return InfoStructure(
-        prior=prior,
-        signals=tuple(labels[k] for k in kept),
-        widths=(
-            tuple(pairs[k][0] for k in kept),
-            tuple(pairs[k][1] for k in kept),
-        ),
-        cells=(
-            tuple(cells[k][0] for k in kept),
-            tuple(cells[k][1] for k in kept),
-        ),
-    )
+    return pack_columns(prior, ("t1", "t2", "t3", "t4"), pairs, cells)
 
 
 def random_structure_oracle(
@@ -186,6 +168,8 @@ def random_structure_oracle(
         raise TypeError("random_structure_oracle needs a utility function")
     if seed is None:
         raise ValidationError("a seed is required; oracle runs must be replayable")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if max_signals < 2:
         raise ValidationError("need at least 2 signals")
     if trials < 0:

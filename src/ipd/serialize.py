@@ -117,6 +117,12 @@ def _grid(obj, key: str, rows: int) -> list[list]:
     return grid
 
 
+def _number_row(row, key: str) -> tuple[Scalar, ...]:
+    if not isinstance(row, list):
+        raise ValidationError(f"each {key!r} row must be a list of numbers")
+    return tuple(decode_number(x) for x in row)
+
+
 def encode_structure(st: InfoStructure) -> dict:
     return {
         "prior": encode_prior(st.prior),
@@ -140,12 +146,8 @@ def decode_structure(obj) -> InfoStructure:
     return InfoStructure(
         prior=prior,
         signals=tuple(signals),
-        widths=tuple(
-            tuple(decode_number(x) for x in widths[pos]) for pos in positions
-        ),
-        cells=tuple(
-            tuple(decode_number(x) for x in cells[pos]) for pos in positions
-        ),
+        widths=tuple(_number_row(widths[pos], "widths") for pos in positions),
+        cells=tuple(_number_row(cells[pos], "cells") for pos in positions),
     )
 
 
@@ -175,9 +177,7 @@ def decode_mechanism(obj) -> Mechanism:
         block = kernel[pos]
         if not isinstance(block, list) or len(block) != 2:
             raise ValidationError("each kernel entry needs rows for y=0 and y=1")
-        decoded.append(
-            tuple(tuple(decode_number(x) for x in row) for row in block)
-        )
+        decoded.append(tuple(_number_row(row, "kernel") for row in block))
     return Mechanism(prior=prior, signals=tuple(signals), kernel=tuple(decoded))
 
 
@@ -189,12 +189,7 @@ def decode_rewards(obj) -> tuple[tuple[Scalar, ...], ...]:
         raise ValidationError(
             "rewards document must be two rows of numbers (y=0, then y=1)"
         )
-    rows = []
-    for row in obj:
-        if not isinstance(row, list):
-            raise ValidationError("each rewards row must be a list of numbers")
-        rows.append(tuple(decode_number(x) for x in row))
-    return tuple(rows)
+    return tuple(_number_row(row, "rewards") for row in obj)
 
 
 def read_json(path: str):

@@ -194,7 +194,19 @@ class TestSolveCommand:
 
 class TestInputBoundary:
     @pytest.mark.parametrize(
-        "case", ["nan-prior-solve", "nan-prior-solve-general", "tolerance", "huge-eps"]
+        "case",
+        [
+            "nan-prior-solve",
+            "nan-prior-solve-general",
+            "tolerance",
+            "huge-eps",
+            "unknown-secret",
+            "widths-row",
+            "cells-row",
+            "kernel-row",
+            "negative-seed-sample",
+            "negative-seed-oracle",
+        ],
     )
     def test_bad_input_is_a_json_error_not_a_traceback(
         self, case, prior_file, fixture_solution, tmp_path, monkeypatch, capsys
@@ -206,6 +218,17 @@ class TestInputBoundary:
         )
         structure = str(tmp_path / "st.json")
         write_json(structure, encode_structure(fixture_solution.structure))
+        mechanism = str(tmp_path / "mech.json")
+        write_json(mechanism, encode_mechanism(fixture_solution.mechanism))
+        # a number where a row of numbers belongs
+        bad_rows = str(tmp_path / "bad_rows.json")
+        doc = encode_mechanism(fixture_solution.mechanism)
+        doc["kernel"][0][1] = 1
+        if case != "kernel-row":
+            doc = encode_structure(fixture_solution.structure)
+            doc["widths" if case == "widths-row" else "cells"][1] = 1
+        write_json(bad_rows, doc)
+        sample = ["sample", mechanism, "--y", "1", "--count", "3"]
         argv = {
             "nan-prior-solve": ["solve", str(nan_prior), "--eps", "0.5"],
             "nan-prior-solve-general": [
@@ -213,13 +236,25 @@ class TestInputBoundary:
             ],
             "tolerance": ["verify", structure, "--eps", "ln2"],
             "huge-eps": ["solve", prior_file, "--eps", "1e308"],
+            "unknown-secret": [*sample, "--secret", "zzz", "--seed", "1"],
+            "widths-row": ["verify", bad_rows, "--eps", "ln2"],
+            "cells-row": ["verify", bad_rows, "--eps", "ln2"],
+            "kernel-row": ["sample", bad_rows, "--secret", "s0", "--y", "1", "--seed", "1"],
+            "negative-seed-sample": [*sample, "--secret", "s0", "--seed", "-1"],
+            "negative-seed-oracle": [
+                "oracle", "random", prior_file, "--eps", "ln2", "--utility", "abs",
+                "--trials", "5", "--seed", "-1",
+            ],
         }[case]
         if case == "tolerance":
             monkeypatch.setenv("IPD_TOLERANCE", "abc")
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert isinstance(json.loads(err), dict)
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        if case == "unknown-secret":
+            assert payload["message"] == "unknown secret 'zzz'"
 
 
 class TestImportCost:

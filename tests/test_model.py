@@ -25,6 +25,7 @@ from ipd.errors import (
     ConditionalOutOfRange,
     NonPositiveMass,
     NotEquivalentSignals,
+    UnknownLabel,
 )
 
 from conftest import random_binary_prior
@@ -78,6 +79,17 @@ class TestPrior:
         prior = load_prior([(0.5, 0.75), (0.5, 0.25)])
         with pytest.raises(KeyError):
             prior.secret_index("nope")
+
+    def test_unknown_labels_are_typed_errors(self, fixture_solution):
+        for lookup in (
+            fixture_solution.structure.prior.secret_index,
+            fixture_solution.structure.signal_index,
+            fixture_solution.mechanism.signal_index,
+        ):
+            with pytest.raises(UnknownLabel) as info:
+                lookup("nope")
+            assert str(info.value).endswith(" 'nope'")
+            assert isinstance(info.value, ValidationError)
 
 
 class TestInfoStructure:
@@ -167,6 +179,23 @@ class TestMechanismConversion:
             for row in block:
                 assert sum(row) == 1
 
+    def test_impossible_state_goes_to_the_first_extreme_column(self):
+        # s1 has q=0 and "a", "b" both have posterior 1: the y=1 row of s1
+        # needs a full-disclosure column and takes the first of the tie
+        prior = load_prior([(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 2), 0)])
+        st = InfoStructure(
+            prior=prior,
+            signals=("a", "b", "c", "d"),
+            widths=(
+                (Fraction(1, 4), Fraction(1, 2), Fraction(1, 8), Fraction(1, 8)),
+                (0, 0, Fraction(1, 2), Fraction(1, 2)),
+            ),
+            cells=((1, 1, 0, 0), (0, 0, 0, 0)),
+        )
+        kernel = structure_to_mechanism(st).kernel
+        assert kernel[1][1] == (1, 0, 0, 0)
+        assert kernel[1][0] == (0, 0, Fraction(1, 2), Fraction(1, 2))
+
     def test_round_trip_on_random_float_structures(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -203,12 +232,39 @@ class TestSplitMergeCompress:
         assert merged.widths == st.widths
         assert merged.cells == st.cells
 
+    def test_merge_absorbs_zero_mass_members_unchecked(self, fixture_prior):
+        # "dead" has no mass, so its cell posteriors are never compared
+        st = InfoStructure(
+            prior=fixture_prior,
+            signals=("a", "dead", "b"),
+            widths=((0.75, 0.0, 0.25), (0.25, 0.0, 0.75)),
+            cells=((1, 0.5, 0), (1, 0.5, 0)),
+        )
+        merged = merge_signals(st, ("dead", "a"))
+        assert merged.signals == ("a", "b")
+        assert merged.widths == ((0.75, 0.25), (0.25, 0.75))
+        assert merged.cells == ((1, 0), (1, 0))
+
+    def test_merge_leaves_other_float_columns_bit_identical(self):
+        rng = np.random.default_rng(5)
+        st = _random_structure(rng, random_binary_prior(rng), k=4)
+        split = split_signal(st, "t1", (0.3, 0.7))
+        merged = merge_signals(split, ("t1_1", "t1_2"))
+        assert merged.signals == ("t0", "t1_1", "t2", "t3")
+        for s in range(st.prior.n):
+            for t in (0, 2, 3):
+                assert merged.widths[s][t] == st.widths[s][t]
+                assert merged.cells[s][t] == st.cells[s][t]
+            assert merged.widths[s][1] == pytest.approx(st.widths[s][1], abs=1e-15)
+
     def test_merge_rejects_distinct_posteriors(self, fixture_solution):
         st = fixture_solution.structure
         with pytest.raises(NotEquivalentSignals):
             merge_signals(st, ("t1", "t4"))
 
-    def test_compress_merges_duplicates_and_drops_dead_columns(self, fixture_prior):
+    def test_compress_merges_duplicates_and_drops_dead_columns(
+        self, fixture_prior, fixture_prior_exact
+    ):
         st = InfoStructure(
             prior=fixture_prior,
             signals=("a", "dead", "b", "c"),
@@ -221,6 +277,24 @@ class TestSplitMergeCompress:
         out = compress(st)
         assert out.signals == ("a", "c")
         assert out.widths[0] == (0.75, 0.25)
+        exact = InfoStructure(
+            prior=fixture_prior_exact,
+            signals=st.signals,
+            widths=(
+                (Fraction(1, 4), 0, Fraction(1, 2), Fraction(1, 4)),
+                (Fraction(1, 12), 0, Fraction(1, 6), Fraction(3, 4)),
+            ),
+            cells=((1, Fraction(1, 2), 1, 0), (1, Fraction(1, 2), 1, 0)),
+        )
+        out = compress(exact)
+        assert out.signals == ("a", "c")
+        assert out.widths == (
+            (Fraction(3, 4), Fraction(1, 4)),
+            (Fraction(1, 4), Fraction(3, 4)),
+        )
+        assert out.cells == ((1, 0), (1, 0))
+        values = [x for grid in (out.widths, out.cells) for row in grid for x in row]
+        assert all(isinstance(x, Fraction) for x in values)
 
     def test_compress_is_idempotent(self, fixture_solution):
         once = compress(fixture_solution.structure)
