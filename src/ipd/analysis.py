@@ -41,10 +41,10 @@ class UtilityFn:
         rewards:    max over actions a of q*r[1][a] + (1-q)*r[0][a], for a
                     reward matrix r[y][a]; piecewise linear and convex.
 
-    Convexity is re-checked at construction by second differences on a
-    1001-point grid, so a concave reward matrix is rejected early. Calls
-    accept scalars (Fractions stay exact except for negentropy, which is
-    inherently transcendental) and numpy arrays.
+    Every family is convex by construction (a reward utility is a maximum
+    of affine functions of q), so construction checks only the arguments.
+    Calls accept scalars (Fractions stay exact except for negentropy, which
+    is inherently transcendental) and numpy arrays.
     """
 
     family: str
@@ -67,17 +67,6 @@ class UtilityFn:
             object.__setattr__(self, "rewards", matrix)
         else:
             raise ValidationError(f"unknown utility family {self.family!r}")
-        self._check_convexity()
-
-    def _check_convexity(self) -> None:
-        grid = np.linspace(0.0, 1.0, 1001)
-        values = self(grid)
-        second = values[:-2] - 2.0 * values[1:-1] + values[2:]
-        scale = max(1.0, float(np.max(np.abs(values))))
-        if float(np.min(second)) < -1e-9 * scale:
-            raise ValidationError(
-                f"utility {self.label()!r} is not convex on [0, 1]"
-            )
 
     def label(self) -> str:
         return self.family

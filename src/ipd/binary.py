@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .analysis import UtilityFn, expected_utility
 from .errors import DegenerateRatio, NotBinarySecret, ValidationError
@@ -57,13 +58,19 @@ class BinarySolution:
     structure has zero-mass columns dropped; widths_by_signal keeps all
     canonical columns (four for the budgeted solver, three for perfect
     privacy) as (high-q row, low-q row) pairs aligned with signals.
+
+    mechanism is derived from structure on first read and cached, so
+    IPD_TOLERANCE is read then, not at solve time.
     """
 
     structure: InfoStructure
-    mechanism: Mechanism
     regime: Regime
     widths_by_signal: tuple[tuple[Scalar, Scalar], ...]
     signals: tuple[str, ...]
+
+    @cached_property
+    def mechanism(self) -> Mechanism:
+        return structure_to_mechanism(self.structure)
 
 
 def _require_binary(prior: Prior) -> None:
@@ -141,23 +148,6 @@ def pack_columns(
     )
 
 
-def _build_solution(
-    prior: Prior,
-    regime: Regime,
-    labels: tuple[str, ...],
-    width_pairs: tuple[tuple[Scalar, Scalar], ...],
-    cell_pairs: tuple[tuple[Scalar, Scalar], ...],
-) -> BinarySolution:
-    structure = pack_columns(prior, labels, width_pairs, cell_pairs)
-    return BinarySolution(
-        structure=structure,
-        mechanism=structure_to_mechanism(structure),
-        regime=regime,
-        widths_by_signal=width_pairs,
-        signals=labels,
-    )
-
-
 def solve_perfect_privacy(prior: Prior) -> BinarySolution:
     """Best structure whose signal is independent of the secret.
 
@@ -168,14 +158,13 @@ def solve_perfect_privacy(prior: Prior) -> BinarySolution:
     _require_binary(prior)
     q0, q1 = prior.q
     r1, r2 = _width_ratios(q0, q1)
-    regime = Regime(RegimeTag.PERFECT_PRIVACY, r1, r2)
-    widths = (q1, q0 - q1, 1 - q0)
-    return _build_solution(
-        prior,
-        regime,
-        labels=("t1", "t2", "t3"),
-        width_pairs=tuple((x, x) for x in widths),
-        cell_pairs=((1, 1), (1, 0), (0, 0)),
+    labels = ("t1", "t2", "t3")
+    width_pairs = tuple((x, x) for x in (q1, q0 - q1, 1 - q0))
+    return BinarySolution(
+        structure=pack_columns(prior, labels, width_pairs, ((1, 1), (1, 0), (0, 0))),
+        regime=Regime(RegimeTag.PERFECT_PRIVACY, r1, r2),
+        widths_by_signal=width_pairs,
+        signals=labels,
     )
 
 
@@ -221,8 +210,14 @@ def solve_binary(
         (l31 / w, l31),
         (1 - q0, l41),
     )
+    labels = ("t1", "t2", "t3", "t4")
     cell_pairs = ((1, 1), (1, 0), (1, 0), (0, 0))
-    return _build_solution(prior, regime, ("t1", "t2", "t3", "t4"), width_pairs, cell_pairs)
+    return BinarySolution(
+        structure=pack_columns(prior, labels, width_pairs, cell_pairs),
+        regime=regime,
+        widths_by_signal=width_pairs,
+        signals=labels,
+    )
 
 
 @dataclass(frozen=True)

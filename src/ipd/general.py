@@ -24,6 +24,7 @@ bank, runs one or two LPs, and rebuilds the structure from the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -441,10 +442,19 @@ def _structure_from_lp(
 
 @dataclass(frozen=True)
 class GeneralSolution:
+    """The compressed optimum, its chain of cuts and its utility.
+
+    mechanism is derived from structure on first read and cached, so
+    IPD_TOLERANCE is read then, not at solve time.
+    """
+
     structure: InfoStructure
-    mechanism: Mechanism
     assignment: CutAssignment
     utility: float
+
+    @cached_property
+    def mechanism(self) -> Mechanism:
+        return structure_to_mechanism(self.structure)
 
 
 def solve_general(
@@ -465,7 +475,7 @@ def solve_general(
     disclosure is private solves at that point, with the same optimum. The
     reported assignment is the chain of positive columns sorted by
     (i, -b, -c); the structure is rebuilt from those columns alone and
-    compressed before the mechanism is derived.
+    compressed; its mechanism is derived only when read.
 
     Raises:
         UnsupportedSize: n exceeds max_secrets (the dense LP has O(n**3)
@@ -496,7 +506,6 @@ def solve_general(
     structure = compress(_structure_from_lp(problem, solution, chain))
     return GeneralSolution(
         structure=structure,
-        mechanism=structure_to_mechanism(structure),
         assignment=chain,
         utility=float(expected_utility(structure, u)),
     )

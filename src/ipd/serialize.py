@@ -103,7 +103,8 @@ def decode_prior(obj) -> Prior:
 
 
 def _canonical_positions(prior: Prior, order) -> list[int]:
-    if not isinstance(order, list) or sorted(order) != sorted(prior.secrets):
+    names = isinstance(order, list) and all(isinstance(x, str) for x in order)
+    if not names or sorted(order) != sorted(prior.secrets):
         raise ValidationError(
             "secret_order must list exactly the prior's secret names"
         )

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ipd.binary
+import ipd.general
 from ipd import load_prior, solve_binary
 
 
@@ -25,6 +27,20 @@ def fixture_prior_exact():
 def fixture_solution(fixture_prior_exact):
     """Exact four-signal optimum of the fixture prior at budget ln 2."""
     return solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """The structures the binary and general solvers turn into mechanisms."""
+    calls = []
+    for module in (ipd.binary, ipd.general):
+
+        def counting(st, real=module.structure_to_mechanism):
+            calls.append(st)
+            return real(st)
+
+        monkeypatch.setattr(module, "structure_to_mechanism", counting)
+    return calls
 
 
 def random_binary_prior(rng: np.random.Generator, gap: float = 0.05):

@@ -22,6 +22,8 @@ from ipd import (
     posterior_summary,
     solve_binary,
     solve_perfect_privacy,
+    structure_to_mechanism,
+    utility_gain,
 )
 from ipd.errors import DegenerateRatio, NotBinarySecret
 
@@ -291,3 +293,31 @@ class TestGapInstance:
             gap_instance(0.5, delta=0)
         with pytest.raises(ValidationError):
             gap_instance(0.5)
+
+
+class TestLazyMechanism:
+    def test_solving_builds_no_kernel(self, fixture_prior_exact, kernel_builds):
+        solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
+        solve_perfect_privacy(fixture_prior_exact)
+        for eps in (0.0, 0.7):
+            utility_gain(fixture_prior_exact, eps, UtilityFn("quadratic"))
+        assert kernel_builds == []
+
+    # a unit ratio bound routes to solve_perfect_privacy
+    @pytest.mark.parametrize("bound", [Fraction(2), Fraction(1)])
+    def test_first_read_builds_the_kernel_once(
+        self, bound, fixture_prior_exact, kernel_builds
+    ):
+        sol = solve_binary(fixture_prior_exact, exp_eps=bound)
+        assert kernel_builds == []
+        first = sol.mechanism
+        assert kernel_builds == [sol.structure]
+        assert sol.mechanism is first
+        assert len(kernel_builds) == 1
+        assert first == structure_to_mechanism(sol.structure)
+        assert all(
+            isinstance(x, (int, Fraction))
+            for block in first.kernel
+            for row in block
+            for x in row
+        )

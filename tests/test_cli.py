@@ -191,6 +191,16 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert "solve-general" in err["message"]
 
+    def test_kernel_is_built_only_for_out_mechanism(
+        self, prior_file, tmp_path, kernel_builds, capsys
+    ):
+        assert main(["solve", prior_file, "--eps", "ln2"]) == 0
+        assert main(["solve-general", prior_file, "--eps", "ln2", "--utility", "abs"]) == 0
+        assert kernel_builds == []
+        mech_path = str(tmp_path / "mech.json")
+        assert main(["solve", prior_file, "--eps", "ln2", "--out-mechanism", mech_path]) == 0
+        assert len(kernel_builds) == 1
+
 
 class TestInputBoundary:
     @pytest.mark.parametrize(
@@ -204,6 +214,8 @@ class TestInputBoundary:
             "widths-row",
             "cells-row",
             "kernel-row",
+            "mixed-order-structure",
+            "mixed-order-mechanism",
             "negative-seed-sample",
             "negative-seed-oracle",
         ],
@@ -220,14 +232,19 @@ class TestInputBoundary:
         write_json(structure, encode_structure(fixture_solution.structure))
         mechanism = str(tmp_path / "mech.json")
         write_json(mechanism, encode_mechanism(fixture_solution.mechanism))
-        # a number where a row of numbers belongs
-        bad_rows = str(tmp_path / "bad_rows.json")
-        doc = encode_mechanism(fixture_solution.mechanism)
-        doc["kernel"][0][1] = 1
-        if case != "kernel-row":
+        # a number where a row of numbers or a secret name belongs
+        bad_doc = str(tmp_path / "bad_doc.json")
+        if case in ("kernel-row", "mixed-order-mechanism"):
+            doc = encode_mechanism(fixture_solution.mechanism)
+        else:
             doc = encode_structure(fixture_solution.structure)
+        if case == "kernel-row":
+            doc["kernel"][0][1] = 1
+        elif case in ("widths-row", "cells-row"):
             doc["widths" if case == "widths-row" else "cells"][1] = 1
-        write_json(bad_rows, doc)
+        else:
+            doc["secret_order"] = [1, "s0"]
+        write_json(bad_doc, doc)
         sample = ["sample", mechanism, "--y", "1", "--count", "3"]
         argv = {
             "nan-prior-solve": ["solve", str(nan_prior), "--eps", "0.5"],
@@ -237,9 +254,11 @@ class TestInputBoundary:
             "tolerance": ["verify", structure, "--eps", "ln2"],
             "huge-eps": ["solve", prior_file, "--eps", "1e308"],
             "unknown-secret": [*sample, "--secret", "zzz", "--seed", "1"],
-            "widths-row": ["verify", bad_rows, "--eps", "ln2"],
-            "cells-row": ["verify", bad_rows, "--eps", "ln2"],
-            "kernel-row": ["sample", bad_rows, "--secret", "s0", "--y", "1", "--seed", "1"],
+            "widths-row": ["verify", bad_doc, "--eps", "ln2"],
+            "cells-row": ["verify", bad_doc, "--eps", "ln2"],
+            "kernel-row": ["sample", bad_doc, "--secret", "s0", "--y", "1", "--seed", "1"],
+            "mixed-order-structure": ["verify", bad_doc, "--eps", "ln2"],
+            "mixed-order-mechanism": ["sample", bad_doc, "--secret", "s0", "--y", "1", "--seed", "1"],
             "negative-seed-sample": [*sample, "--secret", "s0", "--seed", "-1"],
             "negative-seed-oracle": [
                 "oracle", "random", prior_file, "--eps", "ln2", "--utility", "abs",

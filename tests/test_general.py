@@ -25,6 +25,7 @@ from ipd import (
     solve_binary,
     solve_general,
     solve_lp,
+    structure_to_mechanism,
 )
 from ipd.general import MAX_SECRETS, LpSolution
 from ipd.numeric import PATH_TOL
@@ -272,3 +273,15 @@ class TestSolveGeneral:
         prior = load_prior([(1 / 3, 0.9), (1 / 3, 0.5), (1 / 3, 0.1)])
         with pytest.raises(SolverError):
             solve_general(prior, 0.5, UtilityFn("abs"))
+
+
+class TestLazyMechanism:
+    def test_kernel_is_built_on_first_read_only(self, kernel_builds):
+        prior = load_prior([(0.3, 0.9), (0.3, 0.5), (0.4, 0.1)])
+        sol = solve_general(prior, 0.7, UtilityFn("abs"))
+        assert kernel_builds == []
+        first = sol.mechanism
+        assert kernel_builds == [sol.structure]
+        assert sol.mechanism is first
+        assert len(kernel_builds) == 1
+        assert first == structure_to_mechanism(sol.structure)

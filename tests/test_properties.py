@@ -6,12 +6,14 @@ over meaningful inputs instead of fighting the validators.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipd import (
+    BUILTIN_FAMILIES,
     Mechanism,
     UtilityFn,
     blackwell_dominates,
@@ -26,6 +28,18 @@ from ipd import (
 )
 
 _unit = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
+
+_reward_utilities = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.lists(
+        st.lists(
+            st.fractions(min_value=-10, max_value=10, max_denominator=20),
+            min_size=k,
+            max_size=k,
+        ),
+        min_size=2,
+        max_size=2,
+    )
+).map(lambda rows: UtilityFn("rewards", rewards=tuple(map(tuple, rows))))
 
 
 @st.composite
@@ -117,3 +131,17 @@ def test_bigger_budget_blackwell_dominates(prior, eps):
     small = posterior_summary(solve_binary(prior, eps).structure)
     large = posterior_summary(solve_binary(prior, eps * 2).structure)
     assert blackwell_dominates(large, small).dominates
+
+
+@given(
+    st.one_of(st.sampled_from(BUILTIN_FAMILIES).map(UtilityFn), _reward_utilities),
+    st.integers(min_value=2, max_value=200),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_utility_is_convex(u, steps):
+    # UtilityFn does not check convexity: every built-in family is convex,
+    # and a reward utility is a maximum of affine functions of q. Exact
+    # grid points keep every family but negentropy free of rounding.
+    values = [u(Fraction(i, steps)) for i in range(steps + 1)]
+    second = [a - 2 * b + c for a, b, c in zip(values, values[1:], values[2:])]
+    assert min(second) >= (-1e-12 if u.family == "negentropy" else 0)
