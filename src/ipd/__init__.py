@@ -78,64 +78,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_FAMILIES",
-    "BinarySolution",
-    "BlackwellResult",
-    "CHECK_TOL",
-    "CutAssignment",
-    "CutColumn",
-    "DegenerateRatio",
-    "GainReport",
-    "GapInstance",
-    "GeneralSolution",
-    "InfoStructure",
-    "IpReport",
-    "IpdError",
-    "LpProblem",
-    "LpSolution",
-    "MassNotNormalized",
-    "MeanMismatch",
-    "Mechanism",
-    "NORM_TOL",
-    "NotBinarySecret",
-    "OracleReport",
-    "PATH_TOL",
-    "PosteriorSummary",
-    "Prior",
-    "Regime",
-    "RegimeTag",
-    "RegionReport",
-    "SolverError",
-    "UnsupportedSize",
-    "UtilityFn",
-    "ValidationError",
-    "ZeroMassContext",
-    "assemble_lp",
-    "binary_grid_oracle",
-    "blackwell_dominates",
-    "check_ip",
-    "check_regions",
-    "check_slack",
-    "classify_regime",
-    "compress",
-    "enumerate_assignments",
-    "expected_utility",
-    "gap_instance",
-    "load_prior",
-    "load_prior_joint",
-    "mechanism_to_structure",
-    "merge_signals",
-    "naive_c_enumeration",
-    "parse_utility",
-    "posterior_summary",
-    "sample_signal",
-    "solve_binary",
-    "solve_general",
-    "solve_lp",
-    "solve_perfect_privacy",
-    "split_signal",
-    "structure_to_mechanism",
-    "utility_gain",
-]

@@ -8,6 +8,11 @@ e**eps) inside the yellow block, rows c..n get it below the block. Widths
 within such a column are all tied to the bottom row's width, and its
 posterior depends only on the prior and the cut, not on the widths.
 
+A bank of columns is described by two (columns x rows) boolean masks,
+`yellow` and `wide`, read as rows of a per-n table that expands every cut
+once. The relative widths, the posteriors, the LP's coefficient blocks and
+the rebuilt structure are all array expressions of those masks.
+
 Every cut column meets the budget on its own, so one LP whose middle
 variables are all the non-uniform cut columns at once admits only private
 structures, and each chain's LP is that LP with some columns held at zero;
@@ -24,7 +29,7 @@ bank, runs one or two LPs, and rebuilds the structure from the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -65,11 +70,33 @@ def all_cuts(n: int) -> list[CutColumn]:
     ]
 
 
+@lru_cache(maxsize=8)
+def _cut_table(n: int) -> tuple[dict[CutColumn, int], np.ndarray, np.ndarray]:
+    """Position, yellow mask and wide mask of every in-range cut for n secrets.
+
+    The one place the (i, b, c) encoding is expanded: a bank's masks are
+    rows of these (cuts x rows) arrays, which the budget does not change.
+    """
+    cuts = all_cuts(n)
+    i, b, c = np.array(cuts).T[:, :, None]
+    rows = np.arange(1, n + 1)
+    yellow = rows <= n + 1 - i
+    wide = np.where(yellow, rows <= b, rows >= c)
+    yellow.flags.writeable = wide.flags.writeable = False  # shared by every bank
+    return {cut: k for k, cut in enumerate(cuts)}, yellow, wide
+
+
+def _width_bounds(w: Scalar) -> tuple[float, float]:
+    """1/w and w as floats, 1/w rounded once when w is exact."""
+    return float(1 / w) if is_exact(w) else 1.0 / w, float(w)
+
+
 @dataclass(frozen=True)
 class CutAssignment:
     """A bank of distinct in-range middle columns for an n-secret instance.
 
-    The budget rides along so the expansion to width factors is
+    Its yellow and wide masks are rows of the cut table of n; the budget
+    rides along so the relative widths and width factors are
     self-contained. A chain, the shape an optimal structure has, lists its
     columns in decreasing-posterior order, which the cut encoding makes
     equivalent to i non-decreasing with b and c non-increasing.
@@ -86,9 +113,9 @@ class CutAssignment:
             raise ValidationError("budget factor must be at least 1")
         cols = tuple(CutColumn(*c) for c in self.columns)
         object.__setattr__(self, "columns", cols)
-        in_range = set(all_cuts(self.n))
+        position = _cut_table(self.n)[0]
         for col in cols:
-            if col not in in_range:
+            if col not in position:
                 raise ValidationError(f"cut {col} out of range for n={self.n}")
         if len(set(cols)) != len(cols):
             raise ValidationError("duplicate cut columns")
@@ -101,35 +128,35 @@ class CutAssignment:
             for first, second in zip(self.columns, self.columns[1:])
         )
 
-    def yellow_rows(self, col: CutColumn) -> range:
-        """1-based rows of the yellow block of this column."""
-        return range(1, self.n + 2 - col.i)
+    @cached_property
+    def _positions(self) -> list[int]:
+        position = _cut_table(self.n)[0]
+        return [position[col] for col in self.columns]
 
-    def factor_vector(self, col: CutColumn) -> tuple[Scalar, ...]:
-        """Per-row width factor (e**eps for wide rows, 1 for narrow)."""
-        w = self.exp_eps
-        top = self.n + 1 - col.i
-        return tuple(
-            w if (j <= col.b if j <= top else j >= col.c) else 1
-            for j in range(1, self.n + 1)
-        )
+    @cached_property
+    def yellow(self) -> np.ndarray:
+        """(columns x rows) mask of each column's yellow block, rows 1..n+1-i."""
+        return _cut_table(self.n)[1][self._positions]
 
-    def is_width_uniform(self, col: CutColumn) -> bool:
-        """True when every row of the column has the same width factor."""
-        factors = self.factor_vector(col)
-        return all(f == factors[0] for f in factors)
+    @cached_property
+    def wide(self) -> np.ndarray:
+        """(columns x rows) mask of the wide rows: 1..b in the block, c..n below."""
+        return _cut_table(self.n)[2][self._positions]
 
-    def column_posterior(self, prior: Prior, col: CutColumn) -> Scalar:
-        """P(Y=1 | this signal); fixed by the cut and prior alone."""
-        factors = self.factor_vector(col)
-        total = sum(p * f for p, f in zip(prior.p, factors))
-        top = self.n + 1 - col.i
-        yellow = sum(prior.p[j] * factors[j] for j in range(top))
-        return yellow / total
+    @cached_property
+    def relative_widths(self) -> np.ndarray:
+        """(columns x rows) width over the bottom row's width: 1/w, 1 or w."""
+        inv_w, w = _width_bounds(self.exp_eps)
+        wide = self.wide
+        return np.where(wide == wide[:, -1:], 1.0, np.where(wide, w, inv_w))
 
     def expanded(self) -> tuple[tuple[int, tuple[Scalar, ...]], ...]:
-        """(i, factor vector) per column, the raw form of the assignment."""
-        return tuple((col.i, self.factor_vector(col)) for col in self.columns)
+        """(i, per-row width factor: e**eps if wide else 1) per column."""
+        w = self.exp_eps
+        return tuple(
+            (col.i, tuple(w if wide else 1 for wide in row))
+            for col, row in zip(self.columns, self.wide.tolist())
+        )
 
 
 def _full_bank(n: int, exp_eps: Scalar) -> CutAssignment:
@@ -141,33 +168,50 @@ def _full_bank(n: int, exp_eps: Scalar) -> CutAssignment:
     same column, so one per i remains.
     """
     if exp_eps == 1:
-        cols = [CutColumn(i, 0, n + 2 - i) for i in range(2, n + 1)]
+        cols = tuple(CutColumn(i, 0, n + 2 - i) for i in range(2, n + 1))
     else:
-        every = CutAssignment(n, tuple(all_cuts(n)), exp_eps)
-        cols = [col for col in every.columns if not every.is_width_uniform(col)]
-    return CutAssignment(n, tuple(cols), exp_eps)
+        position, _, wide = _cut_table(n)  # position lists the cuts in order
+        uniform = wide.all(axis=1) | ~wide.any(axis=1)
+        cols = tuple(col for col, flat in zip(position, uniform.tolist()) if not flat)
+    return CutAssignment(n, cols, exp_eps)
 
 
-@dataclass(frozen=True)
+def _column_posteriors(prior: Prior, bank: CutAssignment) -> tuple[Scalar, ...]:
+    """P(Y=1 | column) per column; fixed by the cut and prior alone.
+
+    The yellow block's prior mass over the column's, each row's mass scaled
+    by its width factor, so exact inputs give exact posteriors.
+    """
+    p, w = prior.p, bank.exp_eps
+    mass = [
+        [x * w if wide else x for x, wide in zip(p, row)] for row in bank.wide.tolist()
+    ]
+    return tuple(
+        sum(x for x, y in zip(row, yellow) if y) / sum(row)
+        for row, yellow in zip(mass, bank.yellow.tolist())
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class LpProblem:
-    """The linear program of one bank of columns, stored dense.
+    """The linear program of one bank of columns, stored as dense arrays.
 
     Variables: a width ratio per non-bottom row of the all-yellow column, a
     width ratio per non-top row of the all-white column, then the bottom-row
     width of each middle column. Maximize objective . x + offset subject to
-    a_eq x = b_eq, a_ub x <= b_ub, and box bounds.
+    a_eq x = b_eq, a_ub x <= b_ub, and the (variables x 2) box bounds.
+    Problems compare by identity, since their fields are arrays.
     """
 
     prior: Prior
     assignment: CutAssignment
-    var_names: tuple[str, ...]
-    objective: tuple[float, ...]
+    objective: np.ndarray
     offset: float
-    a_eq: tuple[tuple[float, ...], ...]
-    b_eq: tuple[float, ...]
-    a_ub: tuple[tuple[float, ...], ...]
-    b_ub: tuple[float, ...]
-    bounds: tuple[tuple[float, float], ...]
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+    bounds: np.ndarray
     column_posteriors: tuple[Scalar, ...]
 
 
@@ -179,18 +223,9 @@ class LpSolution:
     max_residual: float | None
 
 
-def _relative_widths(assignment: CutAssignment) -> list[list[float]]:
-    """Per column of the bank, each row's width over the bottom row's."""
-    n = assignment.n
-    return [
-        [float(f[j] / f[n - 1]) for j in range(n)]
-        for f in map(assignment.factor_vector, assignment.columns)
-    ]
-
-
 def _objective(
-    prior: Prior, u: UtilityFn, rel: list[list[float]], posts: tuple[Scalar, ...]
-) -> tuple[tuple[float, ...], float]:
+    prior: Prior, u: UtilityFn, bank: CutAssignment, posts: tuple[Scalar, ...]
+) -> tuple[np.ndarray, float]:
     """LP objective coefficients and constant offset for utility u.
 
     The anchor rows of the all-yellow and all-white columns are the offset;
@@ -199,12 +234,14 @@ def _objective(
     p = [float(x) for x in prior.p]
     top = float(u(1)) * float(prior.q[-1])  # u(1) times the all-yellow anchor width
     bottom = float(u(0)) * float(1 - prior.q[0])  # u(0) times the all-white one
-    objective = [top * x for x in p[:-1]] + [bottom * x for x in p[1:]]
-    objective += [
-        float(u(post)) * sum(x * r for x, r in zip(p, row))
-        for row, post in zip(rel, posts)
-    ]
-    return tuple(objective), top * p[-1] + bottom * p[0]
+    # Python's sum adds each row in order; np.sum pairs the terms of long rows
+    mass = [sum(row) for row in (bank.relative_widths * p).tolist()]
+    objective = np.array([
+        *(top * x for x in p[:-1]),
+        *(bottom * x for x in p[1:]),
+        *(float(u(post)) * x for post, x in zip(posts, mass)),
+    ])
+    return objective, top * p[-1] + bottom * p[0]
 
 
 def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProblem:
@@ -215,95 +252,64 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     to go, likewise the top secret's white mass), so only ratios against
     those anchors are free. Middle-column posteriors are constants, which is
     what keeps the objective linear.
+
+    The first n equality rows fix each secret's total width, the next n its
+    yellow width; the middle columns enter them through the bank's relative
+    widths, masked by its yellow block in the second half.
     """
     n = prior.n
     if assignment.n != n:
         raise ValidationError(
             f"assignment is for n={assignment.n}, prior has n={n}"
         )
-    w = assignment.exp_eps
-    w_f = float(w)
-    q = prior.q
-    anchor_yellow = q[n - 1]
-    anchor_white = 1 - q[0]
     m = len(assignment.columns)
-    labels = [f"t{k + 2}" for k in range(m)]
+    q = [float(x) for x in prior.q]
+    anchor_yellow = q[n - 1]
+    anchor_white = float(1 - prior.q[0])
+    rel = assignment.relative_widths
+    inv_w, w = _width_bounds(assignment.exp_eps)
+    ratios = 2 * (n - 1)
 
-    num_vars = (n - 1) + (n - 1) + m
-    idx_yellow = list(range(n - 1))
-    idx_white = list(range(n - 1, 2 * (n - 1)))
-    idx_mid = list(range(2 * (n - 1), num_vars))
-    var_names = (
-        [f"ratio_t1_row{j + 1}" for j in range(n - 1)]
-        + [f"ratio_t{m + 2}_row{j + 2}" for j in range(n - 1)]
-        + [f"width_{labels[k]}_row{n}" for k in range(m)]
-    )
+    eye = np.eye(n - 1)
+    a_eq = np.zeros((2 * n, ratios + m))
+    # the all-yellow column's rows 1..n-1, the all-white column's rows 2..n
+    a_eq[: n - 1, : n - 1] = a_eq[n : 2 * n - 1, : n - 1] = anchor_yellow * eye
+    a_eq[1:n, n - 1 : ratios] = anchor_white * eye
+    a_eq[:n, ratios:] = rel.T
+    a_eq[n:, ratios:] = (rel * assignment.yellow).T
+    # each row's total is 1 and its yellow width q, less what an anchor holds
+    # (the bottom row's yellow width is all anchor)
+    totals = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow]
+    b_eq = np.array([*totals, *q[:-1], 0.0])
 
-    rel = _relative_widths(assignment)
-    posts = tuple(
-        assignment.column_posterior(prior, col) for col in assignment.columns
-    )
-
-    a_eq: list[list[float]] = []
-    b_eq: list[float] = []
-    for j in range(n):
-        row = [0.0] * num_vars
-        fixed = 0.0
-        if j < n - 1:
-            row[idx_yellow[j]] = float(anchor_yellow)
-        else:
-            fixed += float(anchor_yellow)
-        if j >= 1:
-            row[idx_white[j - 1]] = float(anchor_white)
-        else:
-            fixed += float(anchor_white)
-        for k in range(m):
-            row[idx_mid[k]] = rel[k][j]
-        a_eq.append(row)
-        b_eq.append(1.0 - fixed)
-    for j in range(n):
-        row = [0.0] * num_vars
-        fixed = 0.0
-        if j < n - 1:
-            row[idx_yellow[j]] = float(anchor_yellow)
-        else:
-            fixed += float(anchor_yellow)
-        for k, col in enumerate(assignment.columns):
-            if j + 1 in assignment.yellow_rows(col):
-                row[idx_mid[k]] = rel[k][j]
-        a_eq.append(row)
-        b_eq.append(float(q[j]) - fixed)
-
-    a_ub: list[list[float]] = []
-    b_ub: list[float] = []
     # The box on the ratio variables only controls each row against the
     # anchor row; for n >= 3 the budget must also hold between two non-anchor
-    # rows of the same column.
-    for block in (idx_yellow, idx_white):
-        for j in block:
-            for j2 in block:
-                if j == j2:
-                    continue
-                row = [0.0] * num_vars
-                row[j] = 1.0
-                row[j2] = -w_f
-                a_ub.append(row)
-                b_ub.append(0.0)
+    # rows of the same column: x_j - w x_j2 <= 0 for each ordered pair.
+    pairs = [
+        (start + j, start + j2)
+        for start in (0, n - 1)
+        for j in range(n - 1)
+        for j2 in range(n - 1)
+        if j != j2
+    ]
+    rows = range(len(pairs))
+    a_ub = np.zeros((len(pairs), ratios + m))
+    a_ub[rows, [j for j, _ in pairs]] = 1.0
+    a_ub[rows, [j2 for _, j2 in pairs]] = -w
 
-    objective, offset = _objective(prior, u, rel, posts)
-    inv_w = float(1 / w) if is_exact(w) else 1.0 / w_f
-    bounds = [(inv_w, w_f)] * (2 * (n - 1)) + [(0.0, 1.0)] * m
+    posts = _column_posteriors(prior, assignment)
+    objective, offset = _objective(prior, u, assignment, posts)
+    bounds = np.array([(inv_w, w)] * ratios + [(0.0, 1.0)] * m)
     return LpProblem(
         prior=prior,
         assignment=assignment,
-        var_names=tuple(var_names),
         objective=objective,
         offset=offset,
-        a_eq=tuple(tuple(r) for r in a_eq),
-        b_eq=tuple(b_eq),
-        a_ub=tuple(tuple(r) for r in a_ub),
-        b_ub=tuple(b_ub),
-        bounds=tuple(bounds),
+        a_eq=a_eq,
+        b_eq=b_eq,
+        a_ub=a_ub,
+        b_ub=np.zeros(len(pairs)),
+        bounds=bounds,
         column_posteriors=posts,
     )
 
@@ -317,15 +323,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """
     from scipy.optimize import linprog
 
-    c = -np.asarray(problem.objective)
-    a_ub = np.asarray(problem.a_ub) if problem.a_ub else None
-    b_ub = np.asarray(problem.b_ub) if problem.b_ub else None
     result = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=np.asarray(problem.a_eq),
-        b_eq=np.asarray(problem.b_eq),
+        -problem.objective,
+        A_ub=problem.a_ub,
+        b_ub=problem.b_ub,
+        A_eq=problem.a_eq,
+        b_eq=problem.b_eq,
         bounds=problem.bounds,
         method="highs-ds",
         options={
@@ -337,23 +340,28 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution("infeasible", None, None, None)
     if result.status != 0:
         raise SolverError(f"LP solver failed: {result.message}")
-    x = np.asarray(result.x)
-    residual = float(
-        np.max(np.abs(np.asarray(problem.a_eq) @ x - np.asarray(problem.b_eq)))
-    )
-    if a_ub is not None:
-        residual = max(residual, float(np.max(np.clip(a_ub @ x - b_ub, 0.0, None))))
-    for value, (lo, hi) in zip(x, problem.bounds):
-        residual = max(residual, lo - value, value - hi)
-    objective = float(np.dot(problem.objective, x)) + problem.offset
-    return LpSolution("optimal", tuple(float(v) for v in x), objective, residual)
+    x = result.x
+    lo, hi = problem.bounds.T
+    residual = np.max(np.concatenate([
+        np.abs(problem.a_eq @ x - problem.b_eq),
+        problem.a_ub @ x - problem.b_ub,
+        lo - x,
+        x - hi,
+    ]))
+    objective = float(problem.objective @ x) + problem.offset
+    return LpSolution("optimal", tuple(x.tolist()), objective, float(residual))
 
 
-def _support(problem: LpProblem, solution: LpSolution) -> CutAssignment:
+def _support(problem: LpProblem, solution: LpSolution) -> list[bool]:
+    """Mask of the bank's columns with positive LP value."""
+    return [x > 0 for x in solution.values[2 * (problem.prior.n - 1) :]]
+
+
+def _chain(problem: LpProblem, solution: LpSolution) -> CutAssignment:
     """The columns with positive LP value, in the bank's (i, -b, -c) order."""
     bank = problem.assignment
-    middle = solution.values[2 * (bank.n - 1) :]
-    cols = tuple(col for col, x in zip(bank.columns, middle) if x > 0)
+    support = _support(problem, solution)
+    cols = tuple(col for col, kept in zip(bank.columns, support) if kept)
     return CutAssignment(bank.n, cols, bank.exp_eps)
 
 
@@ -369,7 +377,7 @@ def _hold_and_maximize_quadratic(
     objective, offset = _objective(
         problem.prior,
         UtilityFn("quadratic"),
-        _relative_widths(problem.assignment),
+        problem.assignment,
         problem.column_posteriors,
     )
     floor = solution.objective - problem.offset - CHECK_TOL
@@ -377,15 +385,13 @@ def _hold_and_maximize_quadratic(
         problem,
         objective=objective,
         offset=offset,
-        a_ub=problem.a_ub + (tuple(-v for v in problem.objective),),
-        b_ub=problem.b_ub + (-floor,),
+        a_ub=np.vstack([problem.a_ub, -problem.objective]),
+        b_ub=np.append(problem.b_ub, -floor),
     )
     return held, solve_lp(held)
 
 
-def _structure_from_lp(
-    problem: LpProblem, solution: LpSolution, chain: CutAssignment
-) -> InfoStructure:
+def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructure:
     """Rebuild the width grid of the chain's columns and restore exact row sums.
 
     Columns of the bank outside the chain carry no mass and are left out.
@@ -395,48 +401,44 @@ def _structure_from_lp(
     """
     prior = problem.prior
     n = prior.n
-    m = len(chain.columns)
-    values = solution.values
-    middle = dict(zip(problem.assignment.columns, values[2 * (n - 1) :]))
-    anchor_yellow = float(prior.q[n - 1])
-    anchor_white = float(1 - prior.q[0])
+    bank = problem.assignment
+    x = solution.values
+    support = np.array(_support(problem, solution), dtype=bool)
+    middle = np.array(x[2 * (n - 1) :])[support]
+    m = len(middle)
+    # (columns x rows), as the bank's arrays are: the all-yellow column,
+    # the chain's columns, the all-white column
+    anchor_yellow, anchor_white = float(prior.q[n - 1]), float(1 - prior.q[0])
+    widths = np.empty((m + 2, n))
+    widths[0] = [r * anchor_yellow for r in (*x[: n - 1], 1.0)]
+    widths[1:-1] = bank.relative_widths[support] * middle[:, None]
+    widths[-1] = [r * anchor_white for r in (1.0, *x[n - 1 : 2 * (n - 1)])]
+    yellow = np.zeros((m + 2, n), dtype=bool)
+    yellow[0] = True
+    yellow[1:-1] = bank.yellow[support]
 
-    widths = [[0.0] * (m + 2) for _ in range(n)]
-    yellow = [[False] * (m + 2) for _ in range(n)]
-    for j in range(n):
-        ratio = 1.0 if j == n - 1 else values[j]
-        widths[j][0] = ratio * anchor_yellow
-        yellow[j][0] = True
-        ratio = 1.0 if j == 0 else values[(n - 1) + (j - 1)]
-        widths[j][m + 1] = ratio * anchor_white
-    for k, (col, rel) in enumerate(zip(chain.columns, _relative_widths(chain))):
-        for j in range(n):
-            widths[j][k + 1] = rel[j] * middle[col]
-            yellow[j][k + 1] = (j + 1) in chain.yellow_rows(col)
-
+    # Per secret, its yellow and then its white widths summed in column
+    # order, each against the share of the prior (q, then 1 - q) it must hold.
+    sums = [
+        (target, total)
+        for row, mark, q in zip(widths.T.tolist(), yellow.T.tolist(), prior.q)
+        for target, total in (
+            (float(q), sum(w for w, y in zip(row, mark) if y)),
+            (float(1 - q), sum(w for w, y in zip(row, mark) if not y)),
+        )
+    ]
     slack = max(CHECK_TOL, 10 * (solution.max_residual or 0.0))
-    for j in range(n):
-        for target, color in ((float(prior.q[j]), True), (float(1 - prior.q[j]), False)):
-            total = sum(
-                widths[j][t] for t in range(m + 2) if yellow[j][t] is color
-            )
-            if total > 0:
-                scale = target / total
-                for t in range(m + 2):
-                    if yellow[j][t] is color:
-                        widths[j][t] *= scale
-            elif target > slack:
-                raise SolverError("LP solution does not cover a row's required mass")
+    if any(total <= 0 and target > slack for target, total in sums):
+        raise SolverError("LP solution does not cover a row's required mass")
+    scale = np.array([target / total if total > 0 else 1.0 for target, total in sums])
+    widths *= np.where(yellow, scale[0::2], scale[1::2])
 
     signals = ("t1", *(f"t{k + 2}" for k in range(m)), f"t{m + 2}")
     return InfoStructure(
         prior=prior,
         signals=signals,
-        widths=tuple(tuple(row) for row in widths),
-        cells=tuple(
-            tuple(1.0 if yellow[j][t] else 0.0 for t in range(m + 2))
-            for j in range(n)
-        ),
+        widths=tuple(map(tuple, widths.T.tolist())),
+        cells=tuple(map(tuple, yellow.T.astype(float).tolist())),
     )
 
 
@@ -496,14 +498,14 @@ def solve_general(
     w = min(ratio_bound(eps, exp_eps), max(_width_ratios(prior.q[0], prior.q[-1])))
     problem = assemble_lp(prior, u, _full_bank(prior.n, w))
     solution = solve_lp(problem)
-    if solution.status == "optimal" and not _support(problem, solution).is_chain:
+    if solution.status == "optimal" and not _chain(problem, solution).is_chain:
         problem, solution = _hold_and_maximize_quadratic(problem, solution)
     if solution.status != "optimal":
         raise SolverError(f"the LP over every cut column is {solution.status}")
-    chain = _support(problem, solution)
+    chain = _chain(problem, solution)
     if not chain.is_chain:
         raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
-    structure = compress(_structure_from_lp(problem, solution, chain))
+    structure = compress(_structure_from_lp(problem, solution))
     return GeneralSolution(
         structure=structure,
         assignment=chain,

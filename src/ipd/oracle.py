@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import UtilityFn, check_ip, expected_utility
+from .analysis import UtilityFn, expected_utility
 from .binary import pack_columns, solve_binary
 from .errors import NotBinarySecret, UnsupportedSize, ValidationError
 from .general import CutAssignment, CutColumn, all_cuts, may_follow, solve_general

@@ -197,7 +197,9 @@ def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and ints past
+        # Python's digit limit; RecursionError, nesting too deep to decode.
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
 
 

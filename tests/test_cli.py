@@ -218,6 +218,9 @@ class TestInputBoundary:
             "mixed-order-mechanism",
             "negative-seed-sample",
             "negative-seed-oracle",
+            "not-utf8",
+            "huge-int",
+            "deep-nesting",
         ],
     )
     def test_bad_input_is_a_json_error_not_a_traceback(
@@ -245,6 +248,15 @@ class TestInputBoundary:
         else:
             doc["secret_order"] = [1, "s0"]
         write_json(bad_doc, doc)
+        # documents json cannot decode: bad bytes, a literal past Python's
+        # 4300-digit int limit, nesting past the recursion limit
+        undecodable = tmp_path / "undecodable.json"
+        if case == "not-utf8":
+            undecodable.write_bytes(b'{"secrets": "\xff\xfe"}')
+        elif case == "huge-int":
+            undecodable.write_text('{"secrets": ' + "1" * 5001 + "}")
+        else:
+            undecodable.write_text("[" * 100_000 + "]" * 100_000)
         sample = ["sample", mechanism, "--y", "1", "--count", "3"]
         argv = {
             "nan-prior-solve": ["solve", str(nan_prior), "--eps", "0.5"],
@@ -264,6 +276,9 @@ class TestInputBoundary:
                 "oracle", "random", prior_file, "--eps", "ln2", "--utility", "abs",
                 "--trials", "5", "--seed", "-1",
             ],
+            "not-utf8": ["solve", str(undecodable), "--eps", "0.5"],
+            "huge-int": ["solve", str(undecodable), "--eps", "0.5"],
+            "deep-nesting": ["verify", str(undecodable), "--eps", "ln2"],
         }[case]
         if case == "tolerance":
             monkeypatch.setenv("IPD_TOLERANCE", "abc")

@@ -27,7 +27,7 @@ from ipd import (
     solve_lp,
     structure_to_mechanism,
 )
-from ipd.general import MAX_SECRETS, LpSolution
+from ipd.general import MAX_SECRETS, LpSolution, all_cuts
 from ipd.numeric import PATH_TOL
 
 from conftest import random_binary_prior
@@ -57,9 +57,23 @@ class TestEnumeration:
 
     def test_factor_vector_expansion(self):
         a = CutAssignment(n=2, columns=(CutColumn(2, 1, 3),), exp_eps=Fraction(2))
-        assert a.factor_vector(a.columns[0]) == (Fraction(2), 1)
+        assert a.expanded() == ((2, (Fraction(2), 1)),)
         b = CutAssignment(n=2, columns=(CutColumn(2, 0, 2),), exp_eps=Fraction(2))
-        assert b.factor_vector(b.columns[0]) == (1, Fraction(2))
+        assert b.expanded() == ((2, (1, Fraction(2))),)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_masks_follow_the_cut_definition(self, n):
+        # row j (1-based) of column (i, b, c) is yellow for j <= n+1-i and
+        # wide for j <= b inside that block or j >= c below it
+        bank = CutAssignment(n, tuple(all_cuts(n)), Fraction(3))
+        for col, yellow, wide, rel in zip(
+            bank.columns, bank.yellow.tolist(), bank.wide.tolist(), bank.relative_widths
+        ):
+            top = n + 1 - col.i
+            assert yellow == [j <= top for j in range(1, n + 1)]
+            assert wide == [j <= col.b if j <= top else j >= col.c for j in range(1, n + 1)]
+            factors = [Fraction(3) if f else 1 for f in wide]
+            assert rel.tolist() == [float(f / factors[-1]) for f in factors]
 
     def test_out_of_range_column_rejected(self):
         with pytest.raises(ValidationError):
@@ -92,13 +106,13 @@ class TestAssembleLp:
             exp_eps=Fraction(2),
         )
         problem = assemble_lp(fixture_prior_exact, UtilityFn("abs"), assignment)
-        assert len(problem.var_names) == 4
+        assert len(problem.objective) == 4
         assert problem.column_posteriors == (Fraction(2, 3), Fraction(1, 3))
 
     def test_empty_assignment_has_two_ratio_variables(self, fixture_prior_exact):
         assignment = CutAssignment(n=2, columns=(), exp_eps=Fraction(2))
         problem = assemble_lp(fixture_prior_exact, UtilityFn("abs"), assignment)
-        assert len(problem.var_names) == 2
+        assert len(problem.objective) == 2
         assert problem.column_posteriors == ()
 
     def test_known_solution_satisfies_the_constraints(self, fixture_prior_exact):
@@ -120,6 +134,40 @@ class TestAssembleLp:
         assert np.all(x <= hi + 1e-12)
         value = float(np.dot(problem.objective, x)) + float(problem.offset)
         assert value == pytest.approx(5 / 6, abs=1e-12)
+
+    def test_three_secret_single_column_lp_by_hand(self):
+        # every entry is a binary fraction, so the float LP is exact. Column
+        # (2, 1, 4): yellow rows 1-2, row 1 wide, so factors (2, 1, 1) and
+        # relative widths (2, 1, 1); posterior (2/2 + 1/8) / (9/8 + 3/8) = 3/4.
+        f = Fraction
+        prior = load_prior([(f(1, 2), f(3, 4)), (f(1, 8), f(1, 2)), (f(3, 8), f(1, 4))])
+        bank = CutAssignment(n=3, columns=(CutColumn(2, 1, 4),), exp_eps=f(2))
+        problem = assemble_lp(prior, UtilityFn("abs"), bank)
+        assert problem.column_posteriors == (f(3, 4),)
+        # variables: yellow ratios rows 1-2, white ratios rows 2-3, the
+        # column's bottom width; both anchors are 1/4 (q3 and 1 - q1)
+        assert problem.a_eq.tolist() == [
+            [0.25, 0.0, 0.0, 0.0, 2.0],  # total width, row 1
+            [0.0, 0.25, 0.25, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.25, 1.0],
+            [0.25, 0.0, 0.0, 0.0, 2.0],  # yellow width, row 1
+            [0.0, 0.25, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],  # row 3 is white in the column
+        ]
+        assert problem.b_eq.tolist() == [0.75, 1.0, 0.75, 0.75, 0.5, 0.0]
+        # x_j <= w x_j2 between the two free rows of each anchor column
+        assert problem.a_ub.tolist() == [
+            [1.0, -2.0, 0.0, 0.0, 0.0],
+            [-2.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, -2.0, 0.0],
+            [0.0, 0.0, -2.0, 1.0, 0.0],
+        ]
+        assert problem.b_ub.tolist() == [0.0] * 4
+        assert problem.bounds.tolist() == [[0.5, 2.0]] * 4 + [[0.0, 1.0]]
+        # u(1) q3 p1, u(1) q3 p2, u(0) (1 - q1) p2, u(0) (1 - q1) p3, then
+        # u(3/4) (2 p1 + p2 + p3); the offset is the two anchors' own rows
+        assert problem.objective.tolist() == [0.125, 0.03125, 0.03125, 0.09375, 0.75]
+        assert problem.offset == 0.21875
 
     def test_prior_size_mismatch_rejected(self, fixture_prior_exact):
         assignment = CutAssignment(n=3, columns=(), exp_eps=Fraction(2))
@@ -263,10 +311,21 @@ class TestSolveGeneral:
         report = random_structure_oracle(prior, 0.6, u, trials=1000, seed=n)
         assert report.best_utility <= solution.utility + 1e-9
 
+    def test_solves_at_the_advertised_cap(self):
+        rng = np.random.default_rng(MAX_SECRETS)
+        n = MAX_SECRETS
+        prior = load_prior(
+            list(zip(rng.dirichlet(np.ones(n)).tolist(), rng.uniform(0, 1, n).tolist()))
+        )
+        solution = solve_general(prior, 0.6, UtilityFn("quadratic"))
+        assert solution.assignment.is_chain
+        assert check_ip(solution.structure, 0.6).satisfied
+        assert check_regions(solution.structure, 0.6).all_flags
+
     def test_non_chain_after_the_tie_break_is_a_solver_error(self, monkeypatch):
         # every column positive cannot be a chain at n=3, in either stage
         def everything_positive(problem):
-            ones = (1.0,) * len(problem.var_names)
+            ones = (1.0,) * len(problem.objective)
             return LpSolution("optimal", ones, 0.0, 0.0)
 
         monkeypatch.setattr(ipd.general, "solve_lp", everything_positive)
