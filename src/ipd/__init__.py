@@ -8,6 +8,8 @@ have. Brute-force oracles are included so the solvers never have to be
 taken on faith.
 """
 
+import importlib
+
 from .analysis import (
     BUILTIN_FAMILIES,
     BlackwellResult,
@@ -43,16 +45,6 @@ from .errors import (
     ValidationError,
     ZeroMassContext,
 )
-from .general import (
-    CutAssignment,
-    CutColumn,
-    GeneralSolution,
-    LpProblem,
-    LpSolution,
-    assemble_lp,
-    solve_general,
-    solve_lp,
-)
 from .model import (
     InfoStructure,
     Mechanism,
@@ -69,12 +61,38 @@ from .model import (
     structure_to_mechanism,
 )
 from .numeric import CHECK_TOL, NORM_TOL, PATH_TOL, check_slack
-from .oracle import (
-    OracleReport,
-    binary_grid_oracle,
-    enumerate_assignments,
-    naive_c_enumeration,
-    random_structure_oracle,
-)
 
 __version__ = "0.1.0"
+
+# The general solver and the oracles import numpy, which the binary-secret
+# commands never need, so their modules load on the first lookup of one of
+# these names (PEP 562), not with the package.
+_LAZY = {
+    "general": "general",
+    "CutAssignment": "general",
+    "CutColumn": "general",
+    "GeneralSolution": "general",
+    "LpProblem": "general",
+    "LpSolution": "general",
+    "assemble_lp": "general",
+    "solve_general": "general",
+    "solve_lp": "general",
+    "oracle": "oracle",
+    "OracleReport": "oracle",
+    "binary_grid_oracle": "oracle",
+    "enumerate_assignments": "oracle",
+    "naive_c_enumeration": "oracle",
+    "random_structure_oracle": "oracle",
+}
+
+
+def __getattr__(name: str):
+    source = _LAZY.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{source}", __name__)
+    return module if name == source else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
-
 from .errors import MeanMismatch, ValidationError
 from .model import InfoStructure, PosteriorSummary, Prior, column_stats
 from .numeric import Scalar, check_slack, exactify, is_exact, log_of, ratio_bound
@@ -44,7 +42,9 @@ class UtilityFn:
     Every family is convex by construction (a reward utility is a maximum
     of affine functions of q), so construction checks only the arguments.
     Calls accept scalars (Fractions stay exact except for negentropy, which
-    is inherently transcendental) and numpy arrays.
+    is inherently transcendental) and numpy arrays. numpy is imported on the
+    first array call, so scalar-only callers never load it; numpy scalars and
+    0-d arrays take the scalar path.
     """
 
     family: str
@@ -72,7 +72,7 @@ class UtilityFn:
         return self.family
 
     def __call__(self, q):
-        if isinstance(q, np.ndarray):
+        if getattr(q, "ndim", 0):  # cheaper than isinstance, and needs no numpy
             return self._call_array(q)
         if self.family == "abs":
             return abs(2 * q - 1)
@@ -88,7 +88,9 @@ class UtilityFn:
             q * r1 + (1 - q) * r0 for r0, r1 in zip(self.rewards[0], self.rewards[1])
         )
 
-    def _call_array(self, q: np.ndarray) -> np.ndarray:
+    def _call_array(self, q):
+        import numpy as np
+
         if self.family == "abs":
             return np.abs(2.0 * q - 1.0)
         if self.family == "quadratic":

@@ -23,6 +23,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .analysis import (
     BUILTIN_FAMILIES,
@@ -37,10 +38,8 @@ from .analysis import (
 )
 from .binary import solve_binary
 from .errors import IpdError, UnsupportedSize, ValidationError
-from .general import MAX_SECRETS, solve_general
 from .model import posterior_summary, sample_signal
-from .numeric import check_slack
-from .oracle import OracleReport, binary_grid_oracle, random_structure_oracle
+from .numeric import MAX_SECRETS, check_slack
 from .serialize import (
     decode_mechanism,
     decode_prior,
@@ -51,6 +50,13 @@ from .serialize import (
     read_json,
     write_json,
 )
+
+# The general solver and the oracles import numpy; only the commands that
+# run them import them, at call time, so the binary commands start without it.
+if TYPE_CHECKING:
+    from .oracle import OracleReport
+
+MAX_GRID_POINTS = 100_000  # budgets in one sweep; each runs every utility
 
 _LOG_FORM = re.compile(r"^\s*(\d+)?\s*\*?\s*ln\(?\s*([0-9.]+)\s*\)?\s*$")
 
@@ -153,6 +159,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_solve_general(args) -> int:
+    from .general import solve_general
+
     prior = decode_prior(read_json(args.prior))
     eps, exp_eps = parse_eps(args.eps)
     u = _load_utility(args.utility)
@@ -205,10 +213,15 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(x) for x in parts)
     except ValueError:
         raise ValidationError(f"cannot parse grid {spec!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValidationError(f"grid {spec!r} needs finite start, stop and step")
     if step <= 0 or stop < start or start < 0:
         raise ValidationError("grid needs start >= 0, stop >= start, step > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    # Count before building: a tiny step must not allocate a huge list.
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_GRID_POINTS:
+        raise ValidationError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(int(steps) + 1)]
 
 
 def cmd_sweep(args) -> int:
@@ -270,6 +283,8 @@ def _oracle_exit(report: OracleReport) -> int:
 
 
 def cmd_oracle_grid(args) -> int:
+    from .oracle import binary_grid_oracle
+
     prior = decode_prior(read_json(args.prior))
     eps, exp_eps = parse_eps(args.eps)
     u = _load_utility(args.utility)
@@ -279,6 +294,8 @@ def cmd_oracle_grid(args) -> int:
 
 
 def cmd_oracle_random(args) -> int:
+    from .oracle import random_structure_oracle
+
     prior = decode_prior(read_json(args.prior))
     eps, exp_eps = parse_eps(args.eps)
     u = _load_utility(args.utility)

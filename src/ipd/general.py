@@ -38,9 +38,7 @@ from .analysis import UtilityFn, expected_utility
 from .binary import _width_ratios
 from .errors import SolverError, UnsupportedSize, ValidationError
 from .model import InfoStructure, Mechanism, Prior, compress, structure_to_mechanism
-from .numeric import CHECK_TOL, Scalar, is_exact, ratio_bound
-
-MAX_SECRETS = 20  # the dense LP has O(n**3) columns and O(n**2) rows
+from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, is_exact, ratio_bound
 
 
 class CutColumn(NamedTuple):

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     BadWeights,
     ConditionalOutOfRange,
@@ -643,6 +641,8 @@ def sample_signal(
         raise ZeroMassContext(f"P(S={s!r}, Y={y}) is zero under the prior")
     if count == 0:
         return []
+    import numpy as np
+
     row = np.asarray([float(x) for x in m.kernel[idx][y]], dtype=float)
     row = row / row.sum()
     rng = np.random.default_rng(rng_seed)

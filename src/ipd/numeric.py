@@ -38,6 +38,11 @@ NORM_TOL = 1e-12
 CHECK_TOL = 1e-9
 PATH_TOL = 1e-7
 
+# Default secret cap of the general solver, whose dense LP has O(n**3)
+# columns and O(n**2) rows. It lives here, not in general.py, so the CLI
+# parser can show it as a default without importing numpy.
+MAX_SECRETS = 20
+
 _TOLERANCE_ENV = "IPD_TOLERANCE"
 _MAX_EPS = math.log(sys.float_info.max)  # beyond it e**eps overflows a float
 

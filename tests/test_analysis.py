@@ -50,9 +50,12 @@ class TestUtilityFn:
 
     def test_array_calls_match_scalar_calls(self):
         qs = np.linspace(0.0, 1.0, 17)
-        for name in ("abs", "quadratic", "negentropy"):
-            u = UtilityFn(name)
+        utilities = [UtilityFn(name) for name in ("abs", "quadratic", "negentropy")]
+        utilities.append(UtilityFn("rewards", rewards=((1, Fraction(1, 3), -2), (-1, 0, 3))))
+        for u in utilities:
             np.testing.assert_allclose(u(qs), [u(float(q)) for q in qs], atol=1e-12)
+            for q in qs:
+                assert u(np.float64(q)) == u(float(q)), (u.family, q)
 
     def test_builtin_family_rejects_reward_matrix(self):
         with pytest.raises(ValidationError):

@@ -1,8 +1,8 @@
 """End-to-end tests of the command-line interface and the JSON round trips.
 
 Commands run in-process through main(argv) so exit codes and output are
-captured without spawning interpreters; only the import-cost check starts a
-fresh one.
+captured without spawning interpreters; only the import-cost checks start
+fresh ones.
 """
 
 import csv
@@ -17,7 +17,7 @@ import pytest
 
 import ipd
 from ipd import ValidationError, load_prior, posterior_summary, solve_binary
-from ipd.cli import main, parse_eps
+from ipd.cli import MAX_GRID_POINTS, _parse_grid, main, parse_eps
 from ipd.general import MAX_SECRETS
 from ipd.serialize import (
     decode_mechanism,
@@ -292,14 +292,59 @@ class TestInputBoundary:
 
 
 class TestImportCost:
-    def test_cli_import_does_not_load_scipy_optimize(self):
-        code = "import sys, ipd.cli; print('scipy.optimize' in sys.modules)"
+    """Start-up imports, each checked in a fresh interpreter.
+
+    The binary commands serve the closed form with Fractions and floats, so
+    neither the package nor the CLI may load numpy or the LP backend until a
+    command that needs them runs.
+    """
+
+    @staticmethod
+    def _child(code: str, *args: str) -> str:
         src = os.path.dirname(os.path.dirname(ipd.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            [sys.executable, "-c", code, *args],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
         )
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip()
+
+    @pytest.mark.parametrize("module", ["ipd", "ipd.cli"])
+    def test_import_loads_neither_numpy_nor_scipy_optimize(self, module):
+        code = (
+            f"import sys, {module}; "
+            "print([m for m in ('numpy', 'scipy.optimize') if m in sys.modules])"
+        )
+        assert self._child(code) == "[]"
+
+    def test_binary_commands_never_load_numpy(self, prior_file, tmp_path):
+        code = """
+import sys
+from ipd.cli import main
+prior, st, out = sys.argv[1:]
+codes = [
+    main(["solve", prior, "--eps", "ln2", "--out-structure", st]),
+    main(["verify", st, "--eps", "ln2"]),
+    main(["utility", st, "--utility", "quadratic"]),
+    main(["sweep", prior, "--grid", "0:1:0.25", "--out", out]),
+]
+print(codes, "numpy" in sys.modules)
+"""
+        stdout = self._child(code, prior_file, str(tmp_path / "st.json"), str(tmp_path / "s.csv"))
+        assert stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+    def test_solve_general_loads_scipy_only_when_it_runs(self, prior_file):
+        code = """
+import sys
+from ipd.cli import main
+before = "scipy.optimize" in sys.modules
+code = main(["solve-general", sys.argv[1], "--eps", "ln2", "--utility", "abs"])
+print(before, code, "scipy.optimize" in sys.modules)
+"""
+        assert self._child(code, prior_file).splitlines()[-1] == "False 0 True"
 
 
 class TestVerifyCommand:
@@ -429,8 +474,17 @@ class TestSweepCommand:
         assert all(b >= a - 1e-9 for a, b in zip(gains, gains[1:]))
 
     def test_bad_grid_exits_2(self, prior_file, capsys):
-        assert main(["sweep", prior_file, "--grid", "1:0:0.1", "--out", "x.csv"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        # Non-finite parts make the point count overflow or NaN, and
+        # 0:1e9:1e-9 asks for about 1e18 budgets: each must be a typed error.
+        for grid in ("1:0:0.1", "0:inf:1", "0:1e300:1e-300", "0:1:nan", "nan:1:0.1",
+                     "0:1e9:1e-9"):
+            assert main(["sweep", prior_file, "--grid", grid, "--out", "x.csv"]) == 2, grid
+            assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+    def test_grid_point_cap_boundary(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match="more than"):
+            _parse_grid(f"0:{MAX_GRID_POINTS}:1")
 
 
 class TestSampleCommand:
