@@ -136,19 +136,24 @@ class IpReport:
     """Outcome of an inferential-privacy check.
 
     Attributes:
-        satisfied: True when every column's width ratio is within e**eps.
         max_log_ratio: Largest ln(width ratio) over columns; +inf when a zero
             width faces a positive one.
         witness: (signal, secret_wide, secret_narrow) for the first violating
             column, None when satisfied.
         binding: Per positive-mass signal, whether its max/min width ratio
             equals e**eps (within the check slack; exactly in rational mode).
+
+    satisfied (every column's width ratio within e**eps) is read from the
+    witness: it holds exactly when there is none.
     """
 
-    satisfied: bool
     max_log_ratio: float
     witness: tuple[str, str, str] | None
     binding: Mapping[str, bool]
+
+    @property
+    def satisfied(self) -> bool:
+        return self.witness is None
 
 
 def check_ip(
@@ -195,12 +200,16 @@ def check_ip(
             ok = col_log <= eps_f + slack
         if not ok and witness is None:
             witness = (label, secrets[s_hi], secrets[s_lo])
-    return IpReport(
-        satisfied=witness is None,
-        max_log_ratio=max_log_ratio,
-        witness=witness,
-        binding=binding,
-    )
+    return IpReport(max_log_ratio=max_log_ratio, witness=witness, binding=binding)
+
+
+_FLAGS = (
+    "cells_binary", "columns_binding", "a_upper_left", "b_upper_left", "c_lower_right"
+)
+
+
+def _no_witness(flag: str) -> property:
+    return property(lambda report: report.witnesses[flag] is None)
 
 
 @dataclass(frozen=True)
@@ -214,27 +223,29 @@ class RegionReport:
     the wide-yellow / wide-white cells forming upper-left / lower-right
     staircases within the interior columns.
 
+    witnesses maps each of the five flags, in the order below, to the first
+    violation found or None; each flag is read from it and holds exactly
+    when there is none. A cells_binary witness is (secret, signal, cell
+    posterior), a columns_binding one (signal, narrowest width, widest
+    width), and a staircase one ((secret, signal) of a member, (secret,
+    signal) of a cell that closure forces in but is not).
+
     Zero-width cells prove nothing either way; they are excluded from every
     region and listed in zero_width_cells as a warning.
     """
 
-    cells_binary: bool
-    columns_binding: bool
-    a_upper_left: bool
-    b_upper_left: bool
-    c_lower_right: bool
     witnesses: Mapping[str, tuple | None]
     zero_width_cells: tuple[tuple[str, str], ...]
 
+    cells_binary = _no_witness("cells_binary")
+    columns_binding = _no_witness("columns_binding")
+    a_upper_left = _no_witness("a_upper_left")
+    b_upper_left = _no_witness("b_upper_left")
+    c_lower_right = _no_witness("c_lower_right")
+
     @property
     def all_flags(self) -> bool:
-        return (
-            self.cells_binary
-            and self.columns_binding
-            and self.a_upper_left
-            and self.b_upper_left
-            and self.c_lower_right
-        )
+        return all(value is None for value in self.witnesses.values())
 
 
 def _staircase_violation(members, wildcard, universe, lower_right=False):
@@ -277,18 +288,11 @@ def check_regions(
     }
     kept = sorted(post_of, key=lambda t: (-float(post_of[t]), t))
 
-    witnesses: dict[str, tuple | None] = {
-        "cells_binary": None,
-        "columns_binding": None,
-        "a_upper_left": None,
-        "b_upper_left": None,
-        "c_lower_right": None,
-    }
+    witnesses: dict[str, tuple | None] = dict.fromkeys(_FLAGS)
     zero_width: list[tuple[str, str]] = []
     yellow_cells: set[tuple[int, int]] = set()
     white_cells: set[tuple[int, int]] = set()
     wildcard: set[tuple[int, int]] = set()
-    cells_binary = True
 
     for j, t in enumerate(kept):
         for i in range(n):
@@ -301,21 +305,13 @@ def check_regions(
                 yellow_cells.add((i, j))
             elif value <= slack:
                 white_cells.add((i, j))
-            elif cells_binary:
-                cells_binary = False
+            elif witnesses["cells_binary"] is None:
                 witnesses["cells_binary"] = (
-                    prior.secrets[i],
-                    st.signals[t],
-                    float(value),
+                    prior.secrets[i], st.signals[t], float(value)
                 )
 
-    interior = [
-        j
-        for j, t in enumerate(kept)
-        if slack < float(post_of[t]) < 1 - slack
-    ]
+    interior = [j for j, t in enumerate(kept) if slack < float(post_of[t]) < 1 - slack]
 
-    columns_binding = True
     wide_cells: set[tuple[int, int]] = set()
     for j in interior:
         t = kept[j]
@@ -323,66 +319,26 @@ def check_regions(
         lo = min(x for x, _ in widths)
         hi = max(x for x, _ in widths)
         ratio_ok = abs(log_of(hi / lo) - eps_f) <= slack
-        two_valued = all(
-            min(abs(x - lo), abs(x - hi)) <= slack for x, _ in widths
-        )
-        for x, i in widths:
-            if abs(x - hi) <= slack:
-                wide_cells.add((i, j))
-        if columns_binding and not (ratio_ok and two_valued):
-            columns_binding = False
+        two_valued = all(min(abs(x - lo), abs(x - hi)) <= slack for x, _ in widths)
+        wide_cells.update((i, j) for x, i in widths if abs(x - hi) <= slack)
+        if witnesses["columns_binding"] is None and not (ratio_ok and two_valued):
             witnesses["columns_binding"] = (st.signals[t], float(lo), float(hi))
 
-    universe = [(i, j) for j in range(len(kept)) for i in range(n)]
-    a_hit = _staircase_violation(yellow_cells, wildcard, universe)
-    a_upper_left = a_hit is None
-    if a_hit:
-        (i, j), (i2, j2) = a_hit
-        witnesses["a_upper_left"] = (
-            (prior.secrets[i], st.signals[kept[j]]),
-            (prior.secrets[i2], st.signals[kept[j2]]),
-        )
-
-    # B and C live inside the interior columns; positions are re-indexed by
-    # the column's rank among interior columns so the staircase test sees a
-    # contiguous grid.
-    rank = {j: r for r, j in enumerate(interior)}
-    interior_universe = [(i, rank[j]) for j in interior for i in range(n)]
-    interior_wild = {(i, rank[j]) for (i, j) in wildcard if j in rank}
-    b_members = {
-        (i, rank[j]) for (i, j) in wide_cells if (i, j) in yellow_cells
-    }
-    c_members = {
-        (i, rank[j]) for (i, j) in wide_cells if (i, j) in white_cells
-    }
-    b_hit = _staircase_violation(b_members, interior_wild, interior_universe)
-    b_upper_left = b_hit is None
-    if b_hit:
-        (i, r), (i2, r2) = b_hit
-        witnesses["b_upper_left"] = (
-            (prior.secrets[i], st.signals[kept[interior[r]]]),
-            (prior.secrets[i2], st.signals[kept[interior[r2]]]),
-        )
-    c_hit = _staircase_violation(
-        c_members, interior_wild, interior_universe, lower_right=True
-    )
-    c_lower_right = c_hit is None
-    if c_hit:
-        (i, r), (i2, r2) = c_hit
-        witnesses["c_lower_right"] = (
-            (prior.secrets[i], st.signals[kept[interior[r]]]),
-            (prior.secrets[i2], st.signals[kept[interior[r2]]]),
-        )
-
-    return RegionReport(
-        cells_binary=cells_binary,
-        columns_binding=columns_binding,
-        a_upper_left=a_upper_left,
-        b_upper_left=b_upper_left,
-        c_lower_right=c_lower_right,
-        witnesses=witnesses,
-        zero_width_cells=tuple(zero_width),
-    )
+    # B and C live inside the interior columns, so their universe holds only
+    # those; column indices keep their order, which is all closure looks at.
+    grid = [(i, j) for j in range(len(kept)) for i in range(n)]
+    inner = [(i, j) for j in interior for i in range(n)]
+    for flag, members, universe, lower_right in (
+        ("a_upper_left", yellow_cells, grid, False),
+        ("b_upper_left", wide_cells & yellow_cells, inner, False),
+        ("c_lower_right", wide_cells & white_cells, inner, True),
+    ):
+        hit = _staircase_violation(members, wildcard, universe, lower_right)
+        if hit:
+            witnesses[flag] = tuple(
+                (prior.secrets[i], st.signals[kept[j]]) for i, j in hit
+            )
+    return RegionReport(witnesses=witnesses, zero_width_cells=tuple(zero_width))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .analysis import (
 from .binary import solve_binary
 from .errors import IpdError, UnsupportedSize, ValidationError
 from .model import posterior_summary, sample_signal
-from .numeric import MAX_SECRETS, check_slack
+from .numeric import MAX_SECRETS, check_slack, ratio_bound
 from .serialize import (
     decode_mechanism,
     decode_prior,
@@ -113,15 +113,12 @@ def _ip_payload(report: IpReport) -> dict:
 
 
 def _regions_payload(report: RegionReport) -> dict:
+    witnesses = report.witnesses
     return {
-        "cells_binary": report.cells_binary,
-        "columns_binding": report.columns_binding,
-        "a_upper_left": report.a_upper_left,
-        "b_upper_left": report.b_upper_left,
-        "c_lower_right": report.c_lower_right,
+        **{key: value is None for key, value in witnesses.items()},
         "witnesses": {
             key: (list(value) if value is not None else None)
-            for key, value in report.witnesses.items()
+            for key, value in witnesses.items()
         },
         "zero_width_cells": [list(cell) for cell in report.zero_width_cells],
     }
@@ -221,7 +218,9 @@ def _parse_grid(spec: str) -> list[float]:
     steps = (stop - start) / step + 1e-9
     if steps >= MAX_GRID_POINTS:
         raise ValidationError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return [start + k * step for k in range(int(steps) + 1)]
+    grid = [start + k * step for k in range(int(steps) + 1)]
+    ratio_bound(grid[-1])  # the largest budget must not overflow e**eps
+    return grid
 
 
 def cmd_sweep(args) -> int:

@@ -595,7 +595,8 @@ def compress(st: InfoStructure) -> InfoStructure:
     Signals are equivalent when their P(Y|T) and P(S|T) agree within the check
     slack. The first member of each class keeps its label and position. The
     result has no zero-mass columns and no two equivalent columns, so applying
-    compress twice changes nothing.
+    compress twice changes nothing; a structure already in that form is
+    returned as it is, not rebuilt.
     """
     stats = column_stats(st)
     slack = check_slack()
@@ -609,6 +610,8 @@ def compress(st: InfoStructure) -> InfoStructure:
                 break
         else:
             classes.append([t])
+    if len(classes) == st.num_signals:
+        return st
     return _merge_columns(st, classes)
 
 

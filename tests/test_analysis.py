@@ -135,7 +135,8 @@ class TestCheckRegions:
         st = solve_perfect_privacy(fixture_prior).structure
         report = check_regions(st, exp_eps=Fraction(2))
         assert not report.columns_binding
-        assert report.witnesses["columns_binding"] is not None
+        # (signal, narrowest width, widest width) of the first interior column
+        assert report.witnesses["columns_binding"] == ("t2", 0.5, 0.5)
 
     def test_crossing_blocks_break_the_upper_left_staircase(self):
         prior = load_prior([(0.5, 0.6), (0.5, 0.5)])
@@ -148,6 +149,8 @@ class TestCheckRegions:
         assert check_ip(st, exp_eps=Fraction(2)).satisfied
         report = check_regions(st, exp_eps=Fraction(2))
         assert not report.a_upper_left
+        # (member, offender): yellow (s0, t2) with white (s0, t1) up-left of it
+        assert report.witnesses["a_upper_left"] == (("s0", "t2"), ("s0", "t1"))
 
     def test_interior_cell_breaks_binary_flag(self, fixture_prior):
         st = InfoStructure(
@@ -158,7 +161,56 @@ class TestCheckRegions:
         )
         report = check_regions(st, exp_eps=Fraction(2))
         assert not report.cells_binary
-        assert report.witnesses["cells_binary"] is not None
+        assert report.witnesses["cells_binary"] == ("s0", "t1", 0.75)
+
+    @staticmethod
+    def _three_secret_lp_structure(ps, qs, widths):
+        """Regions of an exact n=3 structure, private at ln 2, from a non-chain LP.
+
+        The columns are all-yellow, two middle cuts and all-white; the widths
+        are the LP optimum written as fractions.
+        """
+        prior = load_prior(list(zip(ps, qs)))
+        st = InfoStructure(
+            prior=prior,
+            signals=("t1", "t2", "t3", "t4"),
+            widths=tuple(tuple(Fraction(x) for x in row) for row in widths),
+            cells=((1, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0)),
+        )
+        assert check_ip(st, exp_eps=Fraction(2)).satisfied
+        return check_regions(st, exp_eps=Fraction(2))
+
+    def test_wide_yellow_cells_off_the_upper_left_staircase(self):
+        # Cuts (2, 0, 3) and (3, 1, 3): s0 is wide in t3 but narrow in t2,
+        # which has the higher posterior.
+        report = self._three_secret_lp_structure(
+            (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+            (Fraction(4, 5), Fraction(1, 2), Fraction(1, 5)),
+            (
+                ("2/5", "1/10", "3/10", "1/5"),
+                ("2/5", "1/10", "3/20", "7/20"),
+                ("1/5", "1/5", "3/10", "3/10"),
+            ),
+        )
+        assert [k for k, v in report.witnesses.items() if v] == ["b_upper_left"]
+        assert not report.b_upper_left
+        assert report.witnesses["b_upper_left"] == (("s0", "t3"), ("s0", "t2"))
+
+    def test_wide_white_cells_off_the_lower_right_staircase(self):
+        # Cuts (2, 1, 3) and (3, 1, 4): s2 is wide in t2 but narrow in t3,
+        # which has the lower posterior.
+        report = self._three_secret_lp_structure(
+            (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)),
+            (Fraction(3, 4), Fraction(1, 2), Fraction(1, 5)),
+            (
+                ("2/5", "1/4", "1/10", "1/4"),
+                ("3/8", "1/8", "1/20", "9/20"),
+                ("1/5", "1/4", "1/20", "1/2"),
+            ),
+        )
+        assert [k for k, v in report.witnesses.items() if v] == ["c_lower_right"]
+        assert not report.c_lower_right
+        assert report.witnesses["c_lower_right"] == (("s2", "t2"), ("s2", "t3"))
 
     def test_zero_budget_is_rejected(self, fixture_solution):
         with pytest.raises(ValidationError):

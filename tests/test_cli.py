@@ -481,10 +481,26 @@ class TestSweepCommand:
             assert main(["sweep", prior_file, "--grid", grid, "--out", "x.csv"]) == 2, grid
             assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
+    def test_grid_past_the_largest_budget_fails_before_any_solve(
+        self, prior_file, tmp_path, monkeypatch, capsys
+    ):
+        solves = []
+        monkeypatch.setattr("ipd.cli.utility_gain", lambda *a, **k: solves.append(a))
+        out = tmp_path / "s.csv"
+        # e**eps overflows a float past eps = 709.78
+        assert main(["sweep", prior_file, "--grid", "0:1000:1", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert solves == [] and not out.exists()
+        # judged on the last point produced, 709, not on stop
+        assert _parse_grid("0:709.9:1")[-1] == 709
+
     def test_grid_point_cap_boundary(self):
-        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        # a dyadic step keeps the count exact and the budgets below 709.78
+        step = 1 / 1024
+        grid = _parse_grid(f"0:{(MAX_GRID_POINTS - 1) * step}:{step}")
+        assert len(grid) == MAX_GRID_POINTS
         with pytest.raises(ValidationError, match="more than"):
-            _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+            _parse_grid(f"0:{MAX_GRID_POINTS * step}:{step}")
 
 
 class TestSampleCommand:

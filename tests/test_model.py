@@ -302,6 +302,21 @@ class TestSplitMergeCompress:
         assert once.signals == twice.signals
         assert once.widths == twice.widths
 
+    def test_compress_returns_a_compressed_structure_itself(self, fixture_solution):
+        once = compress(fixture_solution.structure)
+        assert compress(once) is once
+
+    def test_compress_still_drops_a_lone_zero_mass_column(self, fixture_prior):
+        st = InfoStructure(
+            prior=fixture_prior,
+            signals=("a", "dead", "b"),
+            widths=((0.75, 0.0, 0.25), (0.25, 0.0, 0.75)),
+            cells=((1, 0, 0), (1, 0, 0)),
+        )
+        out = compress(st)
+        assert out.signals == ("a", "b")
+        assert out.widths == ((0.75, 0.25), (0.25, 0.75))
+
 
 class TestSampling:
     def test_draws_are_deterministic_per_seed(self, fixture_solution):
