@@ -407,7 +407,9 @@ def utility_gain(
     """Compare the eps-optimal binary solution against perfect privacy.
 
     Both utilities come from the closed-form solvers; at eps=0 the two
-    coincide and the gain is 1.
+    coincide and the gain is 1. The solvers answer a repeated call on the
+    same prior object and budget from memory, so evaluating several utilities
+    at one point solves it once.
     """
     if u is None:
         raise TypeError("utility_gain needs a utility function")
@@ -417,10 +419,7 @@ def utility_gain(
 
     bound = ratio_bound(eps, exp_eps)
     solution_0 = solve_perfect_privacy(prior)
-    if bound == 1:
-        solution_eps = solution_0
-    else:
-        solution_eps = solve_binary(prior, exp_eps=bound)
+    solution_eps = solve_binary(prior, exp_eps=bound)
     u_0 = expected_utility(solution_0.structure, u)
     u_eps = expected_utility(solution_eps.structure, u)
     if u_0 == 0:

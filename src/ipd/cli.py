@@ -57,6 +57,7 @@ if TYPE_CHECKING:
     from .oracle import OracleReport
 
 MAX_GRID_POINTS = 100_000  # budgets in one sweep; each runs every utility
+MAX_SAMPLE_COUNT = 10_000_000  # draws in one sample; each prints one line
 
 _LOG_FORM = re.compile(r"^\s*(\d+)?\s*\*?\s*ln\(?\s*([0-9.]+)\s*\)?\s*$")
 
@@ -229,13 +230,18 @@ def cmd_sweep(args) -> int:
     families = [name.strip() for name in args.utilities.split(",") if name.strip()]
     if not families:
         raise ValidationError("no utility families given")
-    utilities = [(name, _load_utility(name)) for name in families]
-    rows = []
-    for name, u in sorted(utilities, key=lambda pair: pair[0]):
-        for eps_value in grid:
-            eps, exp_eps = parse_eps(repr(eps_value))
+    utilities = sorted(
+        ((name, _load_utility(name)) for name in families), key=lambda pair: pair[0]
+    )
+    # Budgets outside and utilities inside, so that every utility at a budget
+    # reuses the one solve the binary solvers keep; the rows are still
+    # written family by family, each in grid order.
+    rows_by_family: list[list[dict]] = [[] for _ in utilities]
+    for eps_value in grid:
+        eps, exp_eps = parse_eps(repr(eps_value))
+        for family_rows, (name, u) in zip(rows_by_family, utilities):
             report = utility_gain(prior, eps, u, exp_eps=exp_eps)
-            rows.append(
+            family_rows.append(
                 {
                     "eps": repr(eps_value),
                     "utility_family": name,
@@ -246,6 +252,7 @@ def cmd_sweep(args) -> int:
                     "num_signals": report.solution_eps.structure.num_signals,
                 }
             )
+    rows = [row for family_rows in rows_by_family for row in family_rows]
     fields = ["eps", "utility_family", "u_eps", "u_0", "gain", "regime", "num_signals"]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
@@ -257,6 +264,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_sample(args) -> int:
     mechanism = decode_mechanism(read_json(args.mechanism))
+    if args.count > MAX_SAMPLE_COUNT:
+        raise ValidationError(
+            f"count {args.count} is above the cap of {MAX_SAMPLE_COUNT} draws"
+        )
     draws = sample_signal(mechanism, args.secret, args.y, args.seed, args.count)
     for label in draws:
         print(label)

@@ -16,6 +16,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -184,6 +185,9 @@ def load_prior_joint(
     return load_prior(pairs, labels)
 
 
+ColumnStats = tuple[Scalar, Scalar | None, tuple[Scalar, ...] | None]
+
+
 @dataclass(frozen=True)
 class InfoStructure:
     """An information structure: per-secret signal widths and cell posteriors.
@@ -263,6 +267,25 @@ class InfoStructure:
         """Marginal mass P(T=t) of column t."""
         return sum(self.prior.p[s] * self.widths[s][t] for s in range(self.prior.n))
 
+    @cached_property
+    def _column_stats(self) -> tuple[ColumnStats, ...]:
+        # Read through column_stats. The fields are immutable, so the cache
+        # cannot go stale; dataclass eq and hash look only at the fields.
+        prior = self.prior
+        stats = []
+        for t in range(self.num_signals):
+            mass = self.signal_mass(t)
+            if mass == 0:
+                stats.append((mass, None, None))
+                continue
+            yellow = sum(
+                prior.p[s] * self.widths[s][t] * self.cells[s][t]
+                for s in range(prior.n)
+            )
+            s_post = tuple(prior.p[s] * self.widths[s][t] / mass for s in range(prior.n))
+            stats.append((mass, yellow / mass, s_post))
+        return tuple(stats)
+
 
 @dataclass(frozen=True)
 class PosteriorSummary:
@@ -312,28 +335,15 @@ class PosteriorSummary:
         return sum(pt * qt for pt, qt in zip(self.p, self.q))
 
 
-ColumnStats = tuple[Scalar, Scalar | None, tuple[Scalar, ...] | None]
-
-
 def column_stats(st: InfoStructure) -> tuple[ColumnStats, ...]:
     """Per column t: (P(T=t), P(Y=1 | T=t), P(S | T=t)).
 
-    The two posteriors are None on a zero-mass column. This is the one place
-    a column's statistics are computed; every other routine reads them here.
+    The two posteriors are None on a zero-mass column. This is the one entry
+    point for a column's statistics; every other routine reads them here.
+    They are computed once per structure, on the first call, and every later
+    call on the same structure returns the same tuple.
     """
-    prior = st.prior
-    stats = []
-    for t in range(st.num_signals):
-        mass = st.signal_mass(t)
-        if mass == 0:
-            stats.append((mass, None, None))
-            continue
-        yellow = sum(
-            prior.p[s] * st.widths[s][t] * st.cells[s][t] for s in range(prior.n)
-        )
-        s_post = tuple(prior.p[s] * st.widths[s][t] / mass for s in range(prior.n))
-        stats.append((mass, yellow / mass, s_post))
-    return tuple(stats)
+    return st._column_stats
 
 
 def posterior_summary(st: InfoStructure) -> PosteriorSummary:
@@ -629,7 +639,8 @@ def sample_signal(
 
     Raises:
         UnknownLabel: The mechanism's prior has no secret s.
-        ValidationError: y is not 0 or 1, or count or rng_seed is negative.
+        ValidationError: y is not 0 or 1, count or rng_seed is negative, or
+            count is too large for numpy's index type.
         ZeroMassContext: P(S=s, Y=y) is zero under the prior.
     """
     if y not in (0, 1):
@@ -646,6 +657,8 @@ def sample_signal(
         return []
     import numpy as np
 
+    if count > np.iinfo(np.intp).max:
+        raise ValidationError(f"count {count} is too large to draw")
     row = np.asarray([float(x) for x in m.kernel[idx][y]], dtype=float)
     row = row / row.sum()
     rng = np.random.default_rng(rng_seed)

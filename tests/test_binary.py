@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import ipd.binary
 from ipd import (
     RegimeTag,
     UtilityFn,
@@ -321,3 +322,72 @@ class TestLazyMechanism:
             for row in block
             for x in row
         )
+
+
+class TestRepeatedSolves:
+    """A repeated solve answers from the last one only when a fresh solve
+    would give the same answer: same Prior object, same budget value and
+    type, same check slack."""
+
+    def test_same_prior_and_budget_return_the_same_solution(self, fixture_prior_exact):
+        first = solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
+        assert solve_binary(fixture_prior_exact, exp_eps=Fraction(2)) is first
+        base = solve_perfect_privacy(fixture_prior_exact)
+        assert solve_perfect_privacy(fixture_prior_exact) is base
+        assert solve_binary(fixture_prior_exact, exp_eps=1) is base
+
+    def test_float_budget_after_exact_budget_gives_float_widths(
+        self, fixture_prior_exact
+    ):
+        exact = solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
+        floats = solve_binary(fixture_prior_exact, exp_eps=2.0)
+        assert all(isinstance(x, Fraction) for pair in exact.widths_by_signal for x in pair)
+        # the widths the budget scales turn float; 1 - q_hi stays exact
+        assert isinstance(floats.widths_by_signal[0][0], float)
+        half = Fraction(1, 2)
+        fresh_prior = load_prior([(half, Fraction(3, 4)), (half, Fraction(1, 4))])
+        fresh = solve_binary(fresh_prior, exp_eps=2.0)
+        assert floats.widths_by_signal == fresh.widths_by_signal
+        assert [type(x) for pair in floats.widths_by_signal for x in pair] == [
+            type(x) for pair in fresh.widths_by_signal for x in pair
+        ]
+
+    def test_equal_exact_and_float_priors_keep_their_arithmetic(
+        self, fixture_prior, fixture_prior_exact
+    ):
+        assert fixture_prior == fixture_prior_exact  # Prior equality ignores type
+        for _ in range(2):
+            for prior, kind in ((fixture_prior_exact, Fraction), (fixture_prior, float)):
+                solutions = (
+                    solve_binary(prior, exp_eps=Fraction(2)),
+                    solve_perfect_privacy(prior),
+                )
+                for sol in solutions:
+                    widths = [x for row in sol.structure.widths for x in row]
+                    assert all(isinstance(x, kind) for x in widths), kind
+
+    def test_a_changed_tolerance_raises_as_a_fresh_solve_would(
+        self, fixture_prior_exact, monkeypatch
+    ):
+        solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
+        solve_perfect_privacy(fixture_prior_exact)
+        monkeypatch.setenv("IPD_TOLERANCE", "abc")
+        with pytest.raises(ValidationError):
+            solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
+        with pytest.raises(ValidationError):
+            solve_perfect_privacy(fixture_prior_exact)
+
+    @pytest.mark.parametrize("bound, builds", [(Fraction(2), 2), (Fraction(1), 1)])
+    def test_a_sweep_point_builds_each_structure_once(
+        self, bound, builds, fixture_prior_exact, monkeypatch
+    ):
+        calls = []
+
+        def counting(*args, real=ipd.binary.pack_columns):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ipd.binary, "pack_columns", counting)
+        for family in ("abs", "quadratic", "negentropy"):
+            utility_gain(fixture_prior_exact, u=UtilityFn(family), exp_eps=bound)
+        assert len(calls) == builds

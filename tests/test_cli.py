@@ -17,7 +17,7 @@ import pytest
 
 import ipd
 from ipd import ValidationError, load_prior, posterior_summary, solve_binary
-from ipd.cli import MAX_GRID_POINTS, _parse_grid, main, parse_eps
+from ipd.cli import MAX_GRID_POINTS, MAX_SAMPLE_COUNT, _parse_grid, main, parse_eps
 from ipd.general import MAX_SECRETS
 from ipd.serialize import (
     decode_mechanism,
@@ -466,6 +466,33 @@ class TestSweepCommand:
         assert float(rows[0]["gain"]) == 1.0
         assert rows[0]["regime"] == "perfect-privacy"
 
+    @pytest.mark.parametrize(
+        "spec, families",
+        [
+            ("quadratic,negentropy,abs", ["abs", "negentropy", "quadratic"]),
+            ("abs,abs", ["abs", "abs"]),
+        ],
+    )
+    def test_rows_go_family_by_family_in_grid_order(
+        self, spec, families, prior_file, tmp_path
+    ):
+        out = str(tmp_path / "sweep.csv")
+        grid = ("0.0", "0.2", "0.4")
+        assert main(["sweep", prior_file, "--grid", "0:0.4:0.2", "--utilities", spec,
+                     "--out", out]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["utility_family"], r["eps"]) for r in rows] == [
+            (name, eps) for name in families for eps in grid
+        ]
+        prior = decode_prior(read_json(prior_file))
+        for row in rows:
+            eps, exp_eps = parse_eps(row["eps"])
+            report = ipd.utility_gain(
+                prior, eps, ipd.UtilityFn(row["utility_family"]), exp_eps=exp_eps
+            )
+            assert row["u_eps"] == repr(float(report.u_eps))
+
     def test_gain_is_monotone_in_the_budget(self, prior_file, tmp_path):
         out = str(tmp_path / "sweep.csv")
         main(["sweep", prior_file, "--grid", "0:1.5:0.25", "--utilities", "abs", "--out", out])
@@ -528,6 +555,21 @@ class TestSampleCommand:
 
         mech = decode_mechanism(read_json(mech_path))
         assert lines == sample_signal(mech, "s0", 1, 42, 6)
+
+    @pytest.mark.parametrize("count", [MAX_SAMPLE_COUNT + 1, 10**20])
+    def test_count_above_the_cap_exits_2_before_any_draw(
+        self, count, prior_file, tmp_path, monkeypatch, capsys
+    ):
+        mech_path = str(tmp_path / "mech.json")
+        main(["solve", prior_file, "--eps", "ln2", "--out-mechanism", mech_path])
+        capsys.readouterr()
+        draws = []
+        monkeypatch.setattr("ipd.cli.sample_signal", lambda *a: draws.append(a))
+        argv = ["sample", mech_path, "--secret", "s0", "--y", "1",
+                "--count", str(count), "--seed", "1"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert draws == []
 
     def test_zero_mass_context_is_an_input_error(self, tmp_path, capsys):
         prior = load_prior([(Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 4))])

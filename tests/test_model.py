@@ -27,6 +27,7 @@ from ipd.errors import (
     NotEquivalentSignals,
     UnknownLabel,
 )
+from ipd.model import column_stats
 
 from conftest import random_binary_prior
 
@@ -120,6 +121,17 @@ class TestInfoStructure:
                 widths=((1.1, -0.1), (0.25, 0.75)),
                 cells=((1, 0), (1, 0)),
             )
+
+    def test_column_stats_are_computed_once(self, fixture_solution):
+        st = fixture_solution.structure
+        stats = column_stats(st)
+        assert column_stats(st) is stats
+        copy = InfoStructure(
+            prior=st.prior, signals=st.signals, widths=st.widths, cells=st.cells
+        )
+        assert copy == st
+        assert column_stats(copy) is not stats
+        assert column_stats(copy) == stats
 
     def test_signal_mass(self, fixture_solution):
         st = fixture_solution.structure
@@ -344,6 +356,11 @@ class TestSampling:
 
     def test_count_zero_gives_empty_list(self, fixture_solution):
         assert sample_signal(fixture_solution.mechanism, "s1", 0, 1, 0) == []
+
+    def test_count_past_numpy_index_range_is_rejected(self, fixture_solution):
+        for count in (2**63, 10**20):
+            with pytest.raises(ValidationError, match="too large"):
+                sample_signal(fixture_solution.mechanism, "s0", 1, 1, count)
 
 
 def _random_structure(rng, prior, k):
