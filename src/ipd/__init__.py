@@ -80,8 +80,7 @@ _LAZY = {
     "oracle": "oracle",
     "OracleReport": "oracle",
     "binary_grid_oracle": "oracle",
-    "enumerate_assignments": "oracle",
-    "naive_c_enumeration": "oracle",
+    "pattern_lp_oracle": "oracle",
     "random_structure_oracle": "oracle",
 }
 

@@ -148,14 +148,6 @@ class CutAssignment:
         wide = self.wide
         return np.where(wide == wide[:, -1:], 1.0, np.where(wide, w, inv_w))
 
-    def expanded(self) -> tuple[tuple[int, tuple[Scalar, ...]], ...]:
-        """(i, per-row width factor: e**eps if wide else 1) per column."""
-        w = self.exp_eps
-        return tuple(
-            (col.i, tuple(w if wide else 1 for wide in row))
-            for col, row in zip(self.columns, self.wide.tolist())
-        )
-
 
 def _full_bank(n: int, exp_eps: Scalar) -> CutAssignment:
     """Every cut column the single LP needs, sorted by (i, -b, -c).
@@ -390,12 +382,9 @@ def _hold_and_maximize_quadratic(
 
 
 def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructure:
-    """Rebuild the width grid of the chain's columns and restore exact row sums.
+    """Rebuild the width grid of the chain's columns, then its exact row sums.
 
     Columns of the bank outside the chain carry no mass and are left out.
-    The solver's 1e-9-level residuals would trip the structure's own
-    normalization checks, so each row's yellow and white widths are rescaled
-    to hit the prior's conditionals exactly.
     """
     prior = problem.prior
     n = prior.n
@@ -414,7 +403,19 @@ def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructur
     yellow = np.zeros((m + 2, n), dtype=bool)
     yellow[0] = True
     yellow[1:-1] = bank.yellow[support]
+    return _rescaled_structure(prior, widths, yellow, solution.max_residual or 0.0)
 
+
+def _rescaled_structure(
+    prior: Prior, widths: np.ndarray, yellow: np.ndarray, residual: float
+) -> InfoStructure:
+    """The structure of (columns x rows) LP widths, rescaled to exact row sums.
+
+    An LP's 1e-9-level residuals would trip the structure's normalization
+    checks, so each row's yellow and white widths are rescaled in place to
+    the prior's shares; a share above max(CHECK_TOL, 10 * residual) that no
+    column covers is a SolverError. The signals are t1, t2, ... in order.
+    """
     # Per secret, its yellow and then its white widths summed in column
     # order, each against the share of the prior (q, then 1 - q) it must hold.
     sums = [
@@ -425,16 +426,14 @@ def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructur
             (float(1 - q), sum(w for w, y in zip(row, mark) if not y)),
         )
     ]
-    slack = max(CHECK_TOL, 10 * (solution.max_residual or 0.0))
+    slack = max(CHECK_TOL, 10 * residual)
     if any(total <= 0 and target > slack for target, total in sums):
         raise SolverError("LP solution does not cover a row's required mass")
     scale = np.array([target / total if total > 0 else 1.0 for target, total in sums])
     widths *= np.where(yellow, scale[0::2], scale[1::2])
-
-    signals = ("t1", *(f"t{k + 2}" for k in range(m)), f"t{m + 2}")
     return InfoStructure(
         prior=prior,
-        signals=signals,
+        signals=tuple(f"t{k + 1}" for k in range(len(widths))),
         widths=tuple(map(tuple, widths.T.tolist())),
         cells=tuple(map(tuple, yellow.T.astype(float).tolist())),
     )

@@ -3,27 +3,34 @@
 Nothing here is used by the solvers themselves. binary_grid_oracle sweeps
 the two free widths of the binary optimum over a lattice and recovers the
 middle widths from the row-sum algebra; random_structure_oracle throws
-random private structures at a solver; enumerate_assignments lists every
-chain of cut columns, whose LPs the single LP of solve_general must match;
-naive_c_enumeration regenerates the middle-column cut patterns by raw
-product enumeration plus filtering. Each gives an independent path to the
-same answers the closed forms and the LP produce, which is the whole point:
-the tests assert the solvers are never beaten and the enumerations agree.
+random private structures at a solver; pattern_lp_oracle solves one LP over
+every (yellow set, width pattern) column type, which bounds every private
+structure without the structure theorem that the cut bank of solve_general
+rests on. Each gives an independent path to the same answers the closed
+forms and the LP produce, which is the whole point: the tests assert the
+solvers are never beaten.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import UtilityFn, expected_utility
+from .analysis import UtilityFn, blackwell_dominates, expected_utility
 from .binary import pack_columns, solve_binary
-from .errors import NotBinarySecret, UnsupportedSize, ValidationError
-from .general import CutAssignment, CutColumn, all_cuts, may_follow, solve_general
+from .errors import NotBinarySecret, SolverError, UnsupportedSize, ValidationError
+from .general import _rescaled_structure, solve_general
 from .model import InfoStructure, Prior, posterior_summary
 from .numeric import Scalar, check_slack, log_of, ratio_bound
+
+# Size caps of one oracle call, each keeping its largest array under about
+# 0.5 GB: (grid + 1)**2 lattice floats, (trials x signals x (signals + the
+# solver's signals)) dominance floats, a 2n x 2**n (2**n - 1) pattern matrix.
+MAX_GRID = 2_000
+MAX_TRIALS = 500_000
+MAX_SIGNALS = 32
+MAX_PATTERN_SECRETS = 8
 
 
 @dataclass(frozen=True)
@@ -31,7 +38,8 @@ class OracleReport:
     """Outcome of one brute-force challenge against a solver.
 
     trials counts the candidates actually scored (projection can discard
-    some of the requested ones). best_structure is None when nothing
+    some of the requested ones); for the pattern LP it is the number of
+    column types, one LP variable each. best_structure is None when nothing
     survived. solver_dominates_all is the convex-order verdict against
     every scored candidate, vacuously true for an empty field.
     """
@@ -63,8 +71,8 @@ def binary_grid_oracle(
         raise TypeError("binary_grid_oracle needs a utility function")
     if not prior.is_binary:
         raise NotBinarySecret("the grid oracle covers only binary secrets")
-    if grid < 1:
-        raise ValidationError("grid must be at least 1")
+    if not 1 <= grid <= MAX_GRID:
+        raise ValidationError(f"grid must be in [1, {MAX_GRID}], got {grid}")
     w = float(ratio_bound(eps, exp_eps))
     if w <= 1:
         raise ValidationError("the grid oracle needs a positive budget")
@@ -139,6 +147,13 @@ def _binary_point_structure(
     return pack_columns(prior, ("t1", "t2", "t3", "t4"), pairs, cells)
 
 
+def _solver_structure(prior: Prior, u: UtilityFn, w: Scalar) -> InfoStructure:
+    """What an oracle challenges: the closed form for two secrets, else the LP."""
+    if prior.n == 2:
+        return solve_binary(prior, exp_eps=w).structure
+    return solve_general(prior, u=u, exp_eps=w).structure
+
+
 def random_structure_oracle(
     prior: Prior,
     eps: float | None = None,
@@ -170,10 +185,12 @@ def random_structure_oracle(
         raise ValidationError("a seed is required; oracle runs must be replayable")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    if max_signals < 2:
-        raise ValidationError("need at least 2 signals")
-    if trials < 0:
-        raise ValidationError("trials must be nonnegative")
+    if not 2 <= max_signals <= MAX_SIGNALS:
+        raise ValidationError(
+            f"max_signals must be in [2, {MAX_SIGNALS}], got {max_signals}"
+        )
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ValidationError(f"trials must be in [0, {MAX_TRIALS}], got {trials}")
     w = ratio_bound(eps, exp_eps)
     eps_f = log_of(w)
     slack = check_slack()
@@ -181,10 +198,7 @@ def random_structure_oracle(
     p = np.array([float(x) for x in prior.p])
     q = np.array([float(x) for x in prior.q])
 
-    if n == 2:
-        solver_structure = solve_binary(prior, exp_eps=w).structure
-    else:
-        solver_structure = solve_general(prior, u=u, exp_eps=w).structure
+    solver_structure = _solver_structure(prior, u, w)
     solver_utility = float(expected_utility(solver_structure, u))
     summary = posterior_summary(solver_structure)
     sp = np.array([float(x) for x in summary.p])
@@ -293,86 +307,71 @@ def _random_batch(
     return widths, yellow
 
 
-def enumerate_assignments(
-    n: int, eps: float | None = None, *, exp_eps: Scalar | None = None
-) -> list[CutAssignment]:
-    """Every chain of distinct cut columns for n secrets, the empty one first.
-
-    The count grows quickly with n (12 for n=2, 320 for n=3). Solving each
-    chain's LP and keeping the best is the slow reference for solve_general.
-    """
-    w = ratio_bound(eps, exp_eps)
-    chains: list[tuple[CutColumn, ...]] = [()]
-    for col in all_cuts(n):  # sorted, so every chain grows in its own order
-        chains += [c + (col,) for c in chains if not c or may_follow(c[-1], col)]
-    return [CutAssignment(n, chain, w) for chain in chains]
-
-
-def canonical_matrix(
-    columns: tuple[tuple[int, tuple[Scalar, ...]], ...]
-) -> tuple[tuple[int, tuple[Scalar, ...]], ...]:
-    """Order-free canonical form of an expanded column bank."""
-    return tuple(
-        sorted(columns, key=lambda col: (col[0], tuple(-float(x) for x in col[1])))
-    )
-
-
-def _vec_may_precede(n, first, second) -> bool:
-    i1, v1 = first
-    i2, v2 = second
-    if i1 > i2:
-        return False
-    top1 = n + 1 - i1
-    top2 = n + 1 - i2
-    return all(v1[j] >= v2[j] for j in range(top2)) and all(
-        v1[j] <= v2[j] for j in range(top1, n)
-    )
-
-
-def naive_c_enumeration(
-    n: int,
+def pattern_lp_oracle(
+    prior: Prior,
     eps: float | None = None,
+    u: UtilityFn | None = None,
     *,
     exp_eps: Scalar | None = None,
-    max_columns: int | None = None,
-    allow_large: bool = False,
-) -> set:
-    """Enumerate valid middle-column banks the slow way.
+) -> OracleReport:
+    """The best private structure over every column type, by one LP.
 
-    Generates raw per-column width-factor vectors over {1, e**eps}, filters
-    each for the block shape a single column must have, then keeps exactly
-    the multisets whose columns are pairwise orderable, with duplicates
-    collapsed. Returns canonical expanded matrices for set comparison
-    against enumerate_assignments. Deliberately exponential; n > 2 needs
-    allow_large.
+    Each column of a private structure has its widths in [L, wL] for some
+    L > 0 (w = e**eps). Its cell colours are a convex combination of 0/1
+    colourings, so it splits into scaled copies of itself, each coloured
+    0/1; the widths of a 0/1 column are a convex combination of the
+    vertices of its width box, so it splits again into columns of the same
+    colours with widths in {L, wL}. Both splits are refinements, which no
+    convex utility values less (Blackwell 1953), and every part keeps its
+    widths within a factor w, so privacy holds. The optimum over all
+    private structures is therefore an LP with one variable, the scale L,
+    per type: a yellow set and one of the 2**n - 1 {1, w} width patterns
+    that differ in more than scale, 2**n (2**n - 1) types in all. A type
+    fixes its posterior, so the objective, mass times u(posterior), is
+    linear; the 2n rows make each secret's total width 1 and its yellow
+    width q.
+
+    The solver side is solve_binary for two secrets, solve_general
+    otherwise. best_utility is the LP optimum, best_structure the witness
+    built from the positive types with each row rescaled to its exact sums,
+    and trials the number of types.
     """
-    if n < 2:
-        raise ValidationError("need at least 2 secrets")
-    if n > 2 and not allow_large:
+    if u is None:
+        raise TypeError("pattern_lp_oracle needs a utility function")
+    n = prior.n
+    if n > MAX_PATTERN_SECRETS:
         raise UnsupportedSize(
-            "raw enumeration is exponential; pass allow_large=True for n > 2"
+            f"{n} secrets exceeds the pattern LP cap of {MAX_PATTERN_SECRETS}"
         )
     w = ratio_bound(eps, exp_eps)
-    if w == 1:
-        raise ValidationError("raw enumeration needs a positive budget")
-    types: list[tuple[int, tuple[Scalar, ...]]] = []
-    for i in range(2, n + 1):
-        top = n + 1 - i
-        for bits in itertools.product((True, False), repeat=n):
-            inside, outside = bits[:top], bits[top:]
-            if any(a < b for a, b in zip(inside, inside[1:])):
-                continue
-            if any(a > b for a, b in zip(outside, outside[1:])):
-                continue
-            types.append((i, tuple(w if wide else 1 for wide in bits)))
-    cap = 3 * n - 3 if max_columns is None else max_columns
-    matrices = set()
-    for length in range(cap + 1):
-        for seq in itertools.product(types, repeat=length):
-            bank = list(dict.fromkeys(seq))
-            if all(
-                _vec_may_precede(n, a, b) or _vec_may_precede(n, b, a)
-                for a, b in itertools.combinations(bank, 2)
-            ):
-                matrices.add(canonical_matrix(tuple(bank)))
-    return matrices
+    solver = _solver_structure(prior, u, w)
+    from scipy.optimize import linprog
+
+    # Row k of subsets marks the secrets of the binary expansion of k; as a
+    # width pattern, the last row is the first at scale w.
+    subsets = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(bool)
+    yellow = np.repeat(subsets, len(subsets) - 1, axis=0)
+    widths = np.where(np.tile(subsets[:-1], (len(subsets), 1)), float(w), 1.0)
+    p = np.array([float(x) for x in prior.p])
+    gain = widths @ p * u((widths * yellow) @ p / (widths @ p))
+    a_eq = np.vstack([widths.T, (widths * yellow).T])
+    b_eq = np.array([1.0] * n + [float(x) for x in prior.q])
+    options = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+    result = linprog(-gain, A_eq=a_eq, b_eq=b_eq, method="highs-ds", options=options)
+    if result.status != 0:
+        raise SolverError(f"pattern LP failed: {result.message}")
+    x = result.x
+    keep = x > 0
+    residual = float(np.max(np.abs(a_eq @ x - b_eq)))
+    witness = _rescaled_structure(
+        prior, x[keep, None] * widths[keep], yellow[keep], residual
+    )
+    return OracleReport(
+        best_utility=float(gain @ x),
+        best_structure=witness,
+        trials=len(gain),
+        solver_utility=float(expected_utility(solver, u)),
+        solver_dominates_all=blackwell_dominates(
+            posterior_summary(solver), posterior_summary(witness)
+        ).dominates,
+    )

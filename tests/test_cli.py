@@ -19,6 +19,7 @@ import ipd
 from ipd import ValidationError, load_prior, posterior_summary, solve_binary
 from ipd.cli import MAX_GRID_POINTS, MAX_SAMPLE_COUNT, _parse_grid, main, parse_eps
 from ipd.general import MAX_SECRETS
+from ipd.oracle import MAX_GRID, MAX_SIGNALS, MAX_TRIALS
 from ipd.serialize import (
     decode_mechanism,
     decode_number,
@@ -312,13 +313,19 @@ class TestImportCost:
         )
         return done.stdout.strip()
 
-    @pytest.mark.parametrize("module", ["ipd", "ipd.cli"])
-    def test_import_loads_neither_numpy_nor_scipy_optimize(self, module):
-        code = (
-            f"import sys, {module}; "
-            "print([m for m in ('numpy', 'scipy.optimize') if m in sys.modules])"
-        )
-        assert self._child(code) == "[]"
+    @pytest.mark.parametrize(
+        "modules, unloaded",
+        [
+            ("ipd", ("numpy", "scipy.optimize")),
+            ("ipd.cli", ("numpy", "scipy.optimize")),
+            # the solver and the oracles import scipy only inside the LP calls
+            ("ipd.oracle, ipd.general", ("scipy.optimize",)),
+        ],
+        ids=["ipd", "ipd.cli", "ipd.oracle-ipd.general"],
+    )
+    def test_import_loads_neither_numpy_nor_scipy_optimize(self, modules, unloaded):
+        listed = f"[m for m in {unloaded!r} if m in sys.modules]"
+        assert self._child(f"import sys, {modules}; print({listed})") == "[]"
 
     def test_binary_commands_never_load_numpy(self, prior_file, tmp_path):
         code = """
@@ -624,3 +631,29 @@ class TestOracleCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trials"] <= 200
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--grid", MAX_GRID + 1),
+            ("--grid", 10**20),
+            ("--trials", MAX_TRIALS + 1),
+            ("--trials", 10**20),
+            ("--max-signals", MAX_SIGNALS + 1),
+            ("--max-signals", 10**20),
+        ],
+    )
+    def test_size_above_a_cap_exits_2_before_any_solve(
+        self, flag, value, prior_file, monkeypatch, capsys
+    ):
+        solves = []
+        monkeypatch.setattr("ipd.oracle.solve_binary", lambda *a, **k: solves.append(a))
+        mode = "grid" if flag == "--grid" else "random"
+        argv = ["oracle", mode, prior_file, "--eps", "ln2", "--utility", "abs"]
+        if mode == "random":
+            argv += ["--seed", "1", "--trials", "10"]
+        assert main([*argv, flag, str(value)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "ValidationError"
+        assert solves == []

@@ -11,15 +11,14 @@ from ipd import (
     UtilityFn,
     ValidationError,
     binary_grid_oracle,
-    enumerate_assignments,
     expected_utility,
     load_prior,
-    naive_c_enumeration,
+    pattern_lp_oracle,
     random_structure_oracle,
     solve_binary,
 )
 from ipd.errors import NotBinarySecret
-from ipd.oracle import canonical_matrix
+from ipd.oracle import MAX_PATTERN_SECRETS
 
 from conftest import random_binary_prior
 
@@ -125,51 +124,17 @@ class TestRandomOracle:
         assert report.solver_dominates_all
 
 
-class TestNaiveEnumeration:
-    def test_matches_the_chain_enumeration_for_binary_secrets(self):
-        w = Fraction(2)
-        naive = naive_c_enumeration(2, exp_eps=w)
-        chains = {
-            canonical_matrix(a.expanded())
-            for a in enumerate_assignments(2, exp_eps=w)
-        }
-        assert naive == chains
-        assert len(naive) == 12
-
-    def test_rejects_three_secrets_without_an_override(self):
+class TestPatternOracle:
+    def test_rejects_a_support_above_the_cap_before_solving(self, monkeypatch):
+        monkeypatch.setattr("ipd.oracle.solve_general", None)  # a solve would raise
+        n = MAX_PATTERN_SECRETS + 1
+        prior = load_prior([(Fraction(1, n), Fraction(k, n)) for k in range(n, 0, -1)])
         with pytest.raises(UnsupportedSize):
-            naive_c_enumeration(3, exp_eps=Fraction(2))
+            pattern_lp_oracle(prior, 0.5, UtilityFn("abs"))
 
-    def test_override_unlocks_three_secrets(self):
-        w = Fraction(2)
-        naive = naive_c_enumeration(3, exp_eps=w, allow_large=True, max_columns=3)
-        chains = {
-            canonical_matrix(a.expanded())
-            for a in enumerate_assignments(3, exp_eps=w)
-            if len(a.columns) <= 3
-        }
-        assert naive == chains
-
-    def test_uniform_column_is_reachable(self):
-        # the all-wide single column (both rows scaled by w) is a legal
-        # degenerate set and must appear in the enumeration
-        w = Fraction(2)
-        naive = naive_c_enumeration(2, exp_eps=w)
-        uniform = canonical_matrix(((2, (w, w)),))
-        assert uniform in naive
-
-    def test_incomparable_pair_is_rejected(self):
-        # the all-wide and all-plain columns at the same cut position cannot
-        # chain in either order (b would have to rise, or c would), so the
-        # pair never appears as a set
-        w = Fraction(2)
-        naive = naive_c_enumeration(2, exp_eps=w)
-        pair = canonical_matrix(((2, (w, w)), (2, (1, 1))))
-        assert pair not in naive
-
-    def test_zero_budget_rejected(self):
-        with pytest.raises(ValidationError):
-            naive_c_enumeration(2, exp_eps=Fraction(1))
+    def test_needs_a_utility(self, fixture_prior):
+        with pytest.raises(TypeError):
+            pattern_lp_oracle(fixture_prior, 0.5)
 
 
 class TestOracleAgainstRandomInstances:

@@ -34,8 +34,8 @@ EXPORTS = {
     ),
     "numeric": ("CHECK_TOL", "NORM_TOL", "PATH_TOL", "check_slack"),
     "oracle": (
-        "OracleReport", "binary_grid_oracle", "enumerate_assignments",
-        "naive_c_enumeration", "random_structure_oracle",
+        "OracleReport", "binary_grid_oracle", "pattern_lp_oracle",
+        "random_structure_oracle",
     ),
 }
 
