@@ -120,9 +120,11 @@ def classify_regime(
     r2_within = (1 - q1) <= w * (1 - q0)
     if r1_within and r2_within:
         tag = RegimeTag.FULL_DISCLOSURE
-    elif not r2_within and (r1_within or q1 * (1 + w) >= 1):
+    # q1 (1 + w) >= 1 and q0 (1 + w) <= w, written so that a float 1 + w
+    # that rounds to w (w > 2**53) cannot flip them
+    elif not r2_within and (r1_within or w * q1 >= 1 - q1):
         tag = RegimeTag.THREE_SIGNAL_T3
-    elif not r1_within and (r2_within or q0 * (1 + w) <= w):
+    elif not r1_within and (r2_within or q0 <= w * (1 - q0)):
         tag = RegimeTag.THREE_SIGNAL_T2
     else:
         tag = RegimeTag.FOUR_SIGNAL
@@ -235,7 +237,8 @@ def solve_binary(
     else:
         l10 = w * q1
         l21 = 1 / (1 + w) - q1
-        l31 = w * q0 - w * w / (1 + w)
+        # w q0 - w**2 / (1 + w), written so that it does not cancel
+        l31 = w * (1 / (1 + w) - (1 - q0))
         l41 = w * (1 - q0)
     width_pairs = (
         (l10, q1),

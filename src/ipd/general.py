@@ -24,10 +24,14 @@ quadratic utility, which lands on a chain.
 
 assemble_lp/solve_lp handle one linear program; solve_general builds the
 bank, runs one or two LPs, and rebuilds the structure from the chain.
+linprog is the one LP backend: the two-secret LP (four variables, equality
+rows only) goes to a small bounded-variable simplex in pure Python, and
+every larger LP to HiGHS, so a two-secret solve does not import scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -304,27 +308,239 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     )
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve one assembled LP with the dual-simplex backend.
+class LinprogResult(NamedTuple):
+    """The fields of scipy's linprog result that solve_lp reads."""
 
-    Infeasibility is an answer, not an error; anything else unexpected from
-    the backend raises SolverError. scipy is imported here, on first use, so
-    commands that never solve an LP do not pay for loading it.
+    status: int  # 0 optimal, 2 infeasible, anything else a failure
+    x: np.ndarray | None
+    message: str
+
+
+# The bounded simplex takes LPs with no inequality rows and at most this many
+# variables. The two-secret LP has four, and every larger LP of the solver has
+# inequality rows; the cap keeps any other large equality-only LP off the
+# pure-Python tableau, each of whose steps costs rows x columns.
+SIMPLEX_MAX_VARIABLES = 8
+# What the simplex's answer must meet to be returned: the largest equality
+# residual, and how far a variable may sit past a bound, relative to the
+# bound's size (absolute below 1).
+GUARD_TOL = 1e-12
+# Smallest tableau entry that limits a step, and smallest reduced cost that
+# counts as an improvement; both in units of the scaled variables below.
+_PIVOT_TOL = 1e-11
+_COST_TOL = 1e-12
+
+
+def linprog(
+    c: np.ndarray,
+    A_ub: np.ndarray,
+    b_ub: np.ndarray,
+    A_eq: np.ndarray,
+    b_eq: np.ndarray,
+    bounds: np.ndarray,
+):
+    """Minimize c . x subject to A_ub x <= b_ub, A_eq x = b_eq and box bounds.
+
+    solve_lp's backend; the pattern-LP oracle calls HiGHS directly, so that
+    it stays an independent check of this path. The arguments are arrays,
+    bounds one (low, high) row per variable; the result carries scipy's
+    status (0 optimal, 2 infeasible), x and message. An LP with no
+    inequality rows, finite bounds and at most SIMPLEX_MAX_VARIABLES
+    variables goes to a dense bounded-variable simplex in pure Python,
+    whose answer is taken only when it passes the GUARD_TOL checks. Every
+    other LP, and every small one the simplex fails or the guard rejects,
+    goes to HiGHS's dual simplex; scipy is imported then, on first use, so
+    a two-secret solve normally never loads it.
     """
-    from scipy.optimize import linprog
+    small = not len(b_ub) and len(c) <= SIMPLEX_MAX_VARIABLES
+    if small and np.isfinite(bounds).all():
+        lo, hi = bounds.T.tolist()
+        a, b = A_eq.tolist(), b_eq.tolist()
+        x = _bounded_simplex(c.tolist(), a, b, lo, hi)
+        if x is not None and (x := _guarded(x, a, b, lo, hi)) is not None:
+            return LinprogResult(0, np.array(x), "optimal (bounded simplex)")
+    from scipy.optimize import linprog as highs
 
-    result = linprog(
-        -problem.objective,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        A_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        bounds=problem.bounds,
+    return highs(
+        c,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        bounds=bounds,
         method="highs-ds",
         options={
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
         },
+    )
+
+
+def _guarded(
+    x: list[float],
+    a: list[list[float]],
+    b: list[float],
+    lo: list[float],
+    hi: list[float],
+) -> list[float] | None:
+    """x clipped onto its bounds, or None if it fails the GUARD_TOL checks.
+
+    A variable may sit past a bound by GUARD_TOL times the bound's size
+    (absolute below 1) before it is clipped; the clipped point must then
+    meet every equality row within GUARD_TOL.
+    """
+    clipped = []
+    for xj, low, high in zip(x, lo, hi):
+        below = low - GUARD_TOL * max(abs(low), 1.0)
+        above = high + GUARD_TOL * max(abs(high), 1.0)
+        if not below <= xj <= above:  # a NaN fails too
+            return None
+        clipped.append(min(max(xj, low), high))
+    for row, bi in zip(a, b):
+        if not abs(sum(aij * xj for aij, xj in zip(row, clipped)) - bi) <= GUARD_TOL:
+            return None
+    return clipped
+
+
+def _bounded_simplex(
+    c: list[float],
+    a: list[list[float]],
+    b: list[float],
+    lo: list[float],
+    hi: list[float],
+) -> list[float] | None:
+    """Minimize c . x subject to a x = b and lo <= x <= hi, all bounds finite.
+
+    A dense tableau simplex whose nonbasic variables sit at one of their
+    bounds (Dantzig 1955), so bounds need no rows. Each variable is first
+    scaled by the larger magnitude of its bounds, so no range is wider than
+    1 and a width ratio bounded by e**eps moves no further, in the
+    tolerances' eyes, than a column weight bounded by 1. Phase 1 starts
+    every variable at its lower bound, gives each row an artificial
+    variable holding its residual, and drives their sum to zero; phase 2
+    fixes the artificials at zero and minimizes c. Returns x, or None when
+    phase 1 leaves a residual above GUARD_TOL or a phase stops early.
+    """
+    scale = [max(abs(low), abs(high)) or 1.0 for low, high in zip(lo, hi)]
+    c = [cj * s for cj, s in zip(c, scale)]
+    a = [[aij * s for aij, s in zip(row, scale)] for row in a]
+    lo = [low / s for low, s in zip(lo, scale)]
+    hi = [high / s for high, s in zip(hi, scale)]
+    m, nv = len(b), len(c)
+    residual = [bi - sum(aij * xj for aij, xj in zip(row, lo)) for row, bi in zip(a, b)]
+    sign = [1.0 if r >= 0 else -1.0 for r in residual]
+    # The tableau is B^-1 [a | diag(sign)]; the artificials start basic, so
+    # B = diag(sign) and row i is row i of a times sign[i].
+    tableau = [
+        [s * v for v in row] + [float(k == i) for k in range(m)]
+        for i, (row, s) in enumerate(zip(a, sign))
+    ]
+    x = [*lo, *map(abs, residual)]
+    lo, hi = [*lo, *[0.0] * m], [*hi, *[math.inf] * m]
+    basis = list(range(nv, nv + m))
+    if not _pivot_to_optimum(tableau, basis, x, [0.0] * nv + [1.0] * m, lo, hi):
+        return None
+    if any(v > GUARD_TOL for v in x[nv:]):
+        return None
+    hi[nv:] = [0.0] * m  # the artificials stay at zero from here on
+    if not _pivot_to_optimum(tableau, basis, x, [*c, *[0.0] * m], lo, hi):
+        return None
+    return [xj * s for xj, s in zip(x, scale)]
+
+
+def _pivot_to_optimum(
+    tableau: list[list[float]],
+    basis: list[int],
+    x: list[float],
+    cost: list[float],
+    lo: list[float],
+    hi: list[float],
+) -> bool:
+    """Take simplex steps, in place, until no step lowers cost . x.
+
+    The entering variable has the reduced cost of largest magnitude
+    (Dantzig's rule), or the lowest index right after a degenerate step
+    (Bland's rule, which cannot cycle). It moves until a basic variable
+    reaches a bound and leaves the basis there, or until it reaches its own
+    other bound. Returns False on an unbounded ray or at the step cap.
+    """
+    width = len(x)
+    reduced = [
+        cj - sum(cost[k] * row[j] for k, row in zip(basis, tableau))
+        for j, cj in enumerate(cost)
+    ]
+    degenerate = False
+    for _ in range(50 * width):
+        basic = set(basis)
+        candidates = [
+            j
+            for j in range(width)
+            if j not in basic
+            and lo[j] < hi[j]
+            and (
+                (reduced[j] < -_COST_TOL and x[j] == lo[j])
+                or (reduced[j] > _COST_TOL and x[j] == hi[j])
+            )
+        ]
+        if not candidates:
+            return True
+        if degenerate:
+            j = candidates[0]
+        else:
+            j = max(candidates, key=lambda k: abs(reduced[k]))
+        direction = 1.0 if reduced[j] < 0 else -1.0
+        # The step ends at j's other bound or where a basic variable, moving
+        # by -alpha per unit, meets one of its bounds; ties leave by index.
+        step, leave = hi[j] - lo[j], None
+        for i, k in enumerate(basis):
+            alpha = tableau[i][j] * direction
+            if alpha > _PIVOT_TOL:
+                limit = max(x[k] - lo[k], 0.0) / alpha
+            elif alpha < -_PIVOT_TOL:
+                limit = max(hi[k] - x[k], 0.0) / -alpha
+            else:
+                continue
+            tie = limit == step and leave is not None and k < basis[leave]
+            if limit < step or tie:
+                step, leave = limit, i
+        if step == math.inf:
+            return False
+        for i, k in enumerate(basis):
+            x[k] -= tableau[i][j] * direction * step
+        if leave is None:
+            x[j] = hi[j] if direction > 0 else lo[j]
+        else:
+            x[j] += direction * step
+            k = basis[leave]
+            x[k] = lo[k] if tableau[leave][j] * direction > 0 else hi[k]
+            pivot = tableau[leave]
+            pivot = tableau[leave] = [v / pivot[j] for v in pivot]
+            for i, row in enumerate(tableau):
+                if i != leave and row[j]:
+                    f = row[j]
+                    tableau[i] = [v - f * p for v, p in zip(row, pivot)]
+            f = reduced[j]
+            reduced = [v - f * p for v, p in zip(reduced, pivot)]
+            basis[leave] = j
+        degenerate = step == 0
+    return False
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve one assembled LP through linprog.
+
+    Infeasibility is an answer, not an error; anything else unexpected from
+    the backend raises SolverError. linprog is looked up as a module global
+    at call time, so a replacement bound here (a test's fake, a tracer's
+    wrapper) sees every solve.
+    """
+    result = linprog(
+        -problem.objective,
+        problem.a_ub,
+        problem.b_ub,
+        problem.a_eq,
+        problem.b_eq,
+        problem.bounds,
     )
     if result.status == 2:
         return LpSolution("infeasible", None, None, None)

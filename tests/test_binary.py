@@ -6,6 +6,7 @@ a tolerance.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from ipd import (
     UtilityFn,
     ValidationError,
     check_ip,
+    check_regions,
     classify_regime,
     expected_utility,
     gap_instance,
@@ -79,6 +81,18 @@ class TestClassifyRegime:
             classify_regime(prior, exp_eps=Fraction(2))
 
 
+    @pytest.mark.parametrize("eps", [37, 40, 100, 700])
+    def test_budget_past_float_precision_keeps_four_signals(self, eps):
+        # past w = 2**53 a float 1 + w rounds to w, which once turned this
+        # prior into a three-signal answer with an infinite privacy ratio
+        prior = load_prior([(0.75, 1.0), (0.25, 0.0)])
+        assert classify_regime(prior, eps, strict=False).tag is RegimeTag.FOUR_SIGNAL
+        assert check_ip(solve_binary(prior, eps).structure, eps).satisfied
+        exact = load_prior([(Fraction(3, 4), 1), (Fraction(1, 4), 0)])
+        regime = classify_regime(exact, exp_eps=Fraction(math.exp(eps)), strict=False)
+        assert regime.tag is RegimeTag.FOUR_SIGNAL
+
+
 class TestSolveBinaryFourSignal:
     def test_fixture_width_table_is_exact(self, fixture_solution):
         assert fixture_solution.regime.tag is RegimeTag.FOUR_SIGNAL
@@ -108,6 +122,25 @@ class TestSolveBinaryFourSignal:
         report = check_ip(fixture_solution.structure, exp_eps=Fraction(2))
         assert report.satisfied
         assert all(report.binding.values())
+
+    def test_extreme_conditionals_keep_their_mass(self):
+        # w q0 - w**2 / (1 + w) cancelled for q near 0 or 1 at large budgets
+        # and left the third signal's widths off by more than the mass check
+        # allows, e.g. for this prior at eps 15
+        prior = load_prior([(0.3, 0.0), (0.7, 1.0)])
+        assert check_ip(solve_binary(prior, 15.0).structure, 15.0).satisfied
+        rng = random.Random(5)
+        for eps in (5, 10, 15, 20, 25, 35, 50, 100, 700):
+            for _ in range(40):
+                draw = [rng.uniform(0, 0.05), rng.uniform(0.95, 1)]
+                q0, q1 = (rng.choice([0.0, 1.0, *draw]) for _ in range(2))
+                if q0 == q1:
+                    continue
+                p0 = rng.uniform(0.05, 0.95)
+                prior = load_prior([(p0, q0), (1 - p0, q1)])
+                structure = solve_binary(prior, eps).structure
+                assert check_ip(structure, eps).satisfied
+                assert check_regions(structure, eps).all_flags
 
 
 class TestSolveBinaryOtherRegimes:

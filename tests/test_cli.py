@@ -16,9 +16,10 @@ from fractions import Fraction
 import pytest
 
 import ipd
+import ipd.general
 from ipd import ValidationError, load_prior, posterior_summary, solve_binary
 from ipd.cli import MAX_GRID_POINTS, MAX_SAMPLE_COUNT, _parse_grid, main, parse_eps
-from ipd.general import MAX_SECRETS
+from ipd.general import MAX_SECRETS, LinprogResult
 from ipd.oracle import MAX_GRID, MAX_SIGNALS, MAX_TRIALS
 from ipd.serialize import (
     decode_mechanism,
@@ -47,6 +48,15 @@ def prior_file(tmp_path):
             }
         )
     )
+    return str(path)
+
+
+@pytest.fixture
+def three_secret_prior_file(tmp_path):
+    path = tmp_path / "prior3.json"
+    rows = [("s0", "1/3", "9/10"), ("s1", "1/3", "1/2"), ("s2", "1/3", "1/10")]
+    secrets = [{"name": name, "p": p, "q_y1": q} for name, p, q in rows]
+    path.write_text(json.dumps({"secrets": secrets}))
     return str(path)
 
 
@@ -343,15 +353,22 @@ print(codes, "numpy" in sys.modules)
         stdout = self._child(code, prior_file, str(tmp_path / "st.json"), str(tmp_path / "s.csv"))
         assert stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
-    def test_solve_general_loads_scipy_only_when_it_runs(self, prior_file):
+    def test_solve_general_loads_scipy_only_when_it_runs(
+        self, prior_file, three_secret_prior_file
+    ):
+        # two secrets take the in-package simplex, three go to HiGHS
         code = """
-import sys
+import contextlib, io, sys
 from ipd.cli import main
-before = "scipy.optimize" in sys.modules
-code = main(["solve-general", sys.argv[1], "--eps", "ln2", "--utility", "abs"])
-print(before, code, "scipy.optimize" in sys.modules)
+seen = ["scipy.optimize" in sys.modules]
+for prior in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["solve-general", prior, "--eps", "ln2", "--utility", "abs"])
+    seen += [code, "scipy.optimize" in sys.modules]
+print(*seen)
 """
-        assert self._child(code, prior_file).splitlines()[-1] == "False 0 True"
+        stdout = self._child(code, prior_file, three_secret_prior_file)
+        assert stdout == "False 0 False 0 True"
 
 
 class TestVerifyCommand:
@@ -403,20 +420,27 @@ class TestSolveGeneralCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnsupportedSize"
 
-    def test_lp_backend_failure_exits_2_with_json_error(
-        self, prior_file, monkeypatch, capsys
-    ):
-        import scipy.optimize
+    FAILED = LinprogResult(status=4, x=None, message="numerical difficulties")
 
-        class Failed:
-            status = 4
-            message = "numerical difficulties"
-
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: Failed())
-        assert main(["solve-general", prior_file, "--eps", "ln2", "--utility", "abs"]) == 2
+    def _exits_2_with_json_error(self, prior, capsys):
+        assert main(["solve-general", prior, "--eps", "ln2", "--utility", "abs"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SolverError"
         assert "numerical difficulties" in err["message"]
+
+    def test_lp_backend_failure_exits_2_with_json_error(
+        self, prior_file, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(ipd.general, "linprog", lambda *args: self.FAILED)
+        self._exits_2_with_json_error(prior_file, capsys)
+
+    def test_highs_failure_exits_2_with_json_error(
+        self, three_secret_prior_file, monkeypatch, capsys
+    ):
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: self.FAILED)
+        self._exits_2_with_json_error(three_secret_prior_file, capsys)
 
 
 class TestUtilityCommand:

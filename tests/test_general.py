@@ -6,6 +6,7 @@ the structure theorem that the cut bank does.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from ipd import (
     solve_lp,
     structure_to_mechanism,
 )
-from ipd.general import MAX_SECRETS, LpSolution, all_cuts
+from ipd.general import GUARD_TOL, MAX_SECRETS, LinprogResult, LpSolution, all_cuts
 from ipd.numeric import CHECK_TOL, PATH_TOL
 
 from conftest import random_binary_prior
@@ -358,6 +359,137 @@ class TestPatternOracle:
         )
         if n == 2:  # the closed form is Blackwell-optimal
             assert report.solver_dominates_all
+
+
+def _highs(c, a_ub, b_ub, a_eq, b_eq, bounds):
+    """The same LP straight through HiGHS, with solve_lp's options."""
+    from scipy.optimize import linprog
+
+    options = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+    return linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+        method="highs-ds", options=options,
+    )
+
+
+def _two_secret_corpus():
+    """320 seeded (prior, eps, utility) triples.
+
+    Every family, eps from 0 to 50, and one q of exactly 0 or 1 in every
+    other triple.
+    """
+    rng = random.Random(17)
+    families = [UtilityFn(f) for f in ("abs", "quadratic", "negentropy")] + [REWARDS]
+    corpus = []
+    while len(corpus) < 320:
+        k = len(corpus)
+        q = [round(rng.uniform(0, 1), 6) for _ in range(2)]
+        if k % 2:
+            q[rng.randrange(2)] = float(rng.randrange(2))
+        if q[0] == q[1]:
+            continue
+        eps = (0.0, 50.0)[k % 20 // 10] if k % 10 == 0 else rng.uniform(0, 50)
+        p0 = rng.uniform(0.05, 0.95)
+        prior = load_prior([(p0, q[0]), (1 - p0, q[1])])
+        corpus.append((prior, eps, families[k % len(families)]))
+    return corpus
+
+
+class TestBoundedSimplex:
+    """The two-secret LPs go to the in-package simplex; HiGHS is the reference."""
+
+    def test_corpus_matches_highs_and_the_closed_form(self, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            seen.append(args)
+            return real(*args)
+
+        real = ipd.general.linprog
+        monkeypatch.setattr(ipd.general, "linprog", recording)
+        for prior, eps, u in _two_secret_corpus():
+            solution = solve_general(prior, eps, u)
+            assert check_ip(solution.structure, eps).satisfied
+            closed = float(expected_utility(solve_binary(prior, eps).structure, u))
+            assert abs(solution.utility - closed) <= PATH_TOL
+        assert len(seen) == 320  # one LP per two-secret solve
+        for args in seen:
+            ours, ref = real(*args), _highs(*args)
+            assert isinstance(ours, LinprogResult)  # the guard accepted every answer
+            c, _, _, a_eq, b_eq, bounds = args
+            lo, hi = bounds.T
+            assert np.all((lo <= ours.x) & (ours.x <= hi))
+            assert np.max(np.abs(a_eq @ ours.x - b_eq)) <= GUARD_TOL
+            # HiGHS's own answer may miss the rows by up to its 1e-10
+            # tolerance and gain objective by it; compare where it does not
+            if ref.status == 0 and np.max(np.abs(a_eq @ ref.x - b_eq)) <= GUARD_TOL:
+                assert abs(c @ ours.x - c @ ref.x) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["abs", "quadratic", "negentropy"])
+    def test_solves_where_highs_reports_infeasible(self, family):
+        prior = load_prior([(0.478199, 1.0), (0.521801, 0.7141)])
+        u = UtilityFn(family)
+        solution = solve_general(prior, 15.0, u)
+        assert check_ip(solution.structure, 15.0).satisfied
+        closed = float(expected_utility(solve_binary(prior, 15.0).structure, u))
+        assert abs(solution.utility - closed) <= PATH_TOL
+
+    def test_infeasible_lp_reports_status_2(self):
+        # x0 + x1 = 3 with both in [0, 1]
+        args = (
+            np.array([1.0, 1.0]), np.zeros((0, 2)), np.zeros(0),
+            np.array([[1.0, 1.0]]), np.array([3.0]), np.array([[0.0, 1.0], [0.0, 1.0]]),
+        )
+        assert ipd.general.linprog(*args).status == 2
+
+    @staticmethod
+    def _nudged_solve(monkeypatch, j, delta):
+        """linprog on the worked example with the simplex's x[j] moved by delta.
+
+        Its optimum has x = (2, 2, 1/12, 1/6): both width ratios at their
+        upper bound 2, both columns inside (0, 1). Returns the result and
+        the number of HiGHS calls.
+        """
+        import scipy.optimize
+
+        problem = assemble_lp(
+            load_prior([(0.5, 0.75), (0.5, 0.25)]),
+            UtilityFn("abs"),
+            CutAssignment(2, (CutColumn(2, 1, 3), CutColumn(2, 0, 2)), Fraction(2)),
+        )
+        simplex = ipd.general._bounded_simplex
+
+        def nudged(*lp):
+            x = simplex(*lp)
+            x[j] += delta
+            return x
+
+        calls = []
+        highs = scipy.optimize.linprog
+        monkeypatch.setattr(ipd.general, "_bounded_simplex", nudged)
+        monkeypatch.setattr(
+            scipy.optimize, "linprog", lambda *a, **k: calls.append(a) or highs(*a, **k)
+        )
+        args = (
+            -problem.objective, problem.a_ub, problem.b_ub,
+            problem.a_eq, problem.b_eq, problem.bounds,
+        )
+        return ipd.general.linprog(*args), len(calls)
+
+    @pytest.mark.parametrize(
+        "j, delta", [(2, 1e-9), (0, 1e-9)], ids=["off-the-rows", "past-a-bound"]
+    )
+    def test_guard_rejected_answer_goes_to_highs(self, monkeypatch, j, delta):
+        result, highs_calls = self._nudged_solve(monkeypatch, j, delta)
+        assert highs_calls == 1
+        assert not isinstance(result, LinprogResult)
+        assert result.status == 0
+
+    def test_slack_within_the_guard_is_clipped_onto_the_bound(self, monkeypatch):
+        result, highs_calls = self._nudged_solve(monkeypatch, 0, 1e-13)
+        assert highs_calls == 0
+        assert isinstance(result, LinprogResult)
+        assert result.x[0] == 2.0
 
 
 class TestLazyMechanism:
