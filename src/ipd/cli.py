@@ -39,7 +39,7 @@ from .analysis import (
 from .binary import solve_binary
 from .errors import IpdError, UnsupportedSize, ValidationError
 from .model import posterior_summary, sample_signal
-from .numeric import MAX_SECRETS, check_slack, ratio_bound
+from .numeric import MAX_EPS, MAX_SECRETS, check_slack, log_of, ratio_bound
 from .serialize import (
     decode_mechanism,
     decode_prior,
@@ -70,15 +70,17 @@ def parse_eps(text: str) -> tuple[float | None, Fraction | None]:
     """
     match = _LOG_FORM.match(text)
     if match:
-        mult = int(match.group(1) or 1)
         try:
+            mult = int(match.group(1) or 1)
             base = Fraction(match.group(2))
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"cannot parse budget {text!r}") from None
-        bound = base**mult
-        if bound < 1:
+        # both checked before the power, which a large multiplier makes huge
+        if mult and base < 1:
             raise ValidationError("budget must be nonnegative")
-        return None, bound
+        if mult and base > 1 and mult > MAX_EPS / log_of(base):
+            raise ValidationError(f"budget {text!r} is above {MAX_EPS:.2f}")
+        return None, base**mult
     try:
         value = float(text)
     except ValueError:

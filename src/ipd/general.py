@@ -26,7 +26,12 @@ assemble_lp/solve_lp handle one linear program; solve_general builds the
 bank, runs one or two LPs, and rebuilds the structure from the chain.
 linprog is the one LP backend: the two-secret LP (four variables, equality
 rows only) goes to a small bounded-variable simplex in pure Python, and
-every larger LP to HiGHS, so a two-secret solve does not import scipy.
+every larger LP to HiGHS's dual simplex, so a two-secret solve does not
+import scipy. HiGHS is called through the bindings scipy bundles, with the
+model and options scipy's linprog(method="highs-ds") would pass it but
+none of that wrapper's per-call checks; solve_lp makes the one check of
+the answer that matters, holding any optimal x to FEASIBILITY_TOL on every
+row and bound.
 """
 
 from __future__ import annotations
@@ -309,7 +314,7 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
 
 
 class LinprogResult(NamedTuple):
-    """The fields of scipy's linprog result that solve_lp reads."""
+    """linprog's answer: scipy's status code, x when optimal, and a message."""
 
     status: int  # 0 optimal, 2 infeasible, anything else a failure
     x: np.ndarray | None
@@ -329,6 +334,9 @@ GUARD_TOL = 1e-12
 # counts as an improvement; both in units of the scaled variables below.
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-12
+# How far solve_lp lets a backend's optimal x miss a bound or a row: scipy's
+# linprog check, 10 * sqrt(tol) at its default tol of 1e-9.
+FEASIBILITY_TOL = 10 * math.sqrt(1e-9)
 
 
 def linprog(
@@ -341,16 +349,17 @@ def linprog(
 ):
     """Minimize c . x subject to A_ub x <= b_ub, A_eq x = b_eq and box bounds.
 
-    solve_lp's backend; the pattern-LP oracle calls HiGHS directly, so that
-    it stays an independent check of this path. The arguments are arrays,
-    bounds one (low, high) row per variable; the result carries scipy's
-    status (0 optimal, 2 infeasible), x and message. An LP with no
-    inequality rows, finite bounds and at most SIMPLEX_MAX_VARIABLES
-    variables goes to a dense bounded-variable simplex in pure Python,
-    whose answer is taken only when it passes the GUARD_TOL checks. Every
-    other LP, and every small one the simplex fails or the guard rejects,
-    goes to HiGHS's dual simplex; scipy is imported then, on first use, so
-    a two-secret solve normally never loads it.
+    solve_lp's backend; the pattern-LP oracle goes through scipy's own
+    linprog instead, so that it stays an independent check of this path.
+    The arguments are arrays, bounds one (low, high) row per variable; the
+    result carries scipy's status (0 optimal, 2 infeasible), x and a
+    message. An LP with no inequality rows, finite bounds and at most
+    SIMPLEX_MAX_VARIABLES variables goes to a dense bounded-variable
+    simplex in pure Python, whose answer is taken only when it passes the
+    GUARD_TOL checks. Every other LP, and every small one the simplex fails
+    or the guard rejects, goes to HiGHS's dual simplex through _highs;
+    scipy is imported then, on first use, so a two-secret solve normally
+    never loads it.
     """
     small = not len(b_ub) and len(c) <= SIMPLEX_MAX_VARIABLES
     if small and np.isfinite(bounds).all():
@@ -359,21 +368,83 @@ def linprog(
         x = _bounded_simplex(c.tolist(), a, b, lo, hi)
         if x is not None and (x := _guarded(x, a, b, lo, hi)) is not None:
             return LinprogResult(0, np.array(x), "optimal (bounded simplex)")
-    from scipy.optimize import linprog as highs
+    return _highs(c, A_ub, b_ub, A_eq, b_eq, bounds)
 
-    return highs(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs-ds",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+
+def _highs(
+    c: np.ndarray,
+    A_ub: np.ndarray,
+    b_ub: np.ndarray,
+    A_eq: np.ndarray,
+    b_eq: np.ndarray,
+    bounds: np.ndarray,
+) -> LinprogResult:
+    """linprog's LP on HiGHS's dual simplex, through scipy's HiGHS bindings.
+
+    The model and options are the ones scipy's linprog(method="highs-ds")
+    hands HiGHS, without its input checks and result post-processing: the
+    rows are A_ub then A_eq, stored by column with zeros dropped, each
+    inequality row running from -inf and each equality row pinned at both
+    ends; presolve on, primal and dual feasibility tolerances 1e-10, no
+    output. An optimal model gives status 0 and HiGHS's x, an infeasible
+    one status 2; any other model status, or an error from HiGHS, gives
+    status 4. solve_lp checks the x.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    a = np.concatenate((A_ub.T, A_eq.T), axis=1)  # the LP's columns, one per row
+    nonzero = a != 0
+    cols, rows = nonzero.nonzero()
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = a.shape
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = a.shape
+    # integer vectors cross the binding fastest as lists, float ones as arrays
+    matrix.start_ = [0, *np.cumsum(np.bincount(cols, minlength=len(a))).tolist()]
+    matrix.index_ = rows.tolist()
+    matrix.value_ = a[nonzero]
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = bounds.T.copy()
+    lp.row_lower_ = np.concatenate((np.full(len(b_ub), -highs.kHighsInf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+
+    solver = highs._Highs()
+    error = highs.HighsStatus.kError
+    ran = (
+        solver.passOptions(_highs_options()) != error
+        and solver.passModel(lp) != error
+        and solver.run() != error
     )
+    status = solver.getModelStatus()
+    message = f"HiGHS model status {solver.modelStatusToString(status)}"
+    if not ran:
+        return LinprogResult(4, None, f"HiGHS could not load or run the LP; {message}")
+    if status == highs.HighsModelStatus.kOptimal:
+        return LinprogResult(0, np.array(solver.getSolution().col_value), message)
+    if status == highs.HighsModelStatus.kInfeasible:
+        return LinprogResult(2, None, message)
+    return LinprogResult(4, None, message)
+
+
+@lru_cache(maxsize=1)
+def _highs_options():
+    """The options scipy's linprog(method="highs-ds") sets, built once.
+
+    HiGHS copies them into each solver it is passed to.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    options = highs.HighsOptions()
+    options.solver = "simplex"
+    strategy = highs.simplex_constants.SimplexStrategy
+    options.simplex_strategy = strategy.kSimplexStrategyDual
+    options.presolve = "on"
+    options.primal_feasibility_tolerance = 1e-10
+    options.dual_feasibility_tolerance = 1e-10
+    options.output_flag = options.log_to_console = False
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    return options
 
 
 def _guarded(
@@ -530,9 +601,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve one assembled LP through linprog.
 
     Infeasibility is an answer, not an error; anything else unexpected from
-    the backend raises SolverError. linprog is looked up as a module global
-    at call time, so a replacement bound here (a test's fake, a tracer's
-    wrapper) sees every solve.
+    the backend raises SolverError. So does an optimal x that is NaN or
+    misses a bound, an inequality row or an equality row by more than
+    FEASIBILITY_TOL, the check scipy's linprog makes on HiGHS's answer.
+    linprog is looked up as a module global at call time, so a replacement
+    bound here (a test's fake, a tracer's wrapper) sees every solve.
     """
     result = linprog(
         -problem.objective,
@@ -554,6 +627,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         lo - x,
         x - hi,
     ]))
+    if not residual <= FEASIBILITY_TOL:  # a NaN fails too
+        raise SolverError(
+            f"LP solver answer misses its rows or bounds by {residual:.3g}, "
+            f"more than {FEASIBILITY_TOL:.3g}"
+        )
     objective = float(problem.objective @ x) + problem.offset
     return LpSolution("optimal", tuple(x.tolist()), objective, float(residual))
 

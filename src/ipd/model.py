@@ -37,6 +37,14 @@ def _as_scalar_tuple(values: Iterable[Scalar]) -> tuple[Scalar, ...]:
     return tuple(exactify(v) for v in values)
 
 
+def _shown(x: Scalar) -> str:
+    """x as a float for an error message; an exact x past the float range is +-inf."""
+    try:
+        return repr(float(x))
+    except OverflowError:
+        return "inf" if x > 0 else "-inf"
+
+
 def _clamp_noise(x: Scalar) -> Scalar:
     """Absorb float round-off that lands a hair outside [0, 1]."""
     if isinstance(x, float):
@@ -85,15 +93,21 @@ class Prior:
             raise ValidationError("secrets, p, q, perm must have equal length")
         if sorted(self.perm) != list(range(1, n + 1)):
             raise ValidationError("perm must be a 1-based permutation")
+        # Ranges first: an exact value far above 1 cannot meet a float in a
+        # sum without overflowing it.
         for label, mass in zip(self.secrets, self.p):
             if mass <= 0:
-                raise NonPositiveMass(f"secret {label!r} has mass {mass}")
-        total = sum(self.p)
-        if abs(total - 1) > NORM_TOL:
-            raise MassNotNormalized(f"secret masses sum to {float(total)!r}")
+                raise NonPositiveMass(f"secret {label!r} has mass {_shown(mass)}")
+            if mass > 1:
+                raise MassNotNormalized(
+                    f"secret {label!r} has mass {_shown(mass)} above 1"
+                )
         for label, cond in zip(self.secrets, self.q):
             if cond < 0 or cond > 1:
-                raise ConditionalOutOfRange(f"q for secret {label!r} is {cond}")
+                raise ConditionalOutOfRange(f"q for secret {label!r} is {_shown(cond)}")
+        total = sum(self.p)
+        if abs(total - 1) > NORM_TOL:
+            raise MassNotNormalized(f"secret masses sum to {_shown(total)}")
         for a, b in zip(self.q, self.q[1:]):
             if a < b:
                 raise ValidationError("q must be non-increasing in canonical order")
@@ -173,9 +187,11 @@ def load_prior_joint(
     for y1, y0 in rows:
         if y1 < 0 or y0 < 0:
             raise NonPositiveMass("joint masses must be nonnegative")
+        if y1 > 1 or y0 > 1:
+            raise MassNotNormalized("joint masses must be at most 1")
     total = sum(y1 + y0 for y1, y0 in rows)
     if abs(total - 1) > NORM_TOL:
-        raise MassNotNormalized(f"joint masses sum to {float(total)!r}")
+        raise MassNotNormalized(f"joint masses sum to {_shown(total)}")
     pairs = []
     for y1, y0 in rows:
         mass = y1 + y0
@@ -240,7 +256,7 @@ class InfoStructure:
             total = sum(row)
             if abs(total - 1) > NORM_TOL:
                 raise MassNotNormalized(
-                    f"widths for secret {self.prior.secrets[s]!r} sum to {float(total)!r}"
+                    f"widths for secret {self.prior.secrets[s]!r} sum to {_shown(total)}"
                 )
         for s, row in enumerate(self.cells):
             for x in row:
@@ -253,7 +269,7 @@ class InfoStructure:
             if abs(yellow - self.prior.q[s]) > slack:
                 raise ValidationError(
                     f"row {self.prior.secrets[s]!r} is inconsistent with the prior: "
-                    f"yellow mass {float(yellow)!r} vs q={float(self.prior.q[s])!r}"
+                    f"yellow mass {_shown(yellow)} vs q={_shown(self.prior.q[s])}"
                 )
 
     @property
@@ -408,7 +424,7 @@ class Mechanism:
                 if mass > 0 and abs(sum(row) - 1) > NORM_TOL:
                     raise MassNotNormalized(
                         f"kernel row for ({self.prior.secrets[s]!r}, y={y}) "
-                        f"sums to {float(sum(row))!r}"
+                        f"sums to {_shown(sum(row))}"
                     )
 
     def signal_index(self, label: str) -> int:
@@ -447,7 +463,7 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
             if sum(yellow_row) > slack:
                 raise DegenerateConditional(
                     f"secret {prior.secrets[s]!r} has q=0 but yellow mass "
-                    f"{float(sum(yellow_row))!r}"
+                    f"{_shown(sum(yellow_row))}"
                 )
             row1 = tuple(1 if t == top else 0 for t in range(k))
         if qs < 1:
@@ -456,7 +472,7 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
             if sum(white_row) > slack:
                 raise DegenerateConditional(
                     f"secret {prior.secrets[s]!r} has q=1 but white mass "
-                    f"{float(sum(white_row))!r}"
+                    f"{_shown(sum(white_row))}"
                 )
             row0 = tuple(1 if t == bot else 0 for t in range(k))
         kernel.append((row0, row1))
@@ -505,7 +521,7 @@ def split_signal(
     if any(w <= 0 for w in parts):
         raise BadWeights("weights must be positive")
     if abs(sum(parts) - 1) > NORM_TOL:
-        raise BadWeights(f"weights sum to {float(sum(parts))!r}")
+        raise BadWeights(f"weights sum to {_shown(sum(parts))}")
     idx = st.signal_index(t)
     if len(parts) == 1:
         return st

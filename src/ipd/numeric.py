@@ -44,7 +44,7 @@ PATH_TOL = 1e-7
 MAX_SECRETS = 20
 
 _TOLERANCE_ENV = "IPD_TOLERANCE"
-_MAX_EPS = math.log(sys.float_info.max)  # beyond it e**eps overflows a float
+MAX_EPS = math.log(sys.float_info.max)  # beyond it e**eps overflows a float
 
 
 def check_slack() -> float:
@@ -97,9 +97,11 @@ def ratio_bound(eps: float | None = None, exp_eps: Scalar | None = None) -> Scal
         bound = exactify(exp_eps)
         if bound < 1:
             raise ValidationError(f"exp_eps must be >= 1, got {exp_eps!r}")
+        if bound > sys.float_info.max:  # a budget past what eps allows
+            raise ValidationError(f"exp_eps must be at most e**{MAX_EPS:.2f}")
         return bound
-    if not 0 <= eps <= _MAX_EPS:
-        raise ValidationError(f"eps must be in [0, {_MAX_EPS:.2f}], got {eps!r}")
+    if not 0 <= eps <= MAX_EPS:
+        raise ValidationError(f"eps must be in [0, {MAX_EPS:.2f}], got {eps!r}")
     return math.exp(eps)
 
 
@@ -107,4 +109,7 @@ def log_of(x: Scalar) -> float:
     """Natural log as a float, mapping 0 to -inf instead of raising."""
     if x == 0:
         return float("-inf")
-    return math.log(x)
+    try:
+        return math.log(x)
+    except OverflowError:  # an exact x beyond the float range, such as 9**9999
+        return math.log(x.numerator) - math.log(x.denominator)

@@ -38,17 +38,32 @@ def encode_number(x: Scalar):
     raise ValidationError(f"cannot encode a {type(x).__name__} as a number")
 
 
+# An exact number's numerator and denominator must each stay below
+# 2**EXACT_BITS, inside the float range: exact inputs meet float ones in the
+# same sums, and a larger value overflows the float it is converted to.
+EXACT_BITS = 1023
+
+
 def decode_number(value) -> Scalar:
     if isinstance(value, bool):
         raise ValidationError("booleans are not probabilities")
-    if isinstance(value, (int, float)):
+    if isinstance(value, float):
         return value
-    if isinstance(value, str):
+    if isinstance(value, int):
+        number = value
+    elif isinstance(value, str):
         try:
-            return Fraction(value)
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"cannot parse number {value!r}") from None
-    raise ValidationError(f"expected a number, got {type(value).__name__}")
+    else:
+        raise ValidationError(f"expected a number, got {type(value).__name__}")
+    if max(number.numerator.bit_length(), number.denominator.bit_length()) > EXACT_BITS:
+        raise ValidationError(
+            "exact number out of range: numerator and denominator "
+            f"must be below 2**{EXACT_BITS}"
+        )
+    return number
 
 
 def _rows(obj, key: str) -> list:

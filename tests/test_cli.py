@@ -20,6 +20,7 @@ import ipd.general
 from ipd import ValidationError, load_prior, posterior_summary, solve_binary
 from ipd.cli import MAX_GRID_POINTS, MAX_SAMPLE_COUNT, _parse_grid, main, parse_eps
 from ipd.general import MAX_SECRETS, LinprogResult
+from ipd.numeric import ratio_bound
 from ipd.oracle import MAX_GRID, MAX_SIGNALS, MAX_TRIALS
 from ipd.serialize import (
     decode_mechanism,
@@ -79,8 +80,30 @@ class TestParseEps:
             with pytest.raises(ValidationError):
                 parse_eps(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["9999ln9", "9" * 400 + "ln2", "9" * 5000 + "ln2", "ln" + "9" * 400, "99999999999999ln0.5"],
+    )
+    def test_rejects_budgets_past_the_float_range_before_computing_them(self, text):
+        with pytest.raises(ValidationError):
+            parse_eps(text)
+
+    def test_largest_exact_budget_in_range(self):
+        assert parse_eps("1023ln2") == (None, Fraction(2**1023))
+        assert parse_eps("0ln0.5") == (None, Fraction(1))
+        # 2**1024 passes the float check on its log, not the exact one
+        with pytest.raises(ValidationError):
+            ratio_bound(exp_eps=parse_eps("1024ln2")[1])
+
 
 class TestNumberCodec:
+    def test_exact_numbers_stay_inside_the_float_range(self):
+        assert float(decode_number(2**1023 - 1)) == 2.0**1023
+        assert decode_number(f"-1/{2**1023 - 1}") == Fraction(-1, 2**1023 - 1)
+        for value in (2**1023, -(10**400), "1e999", "1e-400"):
+            with pytest.raises(ValidationError, match="out of range"):
+                decode_number(value)
+
     def test_fractions_round_trip_as_strings(self):
         assert encode_number(Fraction(2, 3)) == "2/3"
         assert decode_number("2/3") == Fraction(2, 3)
@@ -437,9 +460,7 @@ class TestSolveGeneralCommand:
     def test_highs_failure_exits_2_with_json_error(
         self, three_secret_prior_file, monkeypatch, capsys
     ):
-        import scipy.optimize
-
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: self.FAILED)
+        monkeypatch.setattr(ipd.general, "_highs", lambda *args: self.FAILED)
         self._exits_2_with_json_error(three_secret_prior_file, capsys)
 
 

@@ -7,6 +7,7 @@ the structure theorem that the cut bank does.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,14 @@ from ipd import (
     solve_lp,
     structure_to_mechanism,
 )
-from ipd.general import GUARD_TOL, MAX_SECRETS, LinprogResult, LpSolution, all_cuts
+from ipd.general import (
+    FEASIBILITY_TOL,
+    GUARD_TOL,
+    MAX_SECRETS,
+    LinprogResult,
+    LpSolution,
+    all_cuts,
+)
 from ipd.numeric import CHECK_TOL, PATH_TOL
 
 from conftest import random_binary_prior
@@ -361,8 +369,8 @@ class TestPatternOracle:
             assert report.solver_dominates_all
 
 
-def _highs(c, a_ub, b_ub, a_eq, b_eq, bounds):
-    """The same LP straight through HiGHS, with solve_lp's options."""
+def _scipy_linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
+    """The same LP through scipy's linprog on HiGHS, with _highs's options."""
     from scipy.optimize import linprog
 
     options = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
@@ -407,6 +415,9 @@ class TestBoundedSimplex:
 
         real = ipd.general.linprog
         monkeypatch.setattr(ipd.general, "linprog", recording)
+        highs_calls = []
+        highs = ipd.general._highs
+        monkeypatch.setattr(ipd.general, "_highs", lambda *a: highs_calls.append(a) or highs(*a))
         for prior, eps, u in _two_secret_corpus():
             solution = solve_general(prior, eps, u)
             assert check_ip(solution.structure, eps).satisfied
@@ -414,8 +425,7 @@ class TestBoundedSimplex:
             assert abs(solution.utility - closed) <= PATH_TOL
         assert len(seen) == 320  # one LP per two-secret solve
         for args in seen:
-            ours, ref = real(*args), _highs(*args)
-            assert isinstance(ours, LinprogResult)  # the guard accepted every answer
+            ours, ref = real(*args), _scipy_linprog(*args)
             c, _, _, a_eq, b_eq, bounds = args
             lo, hi = bounds.T
             assert np.all((lo <= ours.x) & (ours.x <= hi))
@@ -424,6 +434,7 @@ class TestBoundedSimplex:
             # tolerance and gain objective by it; compare where it does not
             if ref.status == 0 and np.max(np.abs(a_eq @ ref.x - b_eq)) <= GUARD_TOL:
                 assert abs(c @ ours.x - c @ ref.x) <= 1e-12
+        assert highs_calls == []  # the guard accepted every answer
 
     @pytest.mark.parametrize("family", ["abs", "quadratic", "negentropy"])
     def test_solves_where_highs_reports_infeasible(self, family):
@@ -448,10 +459,8 @@ class TestBoundedSimplex:
 
         Its optimum has x = (2, 2, 1/12, 1/6): both width ratios at their
         upper bound 2, both columns inside (0, 1). Returns the result and
-        the number of HiGHS calls.
+        the answers HiGHS gave.
         """
-        import scipy.optimize
-
         problem = assemble_lp(
             load_prior([(0.5, 0.75), (0.5, 0.25)]),
             UtilityFn("abs"),
@@ -464,32 +473,174 @@ class TestBoundedSimplex:
             x[j] += delta
             return x
 
-        calls = []
-        highs = scipy.optimize.linprog
+        answers = []
+        highs = ipd.general._highs
         monkeypatch.setattr(ipd.general, "_bounded_simplex", nudged)
         monkeypatch.setattr(
-            scipy.optimize, "linprog", lambda *a, **k: calls.append(a) or highs(*a, **k)
+            ipd.general, "_highs", lambda *a: answers.append(highs(*a)) or answers[-1]
         )
         args = (
             -problem.objective, problem.a_ub, problem.b_ub,
             problem.a_eq, problem.b_eq, problem.bounds,
         )
-        return ipd.general.linprog(*args), len(calls)
+        return ipd.general.linprog(*args), answers
 
     @pytest.mark.parametrize(
         "j, delta", [(2, 1e-9), (0, 1e-9)], ids=["off-the-rows", "past-a-bound"]
     )
     def test_guard_rejected_answer_goes_to_highs(self, monkeypatch, j, delta):
-        result, highs_calls = self._nudged_solve(monkeypatch, j, delta)
-        assert highs_calls == 1
-        assert not isinstance(result, LinprogResult)
+        result, answers = self._nudged_solve(monkeypatch, j, delta)
+        assert len(answers) == 1
+        assert result is answers[0]
         assert result.status == 0
 
     def test_slack_within_the_guard_is_clipped_onto_the_bound(self, monkeypatch):
-        result, highs_calls = self._nudged_solve(monkeypatch, 0, 1e-13)
-        assert highs_calls == 0
+        result, answers = self._nudged_solve(monkeypatch, 0, 1e-13)
+        assert answers == []
         assert isinstance(result, LinprogResult)
         assert result.x[0] == 2.0
+
+
+def _general_corpus():
+    """48 seeded (prior, budget, utility) triples, eight for each n = 3..8.
+
+    Every family, exact and float priors in turn, and one q of exactly 0 or
+    1 in every third triple.
+    """
+    rng = random.Random(18)
+    families = [UtilityFn(f) for f in ("abs", "quadratic", "negentropy")] + [REWARDS]
+    corpus = []
+    for n in range(3, 9):
+        for k in range(8):
+            if k % 2:
+                p = [F(rng.randint(1, 9)) for _ in range(n)]
+                q = [F(rng.randint(1, 19), 20) for _ in range(n)]
+                budget = {"exp_eps": F(rng.randint(11, 40), 10)}
+            else:
+                p = [rng.uniform(0.1, 1.0) for _ in range(n)]
+                q = [round(rng.uniform(0, 1), 6) for _ in range(n)]
+                budget = {"eps": rng.uniform(0.1, 3.0)}
+            if k % 3 == 0:
+                q[rng.randrange(n)] = rng.randrange(2)
+            total = sum(p)
+            prior = load_prior([(x / total, y) for x, y in zip(p, q)])
+            corpus.append((prior, budget, families[(n + k) % len(families)]))
+    return corpus
+
+
+class TestHighsCall:
+    """_highs against scipy's linprog(method="highs-ds") with the same options."""
+
+    def test_corpus_matches_scipy_linprog_bit_for_bit(self, monkeypatch):
+        lps = []
+        highs = ipd.general._highs
+        monkeypatch.setattr(ipd.general, "_highs", lambda *a: lps.append(a) or highs(*a))
+        corpus = _general_corpus()
+        ours = [solve_general(prior, u=u, **budget) for prior, budget, u in corpus]
+        # a tie-break LP carries one row beyond the even number of budget rows
+        assert any(len(b_ub) % 2 for _, _, b_ub, _, _, _ in lps)
+        for args in lps:
+            direct, ref = highs(*args), _scipy_linprog(*args)
+            assert direct.status == ref.status
+            assert np.array_equal(direct.x, ref.x)
+        # the solver's outputs are those of the scipy-linprog backend
+        monkeypatch.setattr(ipd.general, "_highs", _scipy_linprog)
+        for solution, (prior, budget, u) in zip(ours, corpus):
+            ref = solve_general(prior, u=u, **budget)
+            assert solution.structure.widths == ref.structure.widths
+            assert solution.structure.cells == ref.structure.cells
+            assert solution.assignment == ref.assignment
+            assert solution.utility == ref.utility
+
+    def test_infeasible_lp_reports_status_2(self):
+        # x0 + x1 = 3 with both in [0, 1], and x0 - x1 <= 0
+        args = (
+            np.array([1.0, 1.0]), np.array([[1.0, -1.0]]), np.zeros(1),
+            np.array([[1.0, 1.0]]), np.array([3.0]), np.array([[0.0, 1.0], [0.0, 1.0]]),
+        )
+        assert ipd.general._highs(*args).status == _scipy_linprog(*args).status == 2
+        # an LP HiGHS calls infeasible although the solver's own simplex solves it
+        prior = load_prior([(0.478199, 1.0), (0.521801, 0.7141)])
+        problem = assemble_lp(prior, UtilityFn("abs"), ipd.general._full_bank(2, math.exp(15.0)))
+        args = (
+            -problem.objective, problem.a_ub, problem.b_ub,
+            problem.a_eq, problem.b_eq, problem.bounds,
+        )
+        assert ipd.general._highs(*args).status == _scipy_linprog(*args).status == 2
+
+    def test_scipy_ships_every_binding_the_call_uses(self):
+        from scipy.optimize._highspy import _core
+
+        names = [
+            "HighsLp", "HighsOptions", "_Highs", "kHighsInf",
+            "MatrixFormat.kColwise",
+            "HighsStatus.kError",
+            "HighsModelStatus.kOptimal", "HighsModelStatus.kInfeasible",
+            "HighsDebugLevel.kHighsDebugLevelNone",
+            "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
+            "_Highs.passOptions", "_Highs.passModel", "_Highs.run",
+            "_Highs.getModelStatus", "_Highs.modelStatusToString", "_Highs.getSolution",
+            "HighsSolution.col_value",
+        ]
+        for name in names:
+            obj = _core
+            for part in name.split("."):
+                assert hasattr(obj, part), name
+                obj = getattr(obj, part)
+        lp, options = _core.HighsLp(), _core.HighsOptions()
+        fields = {
+            lp: ("num_col_", "num_row_", "a_matrix_", "col_cost_", "col_lower_",
+                 "col_upper_", "row_lower_", "row_upper_"),
+            lp.a_matrix_: ("format_", "num_col_", "num_row_", "start_", "index_", "value_"),
+            options: ("solver", "simplex_strategy", "presolve", "primal_feasibility_tolerance",
+                      "dual_feasibility_tolerance", "output_flag", "log_to_console",
+                      "highs_debug_level"),
+        }
+        for obj, attrs in fields.items():
+            for attr in attrs:
+                assert hasattr(obj, attr), attr
+
+
+class TestFeasibilityGuard:
+    """solve_lp holds a backend's optimal x to FEASIBILITY_TOL on rows and bounds."""
+
+    @staticmethod
+    def _solve_with_answer(monkeypatch, perturb, x_of=np.array):
+        """solve_lp on a perturbed n=3 LP, answered with x_of(the original's optimum)."""
+        problem = assemble_lp(
+            load_prior(FLOAT_3), UtilityFn("quadratic"), ipd.general._full_bank(3, 2.0)
+        )
+        x = np.array(solve_lp(problem).values)
+        answer = LinprogResult(0, x_of(x), "optimal")
+        monkeypatch.setattr(ipd.general, "linprog", lambda *a: answer)
+        return solve_lp(perturb(problem, x))
+
+    MISSES = {
+        "equality-row": lambda pr, x, d: replace(pr, b_eq=pr.b_eq + np.eye(len(pr.b_eq))[0] * d),
+        "inequality-row": lambda pr, x, d: replace(
+            pr, b_ub=np.append(pr.b_ub[:-1], pr.a_ub[-1] @ x - d)
+        ),
+        "upper-bound": lambda pr, x, d: replace(
+            pr, bounds=np.vstack([pr.bounds[:-1], [pr.bounds[-1][0], x[-1] - d]])
+        ),
+        "lower-bound": lambda pr, x, d: replace(
+            pr, bounds=np.vstack([[x[0] + d, pr.bounds[0][1]], pr.bounds[1:]])
+        ),
+    }
+
+    @pytest.mark.parametrize("miss", sorted(MISSES))
+    def test_answer_off_a_row_or_bound_is_a_solver_error(self, monkeypatch, miss):
+        perturb = self.MISSES[miss]
+        with pytest.raises(SolverError):
+            self._solve_with_answer(monkeypatch, lambda pr, x: perturb(pr, x, 2 * FEASIBILITY_TOL))
+        # a miss inside the tolerance is accepted and reported as the residual
+        solution = self._solve_with_answer(monkeypatch, lambda pr, x: perturb(pr, x, 1e-5))
+        assert solution.status == "optimal"
+        assert solution.max_residual == pytest.approx(1e-5, rel=1e-3)
+
+    def test_nan_answer_is_a_solver_error(self, monkeypatch):
+        with pytest.raises(SolverError):
+            self._solve_with_answer(monkeypatch, lambda pr, x: pr, lambda x: x * np.nan)
 
 
 class TestLazyMechanism:

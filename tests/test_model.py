@@ -68,6 +68,15 @@ class TestPrior:
         with pytest.raises(ConditionalOutOfRange):
             load_prior([(0.5, 1.25), (0.5, 0.25)])
 
+    def test_huge_exact_value_beside_a_float_is_a_validation_error(self):
+        # summing 10**400 with a float would overflow it
+        with pytest.raises(MassNotNormalized, match="above 1"):
+            load_prior([(10**400, 0.75), (0.5, 0.25)])
+        with pytest.raises(ConditionalOutOfRange, match="inf"):
+            load_prior([(0.5, 10**400), (0.5, 0.25)])
+        with pytest.raises(MassNotNormalized):
+            load_prior_joint([(10**400, 0.5), (0.25, 0.25)])
+
     def test_rejects_single_secret(self):
         with pytest.raises(ValidationError):
             load_prior([(1.0, 0.5)])
