@@ -35,7 +35,6 @@ from .binary import (
     solve_perfect_privacy,
 )
 from .errors import (
-    DegenerateRatio,
     IpdError,
     MassNotNormalized,
     MeanMismatch,

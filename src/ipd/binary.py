@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property
 
 from .analysis import UtilityFn, expected_utility
-from .errors import DegenerateRatio, NotBinarySecret, ValidationError
+from .errors import NotBinarySecret, ValidationError
 from .model import InfoStructure, Mechanism, Prior, load_prior, structure_to_mechanism
 from .numeric import Scalar, check_slack, exactify, is_exact, ratio_bound
 
@@ -93,18 +93,16 @@ def classify_regime(
     eps: float | None = None,
     *,
     exp_eps: Scalar | None = None,
-    strict: bool = True,
 ) -> Regime:
     """Place a binary prior in one of the four regimes at budget eps.
 
     Comparisons are cross-multiplied, so rational inputs classify exactly
-    and boundary ties resolve toward the regime with fewer signals.
+    and boundary ties resolve toward the regime with fewer signals. A
+    degenerate prior (q_lo = 0 or q_hi = 1) gives an infinite ratio, which
+    exceeds any budget.
 
     Raises:
         NotBinarySecret: More than two secrets.
-        DegenerateRatio: strict mode and q_lo = 0 or q_hi = 1; with
-            strict=False the infinite ratio simply counts as exceeding any
-            budget and classification proceeds.
     """
     _require_binary(prior)
     w = ratio_bound(eps, exp_eps)
@@ -112,10 +110,6 @@ def classify_regime(
     r1, r2 = _width_ratios(q0, q1)
     if q0 == q1:
         return Regime(RegimeTag.FULL_DISCLOSURE, r1, r2)
-    if strict and (q1 == 0 or q0 == 1):
-        raise DegenerateRatio(
-            "width ratio undefined: the low conditional is 0 or the high one is 1"
-        )
     r1_within = q0 <= w * q1
     r2_within = (1 - q1) <= w * (1 - q0)
     if r1_within and r2_within:
@@ -220,7 +214,7 @@ def solve_binary(
     last = _last_binary
     if last is not None and last[0] is prior and last[1] == key:
         return last[2]
-    regime = classify_regime(prior, exp_eps=w, strict=False)
+    regime = classify_regime(prior, exp_eps=w)
     q0, q1 = prior.q
     if regime.tag is RegimeTag.FULL_DISCLOSURE:
         l10, l21, l31, l41 = q0, 0, 0, 1 - q1

@@ -23,7 +23,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .analysis import (
     BUILTIN_FAMILIES,
@@ -53,8 +52,6 @@ from .serialize import (
 
 # The general solver and the oracles import numpy; only the commands that
 # run them import them, at call time, so the binary commands start without it.
-if TYPE_CHECKING:
-    from .oracle import OracleReport
 
 MAX_GRID_POINTS = 100_000  # budgets in one sweep; each runs every utility
 MAX_SAMPLE_COUNT = 10_000_000  # draws in one sample; each prints one line
@@ -276,8 +273,25 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _oracle_payload(report: OracleReport) -> dict:
-    return {
+def cmd_oracle(args) -> int:
+    from .oracle import binary_grid_oracle, random_structure_oracle
+
+    prior = decode_prior(read_json(args.prior))
+    eps, exp_eps = parse_eps(args.eps)
+    u = _load_utility(args.utility)
+    if args.mode == "grid":
+        report = binary_grid_oracle(prior, eps, u, grid=args.grid, exp_eps=exp_eps)
+    else:
+        report = random_structure_oracle(
+            prior,
+            eps,
+            u,
+            trials=args.trials,
+            max_signals=args.max_signals,
+            seed=args.seed,
+            exp_eps=exp_eps,
+        )
+    _emit({
         "best_utility": _jnum(report.best_utility),
         "solver_utility": _jnum(report.solver_utility),
         "trials": report.trials,
@@ -287,41 +301,8 @@ def _oracle_payload(report: OracleReport) -> dict:
             if report.best_structure is not None
             else None
         ),
-    }
-
-
-def _oracle_exit(report: OracleReport) -> int:
+    })
     return 0 if report.best_utility <= report.solver_utility + check_slack() else 1
-
-
-def cmd_oracle_grid(args) -> int:
-    from .oracle import binary_grid_oracle
-
-    prior = decode_prior(read_json(args.prior))
-    eps, exp_eps = parse_eps(args.eps)
-    u = _load_utility(args.utility)
-    report = binary_grid_oracle(prior, eps, u, grid=args.grid, exp_eps=exp_eps)
-    _emit(_oracle_payload(report))
-    return _oracle_exit(report)
-
-
-def cmd_oracle_random(args) -> int:
-    from .oracle import random_structure_oracle
-
-    prior = decode_prior(read_json(args.prior))
-    eps, exp_eps = parse_eps(args.eps)
-    u = _load_utility(args.utility)
-    report = random_structure_oracle(
-        prior,
-        eps,
-        u,
-        trials=args.trials,
-        max_signals=args.max_signals,
-        seed=args.seed,
-        exp_eps=exp_eps,
-    )
-    _emit(_oracle_payload(report))
-    return _oracle_exit(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("oracle", help="brute-force challenges to the solvers")
+    p.set_defaults(func=cmd_oracle)
     oracle_sub = p.add_subparsers(dest="mode", required=True)
     g = oracle_sub.add_parser("grid", help="lattice sweep of the binary optimum")
     g.add_argument("prior")
     g.add_argument("--eps", required=True)
     g.add_argument("--utility", required=True)
     g.add_argument("--grid", type=int, default=100)
-    g.set_defaults(func=cmd_oracle_grid)
     r = oracle_sub.add_parser("random", help="random private structures")
     r.add_argument("prior")
     r.add_argument("--eps", required=True)
@@ -398,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trials", type=int, default=1000)
     r.add_argument("--max-signals", type=int, default=6)
     r.add_argument("--seed", type=int, required=True)
-    r.set_defaults(func=cmd_oracle_random)
 
     return parser
 

@@ -59,10 +59,6 @@ class NotBinarySecret(IpdError):
     """A binary-secret operation was called with a different support size."""
 
 
-class DegenerateRatio(IpdError):
-    """Regime ratios are undefined because a conditional sits at 0 or 1."""
-
-
 class UnsupportedSize(IpdError):
     """The secret support exceeds the configured size cap."""
 

@@ -24,14 +24,16 @@ quadratic utility, which lands on a chain.
 
 assemble_lp/solve_lp handle one linear program; solve_general builds the
 bank, runs one or two LPs, and rebuilds the structure from the chain.
-linprog is the one LP backend: the two-secret LP (four variables, equality
-rows only) goes to a small bounded-variable simplex in pure Python, and
-every larger LP to HiGHS's dual simplex, so a two-secret solve does not
-import scipy. HiGHS is called through the bindings scipy bundles, with the
-model and options scipy's linprog(method="highs-ds") would pass it but
-none of that wrapper's per-call checks; solve_lp makes the one check of
-the answer that matters, holding any optimal x to FEASIBILITY_TOL on every
-row and bound.
+linprog is the one LP backend: an LP with equality rows only and finite
+bounds goes to a small bounded-variable simplex in pure Python, and every
+other LP to HiGHS's dual simplex. The two-secret LP (at most six
+variables) is the only equality-only one the solver builds, since every LP
+for three or more secrets has budget-pair rows, so a two-secret solve does
+not import scipy. HiGHS is called through the bindings scipy bundles, with
+the model and options scipy's linprog(method="highs-ds") would pass it but
+none of that wrapper's per-call checks. solve_lp raises SolverError on any
+answer that is not optimal, and makes the one check of an optimal answer
+that matters, holding its x to FEASIBILITY_TOL on every row and bound.
 """
 
 from __future__ import annotations
@@ -214,12 +216,13 @@ class LpProblem:
     column_posteriors: tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: str
-    values: tuple[float, ...] | None
-    objective: float | None
-    max_residual: float | None
+    """An optimal answer: linprog's x, objective . x + offset, its worst miss."""
+
+    values: np.ndarray
+    objective: float
+    max_residual: float
 
 
 def _objective(
@@ -321,11 +324,6 @@ class LinprogResult(NamedTuple):
     message: str
 
 
-# The bounded simplex takes LPs with no inequality rows and at most this many
-# variables. The two-secret LP has four, and every larger LP of the solver has
-# inequality rows; the cap keeps any other large equality-only LP off the
-# pure-Python tableau, each of whose steps costs rows x columns.
-SIMPLEX_MAX_VARIABLES = 8
 # What the simplex's answer must meet to be returned: the largest equality
 # residual, and how far a variable may sit past a bound, relative to the
 # bound's size (absolute below 1).
@@ -353,16 +351,15 @@ def linprog(
     linprog instead, so that it stays an independent check of this path.
     The arguments are arrays, bounds one (low, high) row per variable; the
     result carries scipy's status (0 optimal, 2 infeasible), x and a
-    message. An LP with no inequality rows, finite bounds and at most
-    SIMPLEX_MAX_VARIABLES variables goes to a dense bounded-variable
+    message. An LP with no inequality rows and finite bounds (of the
+    solver's LPs, only the two-secret one) goes to a dense bounded-variable
     simplex in pure Python, whose answer is taken only when it passes the
-    GUARD_TOL checks. Every other LP, and every small one the simplex fails
-    or the guard rejects, goes to HiGHS's dual simplex through _highs;
-    scipy is imported then, on first use, so a two-secret solve normally
-    never loads it.
+    GUARD_TOL checks. Every other LP, and every one the simplex fails or
+    the guard rejects, goes to HiGHS's dual simplex through _highs; scipy
+    is imported then, on first use, so a two-secret solve normally never
+    loads it.
     """
-    small = not len(b_ub) and len(c) <= SIMPLEX_MAX_VARIABLES
-    if small and np.isfinite(bounds).all():
+    if not len(b_ub) and np.isfinite(bounds).all():
         lo, hi = bounds.T.tolist()
         a, b = A_eq.tolist(), b_eq.tolist()
         x = _bounded_simplex(c.tolist(), a, b, lo, hi)
@@ -600,9 +597,9 @@ def _pivot_to_optimum(
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve one assembled LP through linprog.
 
-    Infeasibility is an answer, not an error; anything else unexpected from
-    the backend raises SolverError. So does an optimal x that is NaN or
-    misses a bound, an inequality row or an equality row by more than
+    Any answer but an optimal one, infeasible included, raises SolverError
+    with the backend's message. So does an optimal x that is NaN or misses
+    a bound, an inequality row or an equality row by more than
     FEASIBILITY_TOL, the check scipy's linprog makes on HiGHS's answer.
     linprog is looked up as a module global at call time, so a replacement
     bound here (a test's fake, a tracer's wrapper) sees every solve.
@@ -615,8 +612,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         problem.b_eq,
         problem.bounds,
     )
-    if result.status == 2:
-        return LpSolution("infeasible", None, None, None)
     if result.status != 0:
         raise SolverError(f"LP solver failed: {result.message}")
     x = result.x
@@ -633,12 +628,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             f"more than {FEASIBILITY_TOL:.3g}"
         )
     objective = float(problem.objective @ x) + problem.offset
-    return LpSolution("optimal", tuple(x.tolist()), objective, float(residual))
+    return LpSolution(x, objective, float(residual))
 
 
-def _support(problem: LpProblem, solution: LpSolution) -> list[bool]:
+def _support(problem: LpProblem, solution: LpSolution) -> np.ndarray:
     """Mask of the bank's columns with positive LP value."""
-    return [x > 0 for x in solution.values[2 * (problem.prior.n - 1) :]]
+    return solution.values[2 * (problem.prior.n - 1) :] > 0
 
 
 def _chain(problem: LpProblem, solution: LpSolution) -> CutAssignment:
@@ -684,20 +679,20 @@ def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructur
     n = prior.n
     bank = problem.assignment
     x = solution.values
-    support = np.array(_support(problem, solution), dtype=bool)
-    middle = np.array(x[2 * (n - 1) :])[support]
+    support = _support(problem, solution)
+    middle = x[2 * (n - 1) :][support]
     m = len(middle)
     # (columns x rows), as the bank's arrays are: the all-yellow column,
     # the chain's columns, the all-white column
     anchor_yellow, anchor_white = float(prior.q[n - 1]), float(1 - prior.q[0])
     widths = np.empty((m + 2, n))
-    widths[0] = [r * anchor_yellow for r in (*x[: n - 1], 1.0)]
+    widths[0] = [*x[: n - 1] * anchor_yellow, anchor_yellow]
     widths[1:-1] = bank.relative_widths[support] * middle[:, None]
-    widths[-1] = [r * anchor_white for r in (1.0, *x[n - 1 : 2 * (n - 1)])]
+    widths[-1] = [anchor_white, *x[n - 1 : 2 * (n - 1)] * anchor_white]
     yellow = np.zeros((m + 2, n), dtype=bool)
     yellow[0] = True
     yellow[1:-1] = bank.yellow[support]
-    return _rescaled_structure(prior, widths, yellow, solution.max_residual or 0.0)
+    return _rescaled_structure(prior, widths, yellow, solution.max_residual)
 
 
 def _rescaled_structure(
@@ -773,9 +768,9 @@ def solve_general(
     Raises:
         UnsupportedSize: n exceeds max_secrets (the dense LP has O(n**3)
             columns and O(n**2) rows).
-        SolverError: the LP backend failed, the LP was infeasible (seen
-            only at extreme budgets with a conditional of 0 or 1), or the
-            tie-break still left a non-chain.
+        SolverError: an LP's answer was not optimal (infeasible is seen
+            only at extreme budgets with a conditional of 0 or 1) or missed
+            its rows or bounds, or the tie-break still left a non-chain.
     """
     if u is None:
         raise TypeError("solve_general needs a utility function")
@@ -789,10 +784,8 @@ def solve_general(
     w = min(ratio_bound(eps, exp_eps), max(_width_ratios(prior.q[0], prior.q[-1])))
     problem = assemble_lp(prior, u, _full_bank(prior.n, w))
     solution = solve_lp(problem)
-    if solution.status == "optimal" and not _chain(problem, solution).is_chain:
+    if not _chain(problem, solution).is_chain:
         problem, solution = _hold_and_maximize_quadratic(problem, solution)
-    if solution.status != "optimal":
-        raise SolverError(f"the LP over every cut column is {solution.status}")
     chain = _chain(problem, solution)
     if not chain.is_chain:
         raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")

@@ -28,7 +28,7 @@ from ipd import (
     structure_to_mechanism,
     utility_gain,
 )
-from ipd.errors import DegenerateRatio, NotBinarySecret
+from ipd.errors import NotBinarySecret
 
 
 class TestClassifyRegime:
@@ -67,13 +67,16 @@ class TestClassifyRegime:
         regime = classify_regime(prior, 0.01)
         assert regime.tag is RegimeTag.FULL_DISCLOSURE
 
-    def test_strict_mode_rejects_degenerate_ratios(self):
-        prior = load_prior([(0.5, 1.0), (0.5, 0.25)])
-        with pytest.raises(DegenerateRatio):
-            classify_regime(prior, exp_eps=Fraction(2))
-        regime = classify_regime(prior, exp_eps=Fraction(2), strict=False)
-        assert regime.tag is RegimeTag.FOUR_SIGNAL
-        assert regime.r2 == math.inf
+    def test_conditional_of_zero_or_one_gives_an_infinite_ratio(self):
+        # an infinite ratio exceeds any budget, so classification proceeds
+        for pairs, r1, r2 in [
+            ([(0.5, 1.0), (0.5, 0.25)], 4, math.inf),
+            ([(0.5, 0.75), (0.5, 0.0)], math.inf, 4),
+            ([(0.5, 1.0), (0.5, 0.0)], math.inf, math.inf),
+        ]:
+            regime = classify_regime(load_prior(pairs), exp_eps=Fraction(2))
+            assert regime.tag is RegimeTag.FOUR_SIGNAL
+            assert (regime.r1, regime.r2) == (r1, r2)
 
     def test_rejects_non_binary_prior(self):
         prior = load_prior([(0.3, 0.9), (0.3, 0.5), (0.4, 0.1)])
@@ -86,10 +89,10 @@ class TestClassifyRegime:
         # past w = 2**53 a float 1 + w rounds to w, which once turned this
         # prior into a three-signal answer with an infinite privacy ratio
         prior = load_prior([(0.75, 1.0), (0.25, 0.0)])
-        assert classify_regime(prior, eps, strict=False).tag is RegimeTag.FOUR_SIGNAL
+        assert classify_regime(prior, eps).tag is RegimeTag.FOUR_SIGNAL
         assert check_ip(solve_binary(prior, eps).structure, eps).satisfied
         exact = load_prior([(Fraction(3, 4), 1), (Fraction(1, 4), 0)])
-        regime = classify_regime(exact, exp_eps=Fraction(math.exp(eps)), strict=False)
+        regime = classify_regime(exact, exp_eps=Fraction(math.exp(eps)))
         assert regime.tag is RegimeTag.FOUR_SIGNAL
 
 

@@ -171,7 +171,6 @@ class TestSolveLp:
         )
         problem = assemble_lp(fixture_prior_exact, UtilityFn("abs"), assignment)
         solution = solve_lp(problem)
-        assert solution.status == "optimal"
         assert solution.objective == pytest.approx(5 / 6, abs=1e-9)
         assert solution.max_residual <= 1e-9
 
@@ -180,7 +179,6 @@ class TestSolveLp:
         assignment = CutAssignment(n=2, columns=(), exp_eps=Fraction(2))
         problem = assemble_lp(prior, UtilityFn("abs"), assignment)
         solution = solve_lp(problem)
-        assert solution.status == "optimal"
         # u = E|2q-1| under full disclosure is 1 regardless of the prior
         assert solution.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -193,7 +191,7 @@ class TestSolveLp:
         problem = assemble_lp(fixture_prior_exact, UtilityFn("quadratic"), assignment)
         first = solve_lp(problem)
         second = solve_lp(problem)
-        assert first.values == second.values
+        assert np.array_equal(first.values, second.values)
 
 
 class TestSolveGeneral:
@@ -302,13 +300,26 @@ class TestSolveGeneral:
     def test_non_chain_after_the_tie_break_is_a_solver_error(self, monkeypatch):
         # every column positive cannot be a chain at n=3, in either stage
         def everything_positive(problem):
-            ones = (1.0,) * len(problem.objective)
-            return LpSolution("optimal", ones, 0.0, 0.0)
+            return LpSolution(np.ones(len(problem.objective)), 0.0, 0.0)
 
         monkeypatch.setattr(ipd.general, "solve_lp", everything_positive)
         prior = load_prior([(1 / 3, 0.9), (1 / 3, 0.5), (1 / 3, 0.1)])
         with pytest.raises(SolverError):
             solve_general(prior, 0.5, UtilityFn("abs"))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the tie-break's CHECK_TOL hold buys a sliver of a column off the optimal face",
+    )
+    def test_tie_break_keeps_off_face_columns_out(self):
+        # _hold_and_maximize_quadratic lets the primary objective fall by up
+        # to CHECK_TOL; here it spends that on a column of mass 3.5e-9 whose
+        # posterior breaks the lower-right region, although check_ip passes
+        pairs, budget = _seeded(56, 5)
+        solution = solve_general(load_prior(pairs), u=REWARDS, **budget)
+        assert check_ip(solution.structure, **budget).satisfied
+        assert check_regions(solution.structure, **budget).all_flags
 
 
 def _seeded(seed, n):
@@ -605,12 +616,15 @@ class TestFeasibilityGuard:
     """solve_lp holds a backend's optimal x to FEASIBILITY_TOL on rows and bounds."""
 
     @staticmethod
-    def _solve_with_answer(monkeypatch, perturb, x_of=np.array):
-        """solve_lp on a perturbed n=3 LP, answered with x_of(the original's optimum)."""
-        problem = assemble_lp(
+    def _problem():
+        return assemble_lp(
             load_prior(FLOAT_3), UtilityFn("quadratic"), ipd.general._full_bank(3, 2.0)
         )
-        x = np.array(solve_lp(problem).values)
+
+    def _solve_with_answer(self, monkeypatch, perturb, x_of=np.array):
+        """solve_lp on a perturbed n=3 LP, answered with x_of(the original's optimum)."""
+        problem = self._problem()
+        x = solve_lp(problem).values
         answer = LinprogResult(0, x_of(x), "optimal")
         monkeypatch.setattr(ipd.general, "linprog", lambda *a: answer)
         return solve_lp(perturb(problem, x))
@@ -635,12 +649,18 @@ class TestFeasibilityGuard:
             self._solve_with_answer(monkeypatch, lambda pr, x: perturb(pr, x, 2 * FEASIBILITY_TOL))
         # a miss inside the tolerance is accepted and reported as the residual
         solution = self._solve_with_answer(monkeypatch, lambda pr, x: perturb(pr, x, 1e-5))
-        assert solution.status == "optimal"
         assert solution.max_residual == pytest.approx(1e-5, rel=1e-3)
 
     def test_nan_answer_is_a_solver_error(self, monkeypatch):
         with pytest.raises(SolverError):
             self._solve_with_answer(monkeypatch, lambda pr, x: pr, lambda x: x * np.nan)
+
+    def test_infeasible_answer_is_a_solver_error(self, monkeypatch):
+        # status 2 is an error like any other failure, with the backend's message
+        answer = LinprogResult(2, None, "HiGHS model status Infeasible")
+        monkeypatch.setattr(ipd.general, "linprog", lambda *a: answer)
+        with pytest.raises(SolverError, match="HiGHS model status Infeasible"):
+            solve_lp(self._problem())
 
 
 class TestLazyMechanism:

@@ -19,9 +19,8 @@ EXPORTS = {
         "gap_instance", "solve_binary", "solve_perfect_privacy",
     ),
     "errors": (
-        "DegenerateRatio", "IpdError", "MassNotNormalized", "MeanMismatch",
-        "NotBinarySecret", "SolverError", "UnsupportedSize", "ValidationError",
-        "ZeroMassContext",
+        "IpdError", "MassNotNormalized", "MeanMismatch", "NotBinarySecret",
+        "SolverError", "UnsupportedSize", "ValidationError", "ZeroMassContext",
     ),
     "general": (
         "CutAssignment", "CutColumn", "GeneralSolution", "LpProblem", "LpSolution",
