@@ -16,11 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import MeanMismatch, ValidationError
 from .model import InfoStructure, PosteriorSummary, Prior, column_stats
-from .numeric import Scalar, check_slack, exactify, is_exact, log_of, ratio_bound
+from .numeric import (
+    Scalar,
+    check_slack,
+    exactify,
+    is_exact,
+    log_of,
+    ratio_bound,
+    typed_key,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import to avoid a cycle
     from .binary import BinarySolution
@@ -70,6 +79,16 @@ class UtilityFn:
 
     def label(self) -> str:
         return self.family
+
+    @cached_property
+    def key(self) -> tuple:
+        """The family and the reward matrix with the type of each reward.
+
+        Fraction and float rewards that compare equal give results of
+        different types, so their keys differ.
+        """
+        matrix = None if self.rewards is None else tuple(map(typed_key, self.rewards))
+        return (self.family, matrix)
 
     def __call__(self, q):
         if getattr(q, "ndim", 0):  # cheaper than isinstance, and needs no numpy
@@ -376,8 +395,19 @@ def blackwell_dominates(a: PosteriorSummary, b: PosteriorSummary) -> BlackwellRe
 
 def expected_utility(st: InfoStructure, u: UtilityFn) -> Scalar:
     """E[u(q_T)] over positive-mass signals; exact for rational structures
-    except with the negentropy family."""
-    return sum(mass * u(post) for mass, post, _ in column_stats(st) if post is not None)
+    except with the negentropy family.
+
+    The sum is computed once per structure and utility key (UtilityFn.key):
+    a later call on the same structure with a utility of the same family
+    and typed rewards returns the same value without summing again.
+    """
+    sums, key = st._utility_sums, u.key
+    value = sums.get(key)
+    if value is None:
+        value = sums[key] = sum(
+            mass * u(post) for mass, post, _ in column_stats(st) if post is not None
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -407,9 +437,12 @@ def utility_gain(
     """Compare the eps-optimal binary solution against perfect privacy.
 
     Both utilities come from the closed-form solvers; at eps=0 the two
-    coincide and the gain is 1. The solvers answer a repeated call on the
-    same prior object and budget from memory, so evaluating several utilities
-    at one point solves it once.
+    coincide and the gain is 1. The solvers answer a repeated call on a
+    prior of equal values, types, labels and order and the same budget from
+    memory, and expected_utility sums once per structure and utility, so
+    evaluating several utilities at one point solves it once, and a sweep
+    over budgets, even one that loads its prior afresh at each point,
+    builds the baseline and sums each utility's u_0 once.
     """
     if u is None:
         raise TypeError("utility_gain needs a utility function")

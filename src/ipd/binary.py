@@ -144,13 +144,15 @@ def pack_columns(
     )
 
 
-# One-slot memos of the two solvers: (prior, key, solution) of the last
-# answer. A hit needs the very same Prior object, not an equal one, because
-# Prior equality treats Fraction(1, 2) and 0.5 alike and an exact caller must
-# never get a float answer. The key holds everything else a fresh call reads:
-# the budget with its type (Fraction(2) and 2.0 give different widths) and
-# the check slack, so a changed IPD_TOLERANCE raises as a fresh call would.
-# One slot keeps at most one prior alive.
+# One-slot memos of the two solvers: (key, solution) of the last answer. The
+# key holds everything a fresh call reads: the prior's typed key
+# (Prior.key: labels, order, and each mass and conditional with its type,
+# since Prior equality treats Fraction(1, 2) and 0.5 alike and an exact
+# caller must never get a float answer), the budget with its type
+# (Fraction(2) and 2.0 give different widths) and the check slack, so a
+# changed IPD_TOLERANCE raises as a fresh call would. A hit may come from
+# an equal prior built afresh, as a sweep does at each point; its solution
+# keeps the prior it was solved for. One slot keeps at most one prior alive.
 _last_perfect_privacy: tuple | None = None
 _last_binary: tuple | None = None
 
@@ -162,16 +164,17 @@ def solve_perfect_privacy(prior: Prior) -> BinarySolution:
     both secrets; the middle signal's posterior equals the prior mass of the
     high-q secret. Degenerate priors just lose the empty columns.
 
-    The answer does not depend on the budget, so a repeated call on the same
-    Prior object (under the same check slack) returns the same solution
-    object instead of solving again.
+    The answer does not depend on the budget, so a repeated call on a prior
+    of equal values, types, labels and order (under the same check slack)
+    returns the same solution object instead of solving again; its
+    structure.prior is then the prior of the first call.
     """
     global _last_perfect_privacy
     _require_binary(prior)
-    key = check_slack()
+    key = (prior.key, check_slack())
     last = _last_perfect_privacy
-    if last is not None and last[0] is prior and last[1] == key:
-        return last[2]
+    if last is not None and last[0] == key:
+        return last[1]
     q0, q1 = prior.q
     r1, r2 = _width_ratios(q0, q1)
     labels = ("t1", "t2", "t3")
@@ -182,7 +185,7 @@ def solve_perfect_privacy(prior: Prior) -> BinarySolution:
         widths_by_signal=width_pairs,
         signals=labels,
     )
-    _last_perfect_privacy = (prior, key, solution)
+    _last_perfect_privacy = (key, solution)
     return solution
 
 
@@ -198,9 +201,10 @@ def solve_binary(
 
     Because one structure is best for every utility, callers that evaluate
     several utilities at one point ask for the same answer repeatedly: a
-    repeated call on the same Prior object, with a budget of the same value
-    and type (under the same check slack), returns the same solution object
-    instead of solving again.
+    repeated call on a prior of equal values, types, labels and order, with
+    a budget of the same value and type (under the same check slack),
+    returns the same solution object instead of solving again; its
+    structure.prior is then the prior of the first call.
 
     Raises:
         NotBinarySecret: More than two secrets.
@@ -210,10 +214,10 @@ def solve_binary(
     w = ratio_bound(eps, exp_eps)
     if w == 1:
         return solve_perfect_privacy(prior)
-    key = (type(w), w, check_slack())
+    key = (prior.key, type(w), w, check_slack())
     last = _last_binary
-    if last is not None and last[0] is prior and last[1] == key:
-        return last[2]
+    if last is not None and last[0] == key:
+        return last[1]
     regime = classify_regime(prior, exp_eps=w)
     q0, q1 = prior.q
     if regime.tag is RegimeTag.FULL_DISCLOSURE:
@@ -248,7 +252,7 @@ def solve_binary(
         widths_by_signal=width_pairs,
         signals=labels,
     )
-    _last_binary = (prior, key, solution)
+    _last_binary = (key, solution)
     return solution
 
 

@@ -784,9 +784,10 @@ def solve_general(
     w = min(ratio_bound(eps, exp_eps), max(_width_ratios(prior.q[0], prior.q[-1])))
     problem = assemble_lp(prior, u, _full_bank(prior.n, w))
     solution = solve_lp(problem)
-    if not _chain(problem, solution).is_chain:
-        problem, solution = _hold_and_maximize_quadratic(problem, solution)
     chain = _chain(problem, solution)
+    if not chain.is_chain:
+        problem, solution = _hold_and_maximize_quadratic(problem, solution)
+        chain = _chain(problem, solution)
     if not chain.is_chain:
         raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
     structure = compress(_structure_from_lp(problem, solution))

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     ZeroMassContext,
 )
-from .numeric import NORM_TOL, Scalar, check_slack, exactify
+from .numeric import NORM_TOL, Scalar, check_slack, exactify, typed_key
 
 
 def _as_scalar_tuple(values: Iterable[Scalar]) -> tuple[Scalar, ...]:
@@ -115,6 +115,16 @@ class Prior:
     @property
     def n(self) -> int:
         return len(self.secrets)
+
+    @cached_property
+    def key(self) -> tuple:
+        """Labels, order and every mass and conditional with its type.
+
+        Two priors with the same key give the same answers, types included,
+        from every solver; Prior equality, which treats Fraction(1, 2) and
+        0.5 alike, does not promise that. Cached, as the fields are immutable.
+        """
+        return (self.secrets, self.perm, typed_key(self.p), typed_key(self.q))
 
     @property
     def is_binary(self) -> bool:
@@ -301,6 +311,12 @@ class InfoStructure:
             s_post = tuple(prior.p[s] * self.widths[s][t] / mass for s in range(prior.n))
             stats.append((mass, yellow / mass, s_post))
         return tuple(stats)
+
+    @cached_property
+    def _utility_sums(self) -> dict:
+        # expected_utility's results on this structure, by the utility's key
+        # (UtilityFn.key). Like _column_stats, it cannot go stale.
+        return {}
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,18 @@ def exactify(x: Scalar) -> Scalar:
     return x
 
 
+def typed_key(values) -> tuple:
+    """Values as a hashable key that also tells their types apart.
+
+    Equality alone treats Fraction(1, 2) and 0.5, or 0.0 and -0.0, as one
+    value, although they give answers of different types or signs. A float
+    enters as its hex form, anything else as itself, each beside its type.
+    """
+    return tuple(
+        (type(x), x.hex() if isinstance(x, float) else x) for x in values
+    )
+
+
 def is_exact(x: Scalar) -> bool:
     """True when x participates in exact arithmetic (int or Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)

@@ -10,6 +10,17 @@ import ipd.general
 from ipd import load_prior, solve_binary
 
 
+@pytest.fixture(autouse=True)
+def cold_binary_memos(monkeypatch):
+    """Start every test with empty binary solver memos.
+
+    Equal priors share a memo entry, so an entry left by an earlier test
+    would answer a later test's first solve and hide the builds it counts.
+    """
+    monkeypatch.setattr(ipd.binary, "_last_binary", None)
+    monkeypatch.setattr(ipd.binary, "_last_perfect_privacy", None)
+
+
 @pytest.fixture
 def fixture_prior():
     """Uniform binary prior with q = (3/4, 1/4), in floats."""

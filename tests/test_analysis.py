@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ipd.analysis
 from ipd import (
     InfoStructure,
     MeanMismatch,
@@ -273,6 +274,35 @@ class TestExpectedUtility:
             assert expected_utility(st, tent) == pytest.approx(
                 expected_utility(st, builtin), abs=1e-12
             )
+
+
+    def test_fraction_and_float_rewards_keep_their_own_result_type(
+        self, fixture_solution
+    ):
+        st = fixture_solution.structure
+        exact = UtilityFn("rewards", rewards=((Fraction(1), Fraction(-1)), (-1, 1)))
+        floats = UtilityFn("rewards", rewards=((1.0, -1.0), (-1.0, 1.0)))
+        assert exact == floats  # UtilityFn equality ignores the rewards' type
+        for _ in range(2):
+            for u, kind in ((exact, Fraction), (floats, float)):
+                value = expected_utility(st, u)
+                assert type(value) is kind
+                assert value == pytest.approx(Fraction(5, 6), abs=1e-15)
+            assert expected_utility(st, exact) == Fraction(5, 6)
+
+    def test_a_repeated_call_on_one_structure_sums_once(self, fixture_solution, monkeypatch):
+        sums = []
+
+        def counting(st, real=ipd.analysis.column_stats):
+            sums.append(st)
+            return real(st)
+
+        monkeypatch.setattr(ipd.analysis, "column_stats", counting)
+        st = fixture_solution.structure
+        first = [expected_utility(st, UtilityFn(f)) for f in ("abs", "quadratic")]
+        again = [expected_utility(st, UtilityFn(f)) for f in ("abs", "quadratic")]
+        assert again == first
+        assert len(sums) == 2
 
 
 class TestUtilityGain:

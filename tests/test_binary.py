@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import ipd.analysis
 import ipd.binary
 from ipd import (
     RegimeTag,
@@ -362,8 +363,8 @@ class TestLazyMechanism:
 
 class TestRepeatedSolves:
     """A repeated solve answers from the last one only when a fresh solve
-    would give the same answer: same Prior object, same budget value and
-    type, same check slack."""
+    would give the same answer: a prior of equal values, types, labels and
+    order, the same budget value and type, the same check slack."""
 
     def test_same_prior_and_budget_return_the_same_solution(self, fixture_prior_exact):
         first = solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
@@ -427,3 +428,101 @@ class TestRepeatedSolves:
         for family in ("abs", "quadratic", "negentropy"):
             utility_gain(fixture_prior_exact, u=UtilityFn(family), exp_eps=bound)
         assert len(calls) == builds
+
+    def test_a_sweep_over_fresh_priors_builds_and_sums_the_baseline_once(
+        self, monkeypatch
+    ):
+        builds, sums = [], []
+
+        def counting_pack(*args, real=ipd.binary.pack_columns):
+            builds.append(args[1])
+            return real(*args)
+
+        def counting_stats(st, real=ipd.analysis.column_stats):
+            sums.append(st)
+            return real(st)
+
+        monkeypatch.setattr(ipd.binary, "pack_columns", counting_pack)
+        monkeypatch.setattr(ipd.analysis, "column_stats", counting_stats)
+        pairs = [(Fraction(3, 10), Fraction(4, 5)), (Fraction(7, 10), Fraction(1, 4))]
+        bounds = [Fraction(1)] + [
+            Fraction(math.exp(k * 0.05)).limit_denominator(100) for k in range(1, 51)
+        ]
+        families = [UtilityFn(f) for f in ("abs", "quadratic", "negentropy")]
+        baselines = set()
+        for bound in bounds:
+            prior = load_prior(pairs)  # a new, equal Prior at every point
+            for u in families:
+                report = utility_gain(prior, u=u, exp_eps=bound)
+                baselines.add(id(report.solution_0))
+                assert report.solution_0.structure.prior == prior
+        assert len(baselines) == 1
+        private = [labels for labels in builds if len(labels) == 3]
+        assert len(private) == 1
+        assert len(builds) == len(bounds)  # one budgeted build per positive point
+        assert len(sums) == len(families) * len(bounds)  # u_0 once, u_eps per point
+
+    @pytest.mark.parametrize("solver", ["binary", "perfect_privacy"])
+    def test_priors_that_differ_in_type_sign_label_or_order_share_no_entry(
+        self, solver, monkeypatch
+    ):
+        half = Fraction(1, 2)
+        priors = [
+            load_prior([(half, Fraction(3, 4)), (half, Fraction(0))]),
+            load_prior([(0.5, 0.75), (0.5, 0.0)]),
+            load_prior([(0.5, 0.75), (0.5, -0.0)]),
+            load_prior([(0.5, 0.75), (0.5, 0.0)], labels=["a", "b"]),
+            load_prior([(0.5, 0.0), (0.5, 0.75)], labels=["s1", "s0"]),
+        ]
+        # the masses and conditionals compare equal as values; the first three
+        # priors are even equal as Priors
+        assert all((prior.p, prior.q) == (priors[0].p, priors[0].q) for prior in priors)
+        assert priors[0] == priors[1] == priors[2]
+
+        def solve(prior):
+            if solver == "binary":
+                return solve_binary(prior, exp_eps=Fraction(2))
+            return solve_perfect_privacy(prior)
+
+        def shown(solution):
+            widths = [x for row in solution.structure.widths for x in row]
+            return repr(solution), [type(x) for x in widths]
+
+        cold = []
+        for prior in priors:
+            monkeypatch.setattr(ipd.binary, "_last_binary", None)
+            monkeypatch.setattr(ipd.binary, "_last_perfect_privacy", None)
+            cold.append(shown(solve(prior)))
+        assert len({text for text, _ in cold}) == len(priors)
+        for _ in range(2):
+            for prior, expected in zip(priors, cold):
+                solution = solve(prior)
+                assert shown(solution) == expected
+                assert solution.structure.prior.key == prior.key
+
+    def test_an_equal_fresh_prior_shares_the_entry(self, fixture_prior_exact):
+        half = Fraction(1, 2)
+        fresh = load_prior([(half, Fraction(3, 4)), (half, Fraction(1, 4))])
+        assert fresh is not fixture_prior_exact
+        first = solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
+        assert solve_binary(fresh, exp_eps=Fraction(2)) is first
+        assert first.structure.prior is fixture_prior_exact
+        base = solve_perfect_privacy(fixture_prior_exact)
+        assert solve_perfect_privacy(fresh) is base
+        assert solve_binary(fresh, exp_eps=2.0) is not first
+
+    def test_a_changed_tolerance_raises_on_a_fresh_equal_prior(
+        self, fixture_prior_exact, monkeypatch
+    ):
+        half = Fraction(1, 2)
+        first = solve_binary(fixture_prior_exact, exp_eps=Fraction(2))
+        base = solve_perfect_privacy(fixture_prior_exact)
+        fresh = load_prior([(half, Fraction(3, 4)), (half, Fraction(1, 4))])
+        monkeypatch.setenv("IPD_TOLERANCE", "abc")
+        with pytest.raises(ValidationError):
+            solve_binary(fresh, exp_eps=Fraction(2))
+        with pytest.raises(ValidationError):
+            solve_perfect_privacy(fresh)
+        monkeypatch.setenv("IPD_TOLERANCE", "1e-6")
+        assert solve_binary(fresh, exp_eps=Fraction(2)) is not first
+        assert solve_perfect_privacy(fresh) is not base

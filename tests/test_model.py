@@ -49,6 +49,19 @@ class TestPrior:
         prior = load_prior([(0.4, 0.9), (0.6, 0.2)])
         assert prior.p_y1 == pytest.approx(0.4 * 0.9 + 0.6 * 0.2)
 
+    def test_key_tells_types_signs_labels_and_order_apart(self):
+        half = Fraction(1, 2)
+        keys = [
+            load_prior([(half, Fraction(3, 4)), (half, Fraction(0))]).key,
+            load_prior([(0.5, 0.75), (0.5, 0.0)]).key,
+            load_prior([(0.5, 0.75), (0.5, -0.0)]).key,
+            load_prior([(0.5, 0.75), (0.5, np.float64(0.0))]).key,
+            load_prior([(0.5, 0.75), (0.5, 0.0)], labels=["a", "b"]).key,
+            load_prior([(0.5, 0.0), (0.5, 0.75)], labels=["s1", "s0"]).key,
+        ]
+        assert len(set(keys)) == len(keys)
+        assert load_prior([(0.5, 0.75), (0.5, 0.0)]).key == keys[1]
+
     def test_joint_table_loader_matches_marginal_form(self):
         # P(S=s, Y=y) table for p=(.5,.5), q=(.75,.25)
         joint = load_prior_joint([(0.125, 0.375), (0.375, 0.125)])
