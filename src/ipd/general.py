@@ -30,15 +30,22 @@ other LP to HiGHS's dual simplex. The two-secret LP (at most six
 variables) is the only equality-only one the solver builds, since every LP
 for three or more secrets has budget-pair rows, so a two-secret solve does
 not import scipy. HiGHS is called through the bindings scipy bundles, with
-the model and options scipy's linprog(method="highs-ds") would pass it but
-none of that wrapper's per-call checks. solve_lp raises SolverError on any
-answer that is not optimal, and makes the one check of an optimal answer
-that matters, holding its x to FEASIBILITY_TOL on every row and bound.
+the model and tolerances scipy's linprog(method="highs-ds") would pass it
+but none of that wrapper's per-call checks. Each thread keeps one HiGHS
+solver and reuses it for every LP it solves, and presolve runs only on an
+LP whose widest bound exceeds PRESOLVE_ABOVE (a budget past eps of about
+9.2); below that it costs more than the simplex and removes next to
+nothing. A column whose widest cell is within HiGHS's feasibility
+tolerance is round-off and is left out of the chain. solve_lp raises
+SolverError on any answer that is not optimal, and makes the one check of
+an optimal answer that matters, holding its x to FEASIBILITY_TOL on every
+row and bound.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -335,6 +342,17 @@ _COST_TOL = 1e-12
 # How far solve_lp lets a backend's optimal x miss a bound or a row: scipy's
 # linprog check, 10 * sqrt(tol) at its default tol of 1e-9.
 FEASIBILITY_TOL = 10 * math.sqrt(1e-9)
+# HiGHS's primal and dual feasibility tolerance; a column no wider than it
+# is round-off (_support).
+HIGHS_TOL = 1e-10
+# HiGHS presolves an LP only when a finite variable bound exceeds this. Every
+# LP assemble_lp builds has the budget factor w as its widest bound, and w is
+# 1e4 at eps of about 9.2. Below that, presolve removes next to nothing from
+# these LPs yet costs more than the dual simplex, and both ways reach the same
+# optimum to 1e-11. At eps 11 to 13 the two optima part by up to 1e-6 either
+# way, and from eps 20 the dual simplex alone can stop on answers that fail
+# check_ip, so a wide LP is solved as scipy's linprog would solve it.
+PRESOLVE_ABOVE = 1e4
 
 
 def linprog(
@@ -355,8 +373,9 @@ def linprog(
     solver's LPs, only the two-secret one) goes to a dense bounded-variable
     simplex in pure Python, whose answer is taken only when it passes the
     GUARD_TOL checks. Every other LP, and every one the simplex fails or
-    the guard rejects, goes to HiGHS's dual simplex through _highs; scipy
-    is imported then, on first use, so a two-secret solve normally never
+    the guard rejects, goes to HiGHS's dual simplex through _highs, on this
+    thread's solver and with presolve only past PRESOLVE_ABOVE; scipy is
+    imported then, on first use, so a two-secret solve normally never
     loads it.
     """
     if not len(b_ub) and np.isfinite(bounds).all():
@@ -378,14 +397,16 @@ def _highs(
 ) -> LinprogResult:
     """linprog's LP on HiGHS's dual simplex, through scipy's HiGHS bindings.
 
-    The model and options are the ones scipy's linprog(method="highs-ds")
-    hands HiGHS, without its input checks and result post-processing: the
-    rows are A_ub then A_eq, stored by column with zeros dropped, each
-    inequality row running from -inf and each equality row pinned at both
-    ends; presolve on, primal and dual feasibility tolerances 1e-10, no
-    output. An optimal model gives status 0 and HiGHS's x, an infeasible
-    one status 2; any other model status, or an error from HiGHS, gives
-    status 4. solve_lp checks the x.
+    The model is the one scipy's linprog(method="highs-ds") hands HiGHS,
+    without its input checks and result post-processing: the rows are A_ub
+    then A_eq, stored by column with zeros dropped, each inequality row
+    running from -inf and each equality row pinned at both ends. It goes to
+    this thread's solver (_thread_highs), whose solve state is cleared
+    first, with presolve on only when a finite bound exceeds
+    PRESOLVE_ABOVE, so past that bound it is the call scipy makes. An optimal
+    model gives status 0 and HiGHS's x, an infeasible one status 2; any
+    other model status, or an error from HiGHS, gives status 4. solve_lp
+    checks the x.
     """
     from scipy.optimize._highspy import _core as highs
 
@@ -405,11 +426,14 @@ def _highs(
     lp.col_lower_, lp.col_upper_ = bounds.T.copy()
     lp.row_lower_ = np.concatenate((np.full(len(b_ub), -highs.kHighsInf), b_eq))
     lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    widest = np.max(np.abs(bounds), where=np.isfinite(bounds), initial=0.0)
+    presolve = "on" if widest > PRESOLVE_ABOVE else "off"
 
-    solver = highs._Highs()
+    solver = _thread_highs()
     error = highs.HighsStatus.kError
     ran = (
-        solver.passOptions(_highs_options()) != error
+        solver.setOptionValue("presolve", presolve) != error
+        and solver.clearSolver() != error
         and solver.passModel(lp) != error
         and solver.run() != error
     )
@@ -424,11 +448,31 @@ def _highs(
     return LinprogResult(4, None, message)
 
 
-@lru_cache(maxsize=1)
-def _highs_options():
-    """The options scipy's linprog(method="highs-ds") sets, built once.
+_thread = threading.local()
 
-    HiGHS copies them into each solver it is passed to.
+
+def _thread_highs():
+    """This thread's HiGHS solver, made and given _highs_options() on first use.
+
+    A solver holds its model and solve state, so threads do not share one;
+    each _highs call clears the solve state before passing its model.
+    """
+    solver = getattr(_thread, "highs", None)
+    if solver is None:
+        from scipy.optimize._highspy import _core as highs
+
+        solver = highs._Highs()
+        if solver.passOptions(_highs_options()) == highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the solver options")
+        _thread.highs = solver
+    return solver
+
+
+def _highs_options():
+    """The options scipy's linprog(method="highs-ds") sets, presolve aside.
+
+    Primal and dual feasibility tolerances HIGHS_TOL, the dual simplex, no
+    output. _highs sets presolve per LP.
     """
     from scipy.optimize._highspy import _core as highs
 
@@ -436,9 +480,8 @@ def _highs_options():
     options.solver = "simplex"
     strategy = highs.simplex_constants.SimplexStrategy
     options.simplex_strategy = strategy.kSimplexStrategyDual
-    options.presolve = "on"
-    options.primal_feasibility_tolerance = 1e-10
-    options.dual_feasibility_tolerance = 1e-10
+    options.primal_feasibility_tolerance = HIGHS_TOL
+    options.dual_feasibility_tolerance = HIGHS_TOL
     options.output_flag = options.log_to_console = False
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     return options
@@ -632,12 +675,20 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
 
 def _support(problem: LpProblem, solution: LpSolution) -> np.ndarray:
-    """Mask of the bank's columns with positive LP value."""
-    return solution.values[2 * (problem.prior.n - 1) :] > 0
+    """Mask of the bank's columns whose widest cell exceeds HIGHS_TOL.
+
+    A column's widest cell is its LP value times its largest relative
+    width. One no wider than HiGHS's feasibility tolerance is round-off the
+    LP cannot tell from zero, such as a degenerate basic column that HiGHS
+    leaves at 1e-17 to 1e-13; the chain and the structure leave it out.
+    """
+    middle = solution.values[2 * (problem.prior.n - 1) :]
+    widest = middle * problem.assignment.relative_widths.max(axis=1)
+    return widest > HIGHS_TOL
 
 
 def _chain(problem: LpProblem, solution: LpSolution) -> CutAssignment:
-    """The columns with positive LP value, in the bank's (i, -b, -c) order."""
+    """The support's columns, in the bank's (i, -b, -c) order."""
     bank = problem.assignment
     support = _support(problem, solution)
     cols = tuple(col for col, kept in zip(bank.columns, support) if kept)
@@ -673,7 +724,8 @@ def _hold_and_maximize_quadratic(
 def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructure:
     """Rebuild the width grid of the chain's columns, then its exact row sums.
 
-    Columns of the bank outside the chain carry no mass and are left out.
+    Columns of the bank outside the chain carry no mass beyond round-off
+    and are left out.
     """
     prior = problem.prior
     n = prior.n
@@ -755,13 +807,13 @@ def solve_general(
 ) -> GeneralSolution:
     """Best eps-private structure for a given utility and up to max_secrets.
 
-    Solves one LP over every non-uniform cut column. When the columns with
-    positive value do not form a chain (possible only on ties, as with a
+    Solves one LP over every non-uniform cut column. When the columns wider
+    than round-off do not form a chain (possible only on ties, as with a
     piecewise-linear utility), a second LP keeps the objective within
     CHECK_TOL of the optimum and maximizes the quadratic utility, which
     breaks the tie toward a chain. A budget past the point where full
     disclosure is private solves at that point, with the same optimum. The
-    reported assignment is the chain of positive columns sorted by
+    reported assignment is the chain of those columns sorted by
     (i, -b, -c); the structure is rebuilt from those columns alone and
     compressed; its mechanism is derived only when read.
 

@@ -7,6 +7,8 @@ the structure theorem that the cut bank does.
 
 import math
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -381,10 +383,19 @@ class TestPatternOracle:
 
 
 def _scipy_linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
-    """The same LP through scipy's linprog on HiGHS, with _highs's options."""
+    """The same LP through scipy's linprog on HiGHS, with _highs's options.
+
+    Presolve is on, as in _highs, only when a finite bound exceeds
+    PRESOLVE_ABOVE.
+    """
     from scipy.optimize import linprog
 
-    options = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+    finite = bounds[np.isfinite(bounds)]
+    options = dict(
+        primal_feasibility_tolerance=1e-10,
+        dual_feasibility_tolerance=1e-10,
+        presolve=bool(np.abs(finite).max() > ipd.general.PRESOLVE_ABOVE),
+    )
     return linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
         method="highs-ds", options=options,
@@ -589,9 +600,12 @@ class TestHighsCall:
             "HighsModelStatus.kOptimal", "HighsModelStatus.kInfeasible",
             "HighsDebugLevel.kHighsDebugLevelNone",
             "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
-            "_Highs.passOptions", "_Highs.passModel", "_Highs.run",
+            "_Highs.passOptions", "_Highs.setOptionValue", "_Highs.clearSolver",
+            "_Highs.passModel", "_Highs.run",
             "_Highs.getModelStatus", "_Highs.modelStatusToString", "_Highs.getSolution",
             "HighsSolution.col_value",
+            # read by the tests of the presolve rule
+            "_Highs.getModelPresolveStatus", "HighsPresolveStatus.kNotPresolved",
         ]
         for name in names:
             obj = _core
@@ -610,6 +624,89 @@ class TestHighsCall:
         for obj, attrs in fields.items():
             for attr in attrs:
                 assert hasattr(obj, attr), attr
+
+
+# At eps 20 the dual simplex without presolve stops on answers that fail
+# check_ip here, under every family below.
+PRESOLVED_PRIOR = [
+    (0.21104797585444215, 1.0),
+    (0.26505523508138484, 0.990648),
+    (0.523896789064173, 0.732662),
+]
+
+
+def _presolved():
+    """Whether HiGHS presolved the last LP this thread's solver ran."""
+    from scipy.optimize._highspy import _core
+
+    status = ipd.general._thread_highs().getModelPresolveStatus()
+    return status != _core.HighsPresolveStatus.kNotPresolved
+
+
+def _answer(prior, budget, u):
+    """repr of everything solve_general returns, so equal means bit-identical."""
+    solution = solve_general(prior, u=u, **budget)
+    structure = solution.structure
+    return repr((structure.widths, structure.cells, solution.assignment, solution.utility))
+
+
+class TestHighsSolver:
+    """Presolve by the LP's widest bound, one reused solver per thread, no round-off columns."""
+
+    @pytest.mark.parametrize("family", ["abs", "quadratic", "negentropy"])
+    def test_wide_bounds_are_presolved(self, family):
+        solution = solve_general(load_prior(PRESOLVED_PRIOR), 20.0, UtilityFn(family))
+        assert check_ip(solution.structure, 20.0).satisfied
+        assert _presolved()
+
+    def test_narrow_bounds_are_not_presolved(self):
+        solution = solve_general(load_prior(PRESOLVED_PRIOR), 1.0, UtilityFn("abs"))
+        assert check_ip(solution.structure, 1.0).satisfied
+        assert not _presolved()
+
+    @pytest.mark.parametrize(
+        "seed, n, family", [(22, 5, "quadratic"), (9, 7, "quadratic"), (8, 7, "abs")]
+    )
+    def test_round_off_columns_are_left_out(self, seed, n, family):
+        # without presolve HiGHS leaves degenerate basic columns at 1e-17 to
+        # 1e-13 on these LPs; kept as signals, they break the staircase shape
+        pairs, budget = _seeded(seed, n)
+        solution = solve_general(load_prior(pairs), u=UtilityFn(family), **budget)
+        assert check_regions(solution.structure, **budget).all_flags
+        widest = np.array(solution.structure.widths).max(axis=0)  # per signal
+        assert np.all(widest > ipd.general.HIGHS_TOL)
+
+    def test_an_infeasible_lp_leaves_no_trace(self):
+        corpus = _general_corpus()
+        first = [_answer(*case) for case in corpus]
+        # x0 + x1 = 3 with both in [0, 1], and x0 - x1 <= 0
+        args = (
+            np.array([1.0, 1.0]), np.array([[1.0, -1.0]]), np.zeros(1),
+            np.array([[1.0, 1.0]]), np.array([3.0]), np.array([[0.0, 1.0], [0.0, 1.0]]),
+        )
+        assert ipd.general._highs(*args).status == 2
+        assert [_answer(*case) for case in corpus] == first
+
+    def test_threads_give_the_serial_answers(self):
+        corpus = _general_corpus()
+        serial = [_answer(*case) for case in corpus]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(lambda case: _answer(*case), corpus * 3))
+        assert threaded == serial * 3
+
+    def test_each_thread_has_its_own_solver(self):
+        both_running = threading.Barrier(2)
+
+        def solver(_):
+            both_running.wait(timeout=30)
+            return ipd.general._thread_highs()
+
+        with ThreadPoolExecutor(2) as pool:
+            first, second = pool.map(solver, range(2))
+        assert first is not second
+        mine = ipd.general._thread_highs()
+        assert mine is ipd.general._thread_highs()
+        assert mine is not first and mine is not second
 
 
 class TestFeasibilityGuard:
