@@ -50,8 +50,10 @@ from .serialize import (
     write_json,
 )
 
-# The general solver and the oracles import numpy; only the commands that
-# run them import them, at call time, so the binary commands start without it.
+# Only the commands that run the general solver or the oracles import them,
+# at call time. The oracles import numpy; the general solver is plain Python
+# and loads numpy and scipy only with HiGHS, on three or more secrets. So the
+# binary commands, and solve-general on two secrets, start without numpy.
 
 MAX_GRID_POINTS = 100_000  # budgets in one sweep; each runs every utility
 MAX_SAMPLE_COUNT = 10_000_000  # draws in one sample; each prints one line

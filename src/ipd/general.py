@@ -8,10 +8,11 @@ e**eps) inside the yellow block, rows c..n get it below the block. Widths
 within such a column are all tied to the bottom row's width, and its
 posterior depends only on the prior and the cut, not on the widths.
 
-A bank of columns is described by two (columns x rows) boolean masks,
-`yellow` and `wide`, read as rows of a per-n table that expands every cut
-once. The relative widths, the posteriors, the LP's coefficient blocks and
-the rebuilt structure are all array expressions of those masks.
+A bank of columns is described by two (columns x rows) tables of flags,
+`yellow` and `wide`, whose rows are rows of a per-n table that expands
+every cut once. The relative widths, the posteriors, the LP and the rebuilt
+structure are all computed from those rows in plain Python, so this module
+imports no numpy; numpy arrives only with scipy's HiGHS bindings.
 
 Every cut column meets the budget on its own, so one LP whose middle
 variables are all the non-uniform cut columns at once admits only private
@@ -24,14 +25,19 @@ quadratic utility, which lands on a chain.
 
 assemble_lp/solve_lp handle one linear program; solve_general builds the
 bank, runs one or two LPs, and rebuilds the structure from the chain.
-linprog is the one LP backend: an LP with equality rows only and finite
-bounds goes to a small bounded-variable simplex in pure Python, and every
-other LP to HiGHS's dual simplex. The two-secret LP (at most six
-variables) is the only equality-only one the solver builds, since every LP
-for three or more secrets has budget-pair rows, so a two-secret solve does
-not import scipy. HiGHS is called through the bindings scipy bundles, with
-the model and tolerances scipy's linprog(method="highs-ds") would pass it
-but none of that wrapper's per-call checks. Each thread keeps one HiGHS
+assemble_lp builds the LP straight in HiGHS's column-wise form: for each
+variable, the rows it enters and its coefficients there, zeros left out,
+beside lists of row bounds, variable bounds and costs. linprog is the one
+LP backend: an LP with equality rows only and finite bounds is made dense
+and goes to a small bounded-variable simplex in pure Python, and every
+other LP goes to HiGHS's dual simplex. The two-secret LP (four rows, at
+most six variables) is the only equality-only one the solver builds, since
+every LP for three or more secrets has budget-pair rows, so a two-secret
+solve imports neither numpy nor scipy. HiGHS is called through the
+bindings scipy bundles, with the model and tolerances scipy's
+linprog(method="highs-ds") would pass it but none of that wrapper's
+per-call checks, and with an iteration cap of SIMPLEX_ITERATION_LIMIT, past
+which the LP fails instead of running on. Each thread keeps one HiGHS
 solver and reuses it for every LP it solves, and presolve runs only on an
 LP whose widest bound exceeds PRESOLVE_ABOVE (a budget past eps of about
 9.2); below that it costs more than the simplex and removes next to
@@ -44,13 +50,13 @@ row and bound.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .analysis import UtilityFn, expected_utility
 from .binary import _width_ratios
@@ -86,20 +92,38 @@ def all_cuts(n: int) -> list[CutColumn]:
     ]
 
 
-@lru_cache(maxsize=8)
-def _cut_table(n: int) -> tuple[dict[CutColumn, int], np.ndarray, np.ndarray]:
-    """Position, yellow mask and wide mask of every in-range cut for n secrets.
+Flags = tuple[tuple[bool, ...], ...]
+Levels = tuple[tuple[int, ...], ...]
 
-    The one place the (i, b, c) encoding is expanded: a bank's masks are
-    rows of these (cuts x rows) arrays, which the budget does not change.
+
+@lru_cache(maxsize=8)
+def _cut_table(n: int) -> tuple[dict[CutColumn, int], Flags, Flags, Levels]:
+    """Position, yellow flags, wide flags and width levels of every cut for n secrets.
+
+    The one place the (i, b, c) encoding is expanded: a bank's flags are
+    rows of these (cuts x rows) tables, which the budget does not change. A
+    row's level picks its width relative to the bottom row's from
+    (1/w, 1, w): 1 where the row is as wide as the bottom row, else 2 for
+    a wide row and 0 for a narrow one.
     """
     cuts = all_cuts(n)
-    i, b, c = np.array(cuts).T[:, :, None]
-    rows = np.arange(1, n + 1)
-    yellow = rows <= n + 1 - i
-    wide = np.where(yellow, rows <= b, rows >= c)
-    yellow.flags.writeable = wide.flags.writeable = False  # shared by every bank
-    return {cut: k for k, cut in enumerate(cuts)}, yellow, wide
+    rows = range(1, n + 1)
+    yellow = tuple(tuple(j <= n + 1 - i for j in rows) for i, _, _ in cuts)
+    wide = tuple(
+        tuple(j <= b if in_block else j >= c for j, in_block in zip(rows, block))
+        for (_, b, c), block in zip(cuts, yellow)
+    )
+    levels = tuple(tuple(1 if f == row[-1] else 2 if f else 0 for f in row) for row in wide)
+    return {cut: k for k, cut in enumerate(cuts)}, yellow, wide, levels
+
+
+@lru_cache(maxsize=16)
+def _bank_columns(n: int, positive: bool) -> tuple[CutColumn, ...]:
+    """The columns of _full_bank for n secrets at a positive or a zero budget."""
+    if not positive:
+        return tuple(CutColumn(i, 0, n + 2 - i) for i in range(2, n + 1))
+    position, _, wide, _ = _cut_table(n)  # position lists the cuts in order
+    return tuple(col for col, row in zip(position, wide) if any(row) and not all(row))
 
 
 def _width_bounds(w: Scalar) -> tuple[float, float]:
@@ -111,7 +135,7 @@ def _width_bounds(w: Scalar) -> tuple[float, float]:
 class CutAssignment:
     """A bank of distinct in-range middle columns for an n-secret instance.
 
-    Its yellow and wide masks are rows of the cut table of n; the budget
+    Its yellow and wide flags are rows of the cut table of n; the budget
     rides along so the relative widths and width factors are
     self-contained. A chain, the shape an optimal structure has, lists its
     columns in decreasing-posterior order, which the cut encoding makes
@@ -150,21 +174,24 @@ class CutAssignment:
         return [position[col] for col in self.columns]
 
     @cached_property
-    def yellow(self) -> np.ndarray:
-        """(columns x rows) mask of each column's yellow block, rows 1..n+1-i."""
-        return _cut_table(self.n)[1][self._positions]
+    def yellow(self) -> Flags:
+        """(columns x rows) flags of each column's yellow block, rows 1..n+1-i."""
+        table = _cut_table(self.n)[1]
+        return tuple(table[k] for k in self._positions)
 
     @cached_property
-    def wide(self) -> np.ndarray:
-        """(columns x rows) mask of the wide rows: 1..b in the block, c..n below."""
-        return _cut_table(self.n)[2][self._positions]
+    def wide(self) -> Flags:
+        """(columns x rows) flags of the wide rows: 1..b in the block, c..n below."""
+        table = _cut_table(self.n)[2]
+        return tuple(table[k] for k in self._positions)
 
     @cached_property
-    def relative_widths(self) -> np.ndarray:
+    def relative_widths(self) -> tuple[tuple[float, ...], ...]:
         """(columns x rows) width over the bottom row's width: 1/w, 1 or w."""
         inv_w, w = _width_bounds(self.exp_eps)
-        wide = self.wide
-        return np.where(wide == wide[:, -1:], 1.0, np.where(wide, w, inv_w))
+        factor = (inv_w, 1.0, w).__getitem__
+        table = _cut_table(self.n)[3]
+        return tuple(tuple(map(factor, table[k])) for k in self._positions)
 
 
 def _full_bank(n: int, exp_eps: Scalar) -> CutAssignment:
@@ -175,13 +202,7 @@ def _full_bank(n: int, exp_eps: Scalar) -> CutAssignment:
     zero budget every column is uniform and all columns sharing an i are the
     same column, so one per i remains.
     """
-    if exp_eps == 1:
-        cols = tuple(CutColumn(i, 0, n + 2 - i) for i in range(2, n + 1))
-    else:
-        position, _, wide = _cut_table(n)  # position lists the cuts in order
-        uniform = wide.all(axis=1) | ~wide.any(axis=1)
-        cols = tuple(col for col, flat in zip(position, uniform.tolist()) if not flat)
-    return CutAssignment(n, cols, exp_eps)
+    return CutAssignment(n, _bank_columns(n, exp_eps != 1), exp_eps)
 
 
 def _column_posteriors(prior: Prior, bank: CutAssignment) -> tuple[Scalar, ...]:
@@ -191,35 +212,39 @@ def _column_posteriors(prior: Prior, bank: CutAssignment) -> tuple[Scalar, ...]:
     by its width factor, so exact inputs give exact posteriors.
     """
     p, w = prior.p, bank.exp_eps
-    mass = [
-        [x * w if wide else x for x, wide in zip(p, row)] for row in bank.wide.tolist()
-    ]
+    mass = [[x * w if wide else x for x, wide in zip(p, row)] for row in bank.wide]
     return tuple(
         sum(x for x, y in zip(row, yellow) if y) / sum(row)
-        for row, yellow in zip(mass, bank.yellow.tolist())
+        for row, yellow in zip(mass, bank.yellow)
     )
 
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """The linear program of one bank of columns, stored as dense arrays.
+    """The linear program of one bank of columns, in HiGHS's column-wise form.
 
     Variables: a width ratio per non-bottom row of the all-yellow column, a
     width ratio per non-top row of the all-white column, then the bottom-row
     width of each middle column. Maximize objective . x + offset subject to
-    a_eq x = b_eq, a_ub x <= b_ub, and the (variables x 2) box bounds.
-    Problems compare by identity, since their fields are arrays.
+    row_lower <= A x <= row_upper and col_lower <= x <= col_upper. A is kept
+    by variable: variable j has the coefficients value[start[j]:start[j + 1]]
+    in the rows index[start[j]:start[j + 1]], rows ascending, zeros left
+    out. The rows are the budget-pair rows (from -inf to 0), then a
+    tie-break LP's hold row, then the 2n equality rows (both bounds equal).
+    Problems compare by identity.
     """
 
     prior: Prior
     assignment: CutAssignment
-    objective: np.ndarray
+    objective: list[float]
     offset: float
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    bounds: np.ndarray
+    start: list[int]
+    index: list[int]
+    value: list[float]
+    row_lower: list[float]
+    row_upper: list[float]
+    col_lower: list[float]
+    col_upper: list[float]
     column_posteriors: tuple[Scalar, ...]
 
 
@@ -227,14 +252,14 @@ class LpProblem:
 class LpSolution:
     """An optimal answer: linprog's x, objective . x + offset, its worst miss."""
 
-    values: np.ndarray
+    values: list[float]
     objective: float
     max_residual: float
 
 
 def _objective(
     prior: Prior, u: UtilityFn, bank: CutAssignment, posts: tuple[Scalar, ...]
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[float], float]:
     """LP objective coefficients and constant offset for utility u.
 
     The anchor rows of the all-yellow and all-white columns are the offset;
@@ -243,13 +268,12 @@ def _objective(
     p = [float(x) for x in prior.p]
     top = float(u(1)) * float(prior.q[-1])  # u(1) times the all-yellow anchor width
     bottom = float(u(0)) * float(1 - prior.q[0])  # u(0) times the all-white one
-    # Python's sum adds each row in order; np.sum pairs the terms of long rows
-    mass = [sum(row) for row in (bank.relative_widths * p).tolist()]
-    objective = np.array([
+    mass = [sum(map(operator.mul, row, p)) for row in bank.relative_widths]
+    objective = [
         *(top * x for x in p[:-1]),
         *(bottom * x for x in p[1:]),
         *(float(u(post)) * x for post, x in zip(posts, mass)),
-    ])
+    ]
     return objective, top * p[-1] + bottom * p[0]
 
 
@@ -260,66 +284,95 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     are fixed by the prior (the bottom secret's yellow mass has nowhere else
     to go, likewise the top secret's white mass), so only ratios against
     those anchors are free. Middle-column posteriors are constants, which is
-    what keeps the objective linear.
+    what keeps the objective linear. _constraints builds the rows and bounds.
+    """
+    if assignment.n != prior.n:
+        raise ValidationError(
+            f"assignment is for n={assignment.n}, prior has n={prior.n}"
+        )
+    posts = _column_posteriors(prior, assignment)
+    objective, offset = _objective(prior, u, assignment, posts)
+    return LpProblem(
+        prior, assignment, objective, offset, *_constraints(prior, assignment), posts
+    )
 
-    The first n equality rows fix each secret's total width, the next n its
-    yellow width; the middle columns enter them through the bank's relative
-    widths, masked by its yellow block in the second half.
+
+def _constraints(
+    prior: Prior,
+    bank: CutAssignment,
+    hold: tuple[list[float], float] | None = None,
+) -> tuple[list, ...]:
+    """The LP's start, index, value, row_lower, row_upper, col_lower, col_upper.
+
+    The box on the ratio variables only controls each row against the
+    anchor row; for n >= 3 the budget must also hold between two non-anchor
+    rows of the same column, one row x_j - w x_j2 <= 0 for each ordered
+    pair, which come first. hold, a (coefficients, upper) pair, adds the row
+    coefficients . x <= upper after them. The first n equality rows fix
+    each secret's total width, the next n its yellow width; the middle
+    columns enter them with the bank's relative widths, the second half only
+    in their yellow block.
     """
     n = prior.n
-    if assignment.n != n:
-        raise ValidationError(
-            f"assignment is for n={assignment.n}, prior has n={n}"
-        )
-    m = len(assignment.columns)
     q = [float(x) for x in prior.q]
     anchor_yellow = q[n - 1]
     anchor_white = float(1 - prior.q[0])
-    rel = assignment.relative_widths
-    inv_w, w = _width_bounds(assignment.exp_eps)
+    inv_w, w = _width_bounds(bank.exp_eps)
     ratios = 2 * (n - 1)
 
-    eye = np.eye(n - 1)
-    a_eq = np.zeros((2 * n, ratios + m))
+    # (row, coefficient) entries of each ratio variable, rows ascending
+    pair_entries = [[] for _ in range(ratios)]
+    pairs = 0
+    for first in (0, n - 1):
+        free = range(first, first + n - 1)
+        for j in free:
+            for j2 in free:
+                if j != j2:
+                    pair_entries[j].append((pairs, 1.0))
+                    pair_entries[j2].append((pairs, -w))
+                    pairs += 1
+    eq = pairs + (hold is not None)  # the first equality row
     # the all-yellow column's rows 1..n-1, the all-white column's rows 2..n
-    a_eq[: n - 1, : n - 1] = a_eq[n : 2 * n - 1, : n - 1] = anchor_yellow * eye
-    a_eq[1:n, n - 1 : ratios] = anchor_white * eye
-    a_eq[:n, ratios:] = rel.T
-    a_eq[n:, ratios:] = (rel * assignment.yellow).T
+    eq_entries = [[(eq + j, anchor_yellow), (eq + n + j, anchor_yellow)] for j in range(n - 1)]
+    eq_entries += [[(eq + 1 + j, anchor_white)] for j in range(n - 1)]
+
+    # the hold row's coefficients; without one they are zeros, left out below
+    coefficients = hold[0] if hold else [0.0] * (ratios + len(bank.columns))
+    start, index, value = [0], [], []
+    for j in range(ratios):
+        for row, v in (*pair_entries[j], (pairs, coefficients[j]), *eq_entries[j]):
+            if v != 0:
+                index.append(row)
+                value.append(v)
+        start.append(len(index))
+    # A middle column enters every total row and the yellow rows of its
+    # block, rows 1..top, with its relative widths, which are never zero.
+    rows_of = [[*range(eq, eq + n), *range(eq + n, eq + n + top)] for top in range(n + 1)]
+    for coefficient, rel, yellow in zip(
+        coefficients[ratios:], bank.relative_widths, bank.yellow
+    ):
+        if coefficient != 0:
+            index.append(pairs)
+            value.append(coefficient)
+        top = yellow.count(True)
+        index += rows_of[top]
+        value += rel
+        value += rel[:top]
+        start.append(len(index))
+
     # each row's total is 1 and its yellow width q, less what an anchor holds
     # (the bottom row's yellow width is all anchor)
-    totals = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow]
-    b_eq = np.array([*totals, *q[:-1], 0.0])
-
-    # The box on the ratio variables only controls each row against the
-    # anchor row; for n >= 3 the budget must also hold between two non-anchor
-    # rows of the same column: x_j - w x_j2 <= 0 for each ordered pair.
-    pairs = [
-        (start + j, start + j2)
-        for start in (0, n - 1)
-        for j in range(n - 1)
-        for j2 in range(n - 1)
-        if j != j2
-    ]
-    rows = range(len(pairs))
-    a_ub = np.zeros((len(pairs), ratios + m))
-    a_ub[rows, [j for j, _ in pairs]] = 1.0
-    a_ub[rows, [j2 for _, j2 in pairs]] = -w
-
-    posts = _column_posteriors(prior, assignment)
-    objective, offset = _objective(prior, u, assignment, posts)
-    bounds = np.array([(inv_w, w)] * ratios + [(0.0, 1.0)] * m)
-    return LpProblem(
-        prior=prior,
-        assignment=assignment,
-        objective=objective,
-        offset=offset,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_ub=a_ub,
-        b_ub=np.zeros(len(pairs)),
-        bounds=bounds,
-        column_posteriors=posts,
+    b_eq = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow, *q[:-1], 0.0]
+    upper = [0.0] * pairs + ([hold[1]] if hold else [])
+    m = len(bank.columns)
+    return (
+        start,
+        index,
+        value,
+        [-math.inf] * len(upper) + b_eq,
+        upper + b_eq,
+        [inv_w] * ratios + [0.0] * m,
+        [w] * ratios + [1.0] * m,
     )
 
 
@@ -327,7 +380,7 @@ class LinprogResult(NamedTuple):
     """linprog's answer: scipy's status code, x when optimal, and a message."""
 
     status: int  # 0 optimal, 2 infeasible, anything else a failure
-    x: np.ndarray | None
+    x: list[float] | None
     message: str
 
 
@@ -353,80 +406,86 @@ HIGHS_TOL = 1e-10
 # way, and from eps 20 the dual simplex alone can stop on answers that fail
 # check_ip, so a wide LP is solved as scipy's linprog would solve it.
 PRESOLVE_ABOVE = 1e4
+# The most dual simplex iterations HiGHS may take on one LP; past it the LP
+# fails with a SolverError instead of running on. Seeded solves at eps 0.3
+# to 30 took at most 10, 30, 88, 215 and 380 iterations at n = 3, 5, 10, 20
+# and 30, and 2016 solves at n = 3..6, eps 3 to 30, with a q of 0, 1 or
+# 1e-6, at most 58; yet some LPs past eps 20 never finish without a cap.
+SIMPLEX_ITERATION_LIMIT = 10_000
 
 
 def linprog(
-    c: np.ndarray,
-    A_ub: np.ndarray,
-    b_ub: np.ndarray,
-    A_eq: np.ndarray,
-    b_eq: np.ndarray,
-    bounds: np.ndarray,
-):
-    """Minimize c . x subject to A_ub x <= b_ub, A_eq x = b_eq and box bounds.
+    c: list[float],
+    start: list[int],
+    index: list[int],
+    value: list[float],
+    row_lower: list[float],
+    row_upper: list[float],
+    col_lower: list[float],
+    col_upper: list[float],
+) -> LinprogResult:
+    """Minimize c . x subject to row_lower <= A x <= row_upper and col bounds.
 
     solve_lp's backend; the pattern-LP oracle goes through scipy's own
     linprog instead, so that it stays an independent check of this path.
-    The arguments are arrays, bounds one (low, high) row per variable; the
-    result carries scipy's status (0 optimal, 2 infeasible), x and a
-    message. An LP with no inequality rows and finite bounds (of the
-    solver's LPs, only the two-secret one) goes to a dense bounded-variable
-    simplex in pure Python, whose answer is taken only when it passes the
-    GUARD_TOL checks. Every other LP, and every one the simplex fails or
-    the guard rejects, goes to HiGHS's dual simplex through _highs, on this
-    thread's solver and with presolve only past PRESOLVE_ABOVE; scipy is
-    imported then, on first use, so a two-secret solve normally never
-    loads it.
+    A is given by column as in LpProblem; the result carries scipy's status
+    (0 optimal, 2 infeasible), x and a message. An LP whose rows are all
+    equalities and whose bounds are all finite (of the solver's LPs, only
+    the two-secret one) is made dense for a bounded-variable simplex in pure
+    Python, whose answer is taken only when it passes the GUARD_TOL checks.
+    Every other LP, and every one the simplex fails or the guard rejects,
+    goes to HiGHS's dual simplex through _highs, on this thread's solver and
+    with presolve only past PRESOLVE_ABOVE; scipy is imported then, on first
+    use, so a two-secret solve normally never loads it.
     """
-    if not len(b_ub) and np.isfinite(bounds).all():
-        lo, hi = bounds.T.tolist()
-        a, b = A_eq.tolist(), b_eq.tolist()
-        x = _bounded_simplex(c.tolist(), a, b, lo, hi)
-        if x is not None and (x := _guarded(x, a, b, lo, hi)) is not None:
-            return LinprogResult(0, np.array(x), "optimal (bounded simplex)")
-    return _highs(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    if row_lower == row_upper and all(map(math.isfinite, col_lower + col_upper)):
+        a = [[0.0] * len(c) for _ in row_upper]
+        for j, (s, e) in enumerate(zip(start, start[1:])):
+            for row, v in zip(index[s:e], value[s:e]):
+                a[row][j] = v
+        x = _bounded_simplex(c, a, row_upper, col_lower, col_upper)
+        if x is not None:
+            x = _guarded(x, a, row_upper, col_lower, col_upper)
+        if x is not None:
+            return LinprogResult(0, x, "optimal (bounded simplex)")
+    return _highs(c, start, index, value, row_lower, row_upper, col_lower, col_upper)
 
 
 def _highs(
-    c: np.ndarray,
-    A_ub: np.ndarray,
-    b_ub: np.ndarray,
-    A_eq: np.ndarray,
-    b_eq: np.ndarray,
-    bounds: np.ndarray,
+    c: list[float],
+    start: list[int],
+    index: list[int],
+    value: list[float],
+    row_lower: list[float],
+    row_upper: list[float],
+    col_lower: list[float],
+    col_upper: list[float],
 ) -> LinprogResult:
     """linprog's LP on HiGHS's dual simplex, through scipy's HiGHS bindings.
 
-    The model is the one scipy's linprog(method="highs-ds") hands HiGHS,
-    without its input checks and result post-processing: the rows are A_ub
-    then A_eq, stored by column with zeros dropped, each inequality row
-    running from -inf and each equality row pinned at both ends. It goes to
-    this thread's solver (_thread_highs), whose solve state is cleared
-    first, with presolve on only when a finite bound exceeds
-    PRESOLVE_ABOVE, so past that bound it is the call scipy makes. An optimal
-    model gives status 0 and HiGHS's x, an infeasible one status 2; any
-    other model status, or an error from HiGHS, gives status 4. solve_lp
-    checks the x.
+    The lists go to HiGHS as they are; they are the model scipy's
+    linprog(method="highs-ds") would hand HiGHS for the same LP with its
+    inequality rows given as A_ub and its equality rows as A_eq, without
+    that wrapper's input checks and result post-processing. It goes to this
+    thread's solver (_thread_highs), whose solve state is cleared first,
+    with presolve on only when a finite bound exceeds PRESOLVE_ABOVE, so
+    past that bound it is the call scipy makes. An optimal model gives
+    status 0 and HiGHS's x, an infeasible one status 2; any other model
+    status (the iteration limit included), or an error from HiGHS, gives
+    status 4. solve_lp checks the x.
     """
     from scipy.optimize._highspy import _core as highs
 
-    a = np.concatenate((A_ub.T, A_eq.T), axis=1)  # the LP's columns, one per row
-    nonzero = a != 0
-    cols, rows = nonzero.nonzero()
     lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = a.shape
     matrix = lp.a_matrix_
     matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = a.shape
-    # integer vectors cross the binding fastest as lists, float ones as arrays
-    matrix.start_ = [0, *np.cumsum(np.bincount(cols, minlength=len(a))).tolist()]
-    matrix.index_ = rows.tolist()
-    matrix.value_ = a[nonzero]
+    lp.num_col_ = matrix.num_col_ = len(c)
+    lp.num_row_ = matrix.num_row_ = len(row_lower)
+    matrix.start_, matrix.index_, matrix.value_ = start, index, value
     lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = bounds.T.copy()
-    lp.row_lower_ = np.concatenate((np.full(len(b_ub), -highs.kHighsInf), b_eq))
-    lp.row_upper_ = np.concatenate((b_ub, b_eq))
-    widest = np.max(np.abs(bounds), where=np.isfinite(bounds), initial=0.0)
+    lp.col_lower_, lp.col_upper_ = col_lower, col_upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    widest = max(map(abs, filter(math.isfinite, col_lower + col_upper)), default=0.0)
     presolve = "on" if widest > PRESOLVE_ABOVE else "off"
 
     solver = _thread_highs()
@@ -442,7 +501,7 @@ def _highs(
     if not ran:
         return LinprogResult(4, None, f"HiGHS could not load or run the LP; {message}")
     if status == highs.HighsModelStatus.kOptimal:
-        return LinprogResult(0, np.array(solver.getSolution().col_value), message)
+        return LinprogResult(0, solver.getSolution().col_value, message)
     if status == highs.HighsModelStatus.kInfeasible:
         return LinprogResult(2, None, message)
     return LinprogResult(4, None, message)
@@ -472,7 +531,8 @@ def _highs_options():
     """The options scipy's linprog(method="highs-ds") sets, presolve aside.
 
     Primal and dual feasibility tolerances HIGHS_TOL, the dual simplex, no
-    output. _highs sets presolve per LP.
+    output; beyond scipy's, the cap SIMPLEX_ITERATION_LIMIT. _highs sets
+    presolve per LP.
     """
     from scipy.optimize._highspy import _core as highs
 
@@ -482,6 +542,7 @@ def _highs_options():
     options.simplex_strategy = strategy.kSimplexStrategyDual
     options.primal_feasibility_tolerance = HIGHS_TOL
     options.dual_feasibility_tolerance = HIGHS_TOL
+    options.simplex_iteration_limit = SIMPLEX_ITERATION_LIMIT
     options.output_flag = options.log_to_console = False
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     return options
@@ -647,35 +708,45 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     linprog is looked up as a module global at call time, so a replacement
     bound here (a test's fake, a tracer's wrapper) sees every solve.
     """
+    start, index, value = problem.start, problem.index, problem.value
     result = linprog(
-        -problem.objective,
-        problem.a_ub,
-        problem.b_ub,
-        problem.a_eq,
-        problem.b_eq,
-        problem.bounds,
+        [-v for v in problem.objective],
+        start,
+        index,
+        value,
+        problem.row_lower,
+        problem.row_upper,
+        problem.col_lower,
+        problem.col_upper,
     )
     if result.status != 0:
         raise SolverError(f"LP solver failed: {result.message}")
-    x = result.x
-    lo, hi = problem.bounds.T
-    residual = np.max(np.concatenate([
-        np.abs(problem.a_eq @ x - problem.b_eq),
-        problem.a_ub @ x - problem.b_ub,
-        lo - x,
-        x - hi,
-    ]))
+    x = list(result.x)
+    activity = [0.0] * len(problem.row_lower)
+    for xj, s, e in zip(x, start, start[1:]):
+        if xj:  # most columns sit at zero
+            for row, v in zip(index[s:e], value[s:e]):
+                activity[row] += v * xj
+    misses = [
+        max(low - v, v - high)
+        for low, v, high in zip(
+            problem.row_lower + problem.col_lower,
+            activity + x,
+            problem.row_upper + problem.col_upper,
+        )
+    ]
+    residual = math.nan if any(map(math.isnan, misses)) else max(misses)
     if not residual <= FEASIBILITY_TOL:  # a NaN fails too
         raise SolverError(
             f"LP solver answer misses its rows or bounds by {residual:.3g}, "
             f"more than {FEASIBILITY_TOL:.3g}"
         )
-    objective = float(problem.objective @ x) + problem.offset
-    return LpSolution(x, objective, float(residual))
+    objective = sum(map(operator.mul, problem.objective, x)) + problem.offset
+    return LpSolution(x, objective, residual)
 
 
-def _support(problem: LpProblem, solution: LpSolution) -> np.ndarray:
-    """Mask of the bank's columns whose widest cell exceeds HIGHS_TOL.
+def _support(problem: LpProblem, solution: LpSolution) -> list[bool]:
+    """Flags of the bank's columns whose widest cell exceeds HIGHS_TOL.
 
     A column's widest cell is its LP value times its largest relative
     width. One no wider than HiGHS's feasibility tolerance is round-off the
@@ -683,15 +754,17 @@ def _support(problem: LpProblem, solution: LpSolution) -> np.ndarray:
     leaves at 1e-17 to 1e-13; the chain and the structure leave it out.
     """
     middle = solution.values[2 * (problem.prior.n - 1) :]
-    widest = middle * problem.assignment.relative_widths.max(axis=1)
-    return widest > HIGHS_TOL
+    return [
+        v * max(rel) > HIGHS_TOL
+        for v, rel in zip(middle, problem.assignment.relative_widths)
+    ]
 
 
 def _chain(problem: LpProblem, solution: LpSolution) -> CutAssignment:
     """The support's columns, in the bank's (i, -b, -c) order."""
     bank = problem.assignment
     support = _support(problem, solution)
-    cols = tuple(col for col, kept in zip(bank.columns, support) if kept)
+    cols = tuple(itertools.compress(bank.columns, support))
     return CutAssignment(bank.n, cols, bank.exp_eps)
 
 
@@ -702,21 +775,16 @@ def _hold_and_maximize_quadratic(
 
     The row objective . x + offset >= optimum - CHECK_TOL keeps the primary
     value; a tighter slack lets solver round-off cut off the chain optima.
-    The constraint rows are the first LP's; only the objective is rebuilt.
+    It joins the first LP's rows after the budget-pair rows; the bank's
+    posteriors are the first LP's, and only the objective is recomputed.
     """
-    objective, offset = _objective(
-        problem.prior,
-        UtilityFn("quadratic"),
-        problem.assignment,
-        problem.column_posteriors,
-    )
+    prior, bank = problem.prior, problem.assignment
+    posts = problem.column_posteriors
+    objective, offset = _objective(prior, UtilityFn("quadratic"), bank, posts)
     floor = solution.objective - problem.offset - CHECK_TOL
-    held = replace(
-        problem,
-        objective=objective,
-        offset=offset,
-        a_ub=np.vstack([problem.a_ub, -problem.objective]),
-        b_ub=np.append(problem.b_ub, -floor),
+    hold = ([-v for v in problem.objective], -floor)
+    held = LpProblem(
+        prior, bank, objective, offset, *_constraints(prior, bank, hold), posts
     )
     return held, solve_lp(held)
 
@@ -731,37 +799,41 @@ def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructur
     n = prior.n
     bank = problem.assignment
     x = solution.values
-    support = _support(problem, solution)
-    middle = x[2 * (n - 1) :][support]
-    m = len(middle)
-    # (columns x rows), as the bank's arrays are: the all-yellow column,
+    kept = list(
+        itertools.compress(
+            zip(x[2 * (n - 1) :], bank.relative_widths, bank.yellow),
+            _support(problem, solution),
+        )
+    )
+    # (columns x rows), as the bank's tables are: the all-yellow column,
     # the chain's columns, the all-white column
     anchor_yellow, anchor_white = float(prior.q[n - 1]), float(1 - prior.q[0])
-    widths = np.empty((m + 2, n))
-    widths[0] = [*x[: n - 1] * anchor_yellow, anchor_yellow]
-    widths[1:-1] = bank.relative_widths[support] * middle[:, None]
-    widths[-1] = [anchor_white, *x[n - 1 : 2 * (n - 1)] * anchor_white]
-    yellow = np.zeros((m + 2, n), dtype=bool)
-    yellow[0] = True
-    yellow[1:-1] = bank.yellow[support]
+    widths = [
+        [*(v * anchor_yellow for v in x[: n - 1]), anchor_yellow],
+        *([r * v for r in rel] for v, rel, _ in kept),
+        [anchor_white, *(v * anchor_white for v in x[n - 1 : 2 * (n - 1)])],
+    ]
+    yellow = [(True,) * n, *(flags for _, _, flags in kept), (False,) * n]
     return _rescaled_structure(prior, widths, yellow, solution.max_residual)
 
 
 def _rescaled_structure(
-    prior: Prior, widths: np.ndarray, yellow: np.ndarray, residual: float
+    prior: Prior, widths: list[list[float]], yellow: list[list[bool]], residual: float
 ) -> InfoStructure:
     """The structure of (columns x rows) LP widths, rescaled to exact row sums.
 
     An LP's 1e-9-level residuals would trip the structure's normalization
-    checks, so each row's yellow and white widths are rescaled in place to
-    the prior's shares; a share above max(CHECK_TOL, 10 * residual) that no
+    checks, so each row's yellow and white widths are rescaled to the
+    prior's shares; a share above max(CHECK_TOL, 10 * residual) that no
     column covers is a SolverError. The signals are t1, t2, ... in order.
     """
+    rows = [*zip(*widths)]  # (rows x columns), as the structure keeps them
+    marks = [*zip(*yellow)]
     # Per secret, its yellow and then its white widths summed in column
     # order, each against the share of the prior (q, then 1 - q) it must hold.
     sums = [
         (target, total)
-        for row, mark, q in zip(widths.T.tolist(), yellow.T.tolist(), prior.q)
+        for row, mark, q in zip(rows, marks, prior.q)
         for target, total in (
             (float(q), sum(w for w, y in zip(row, mark) if y)),
             (float(1 - q), sum(w for w, y in zip(row, mark) if not y)),
@@ -770,13 +842,15 @@ def _rescaled_structure(
     slack = max(CHECK_TOL, 10 * residual)
     if any(total <= 0 and target > slack for target, total in sums):
         raise SolverError("LP solution does not cover a row's required mass")
-    scale = np.array([target / total if total > 0 else 1.0 for target, total in sums])
-    widths *= np.where(yellow, scale[0::2], scale[1::2])
+    scale = [target / total if total > 0 else 1.0 for target, total in sums]
     return InfoStructure(
         prior=prior,
         signals=tuple(f"t{k + 1}" for k in range(len(widths))),
-        widths=tuple(map(tuple, widths.T.tolist())),
-        cells=tuple(map(tuple, yellow.T.astype(float).tolist())),
+        widths=tuple(
+            tuple(w * (on if y else off) for w, y in zip(row, mark))
+            for row, mark, on, off in zip(rows, marks, scale[0::2], scale[1::2])
+        ),
+        cells=tuple(tuple(1.0 if y else 0.0 for y in mark) for mark in marks),
     )
 
 

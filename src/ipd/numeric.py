@@ -40,11 +40,14 @@ PATH_TOL = 1e-7
 
 # Default secret cap of the general solver, whose dense LP has O(n**3)
 # columns and O(n**2) rows. It lives here, not in general.py, so the CLI
-# parser can show it as a default without importing numpy.
+# parser can show it as a default without importing the general solver.
 MAX_SECRETS = 20
 
 _TOLERANCE_ENV = "IPD_TOLERANCE"
 MAX_EPS = math.log(sys.float_info.max)  # beyond it e**eps overflows a float
+# The largest float as an int, so an exact bound is checked against it
+# without turning the float into a 1024-bit Fraction on every call.
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def check_slack() -> float:
@@ -109,7 +112,7 @@ def ratio_bound(eps: float | None = None, exp_eps: Scalar | None = None) -> Scal
         bound = exactify(exp_eps)
         if bound < 1:
             raise ValidationError(f"exp_eps must be >= 1, got {exp_eps!r}")
-        if bound > sys.float_info.max:  # a budget past what eps allows
+        if bound > _FLOAT_MAX:  # a budget past what eps allows
             raise ValidationError(f"exp_eps must be at most e**{MAX_EPS:.2f}")
         return bound
     if not 0 <= eps <= MAX_EPS:

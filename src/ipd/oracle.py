@@ -364,7 +364,7 @@ def pattern_lp_oracle(
     keep = x > 0
     residual = float(np.max(np.abs(a_eq @ x - b_eq)))
     witness = _rescaled_structure(
-        prior, x[keep, None] * widths[keep], yellow[keep], residual
+        prior, (x[keep, None] * widths[keep]).tolist(), yellow[keep].tolist(), residual
     )
     return OracleReport(
         best_utility=float(gain @ x),

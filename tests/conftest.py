@@ -60,3 +60,15 @@ def random_binary_prior(rng: np.random.Generator, gap: float = 0.05):
     q1 = rng.uniform(0.02, 0.9 - gap)
     q0 = rng.uniform(q1 + gap, 0.98)
     return load_prior([(p0, q0), (1.0 - p0, q1)])
+
+
+# At eps 23 under the quadratic utility, HiGHS's dual simplex never finishes
+# this prior's LP without an iteration cap.
+RUNAWAY_PRIOR = [
+    (0.19191968999582873, 0.5374100700757825),
+    (0.2167549332487808, 0.06103034737112922),
+    (0.14291066779780362, 1.0),
+    (0.10203841661017932, 0.7400128757292261),
+    (0.08801632271773992, 0.6471881237673606),
+    (0.2583599696296675, 0.35346600926098826),
+]

@@ -35,6 +35,8 @@ from ipd.serialize import (
     write_json,
 )
 
+from conftest import RUNAWAY_PRIOR
+
 
 @pytest.fixture
 def prior_file(tmp_path):
@@ -94,6 +96,12 @@ class TestParseEps:
         # 2**1024 passes the float check on its log, not the exact one
         with pytest.raises(ValidationError):
             ratio_bound(exp_eps=parse_eps("1024ln2")[1])
+
+    def test_exact_bound_at_the_largest_float_is_the_last_accepted(self):
+        largest = Fraction(int(sys.float_info.max))
+        assert ratio_bound(exp_eps=largest) == largest
+        with pytest.raises(ValidationError):
+            ratio_bound(exp_eps=largest + 1)
 
 
 class TestNumberCodec:
@@ -353,8 +361,10 @@ class TestImportCost:
             ("ipd.cli", ("numpy", "scipy.optimize")),
             # the solver and the oracles import scipy only inside the LP calls
             ("ipd.oracle, ipd.general", ("scipy.optimize",)),
+            # the solver's own arithmetic is plain Python
+            ("ipd.general", ("numpy", "scipy.optimize")),
         ],
-        ids=["ipd", "ipd.cli", "ipd.oracle-ipd.general"],
+        ids=["ipd", "ipd.cli", "ipd.oracle-ipd.general", "ipd.general"],
     )
     def test_import_loads_neither_numpy_nor_scipy_optimize(self, modules, unloaded):
         listed = f"[m for m in {unloaded!r} if m in sys.modules]"
@@ -379,19 +389,22 @@ print(codes, "numpy" in sys.modules)
     def test_solve_general_loads_scipy_only_when_it_runs(
         self, prior_file, three_secret_prior_file
     ):
-        # two secrets take the in-package simplex, three go to HiGHS
+        # two secrets take the in-package simplex and load neither numpy nor
+        # scipy; three go to HiGHS, whose bindings bring both
         code = """
 import contextlib, io, sys
 from ipd.cli import main
-seen = ["scipy.optimize" in sys.modules]
+def loaded():
+    return ["numpy" in sys.modules, "scipy.optimize" in sys.modules]
+seen = loaded()
 for prior in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["solve-general", prior, "--eps", "ln2", "--utility", "abs"])
-    seen += [code, "scipy.optimize" in sys.modules]
+    seen += [code, *loaded()]
 print(*seen)
 """
         stdout = self._child(code, prior_file, three_secret_prior_file)
-        assert stdout == "False 0 False 0 True"
+        assert stdout == "False False 0 False False 0 True True"
 
 
 class TestVerifyCommand:
@@ -462,6 +475,18 @@ class TestSolveGeneralCommand:
     ):
         monkeypatch.setattr(ipd.general, "_highs", lambda *args: self.FAILED)
         self._exits_2_with_json_error(three_secret_prior_file, capsys)
+
+    def test_lp_past_the_iteration_limit_exits_2_with_json_error(self, tmp_path, capsys):
+        path = tmp_path / "runaway.json"
+        secrets = [
+            {"name": f"s{k}", "p": p, "q_y1": q} for k, (p, q) in enumerate(RUNAWAY_PRIOR)
+        ]
+        path.write_text(json.dumps({"secrets": secrets}))
+        args = ["solve-general", str(path), "--eps", "23", "--utility", "quadratic"]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SolverError"
+        assert "Iteration limit reached" in err["message"]
 
 
 class TestUtilityCommand:

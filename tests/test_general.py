@@ -46,7 +46,62 @@ from ipd.general import (
 )
 from ipd.numeric import CHECK_TOL, PATH_TOL
 
-from conftest import random_binary_prior
+from conftest import RUNAWAY_PRIOR, random_binary_prior
+
+
+def _lp_args(problem):
+    """linprog's arguments for problem, as solve_lp passes them."""
+    return (
+        [-v for v in problem.objective], problem.start, problem.index, problem.value,
+        problem.row_lower, problem.row_upper, problem.col_lower, problem.col_upper,
+    )
+
+
+def _dense(c, start, index, value, row_lower, row_upper, col_lower, col_upper):
+    """A column-wise LP as dense arrays: (c, A_ub, b_ub, A_eq, b_eq, bounds).
+
+    The rows from -inf are A_ub's, the others A_eq's; the solver lists
+    every inequality row first, so stacking A_ub on A_eq keeps its order.
+    """
+    a = np.zeros((len(row_lower), len(c)))
+    for j in range(len(c)):
+        for k in range(start[j], start[j + 1]):
+            a[index[k], j] = value[k]
+    ub = np.array(row_lower) == -np.inf
+    assert sorted(ub, reverse=True) == ub.tolist()  # A_ub's rows, then A_eq's
+    b = np.array(row_upper)
+    return np.array(c), a[ub], b[ub], a[~ub], b[~ub], np.column_stack([col_lower, col_upper])
+
+
+def _columnwise(c, a_ub, b_ub, a_eq, b_eq, bounds):
+    """linprog's arguments for a dense LP: A_ub's rows then A_eq's, by column, zeros left out."""
+    start, index, value = [0], [], []
+    for column in np.vstack([a_ub, a_eq]).T.tolist():
+        for row, v in enumerate(column):
+            if v != 0:
+                index.append(row)
+                value.append(v)
+        start.append(len(index))
+    lo, hi = np.array(bounds, dtype=float).T.tolist()
+    upper = list(b_ub) + list(b_eq)
+    return list(c), start, index, value, [-math.inf] * len(b_ub) + list(b_eq), upper, lo, hi
+
+
+def _with(values, k, v):
+    """A copy of the list values with entry k replaced by v."""
+    out = list(values)
+    out[k] = v
+    return out
+
+
+# x0 + x1 = 3 with both in [0, 1]
+INFEASIBLE_EQ = _columnwise(
+    [1.0, 1.0], np.zeros((0, 2)), [], [[1.0, 1.0]], [3.0], [[0.0, 1.0], [0.0, 1.0]]
+)
+# the same, and x0 - x1 <= 0
+INFEASIBLE = _columnwise(
+    [1.0, 1.0], [[1.0, -1.0]], [0.0], [[1.0, 1.0]], [3.0], [[0.0, 1.0], [0.0, 1.0]]
+)
 
 
 class TestEnumeration:
@@ -56,13 +111,13 @@ class TestEnumeration:
         # wide for j <= b inside that block or j >= c below it
         bank = CutAssignment(n, tuple(all_cuts(n)), Fraction(3))
         for col, yellow, wide, rel in zip(
-            bank.columns, bank.yellow.tolist(), bank.wide.tolist(), bank.relative_widths
+            bank.columns, bank.yellow, bank.wide, bank.relative_widths
         ):
             top = n + 1 - col.i
-            assert yellow == [j <= top for j in range(1, n + 1)]
-            assert wide == [j <= col.b if j <= top else j >= col.c for j in range(1, n + 1)]
+            assert yellow == tuple(j <= top for j in range(1, n + 1))
+            assert wide == tuple(j <= col.b if j <= top else j >= col.c for j in range(1, n + 1))
             factors = [Fraction(3) if f else 1 for f in wide]
-            assert rel.tolist() == [float(f / factors[-1]) for f in factors]
+            assert rel == tuple(float(f / factors[-1]) for f in factors)
 
     def test_out_of_range_column_rejected(self):
         with pytest.raises(ValidationError):
@@ -114,11 +169,10 @@ class TestAssembleLp:
         )
         problem = assemble_lp(fixture_prior_exact, UtilityFn("abs"), assignment)
         x = np.array([2.0, 2.0, 1 / 12, 1 / 6])
-        a_eq = np.array(problem.a_eq)
-        b_eq = np.array(problem.b_eq)
+        _, a_ub, _, a_eq, b_eq, bounds = _dense(*_lp_args(problem))
+        assert a_ub.shape == (0, 4)
         assert np.max(np.abs(a_eq @ x - b_eq)) <= 1e-12
-        lo = np.array([b[0] for b in problem.bounds])
-        hi = np.array([b[1] for b in problem.bounds])
+        lo, hi = bounds.T
         assert np.all(x >= lo - 1e-12)
         assert np.all(x <= hi + 1e-12)
         value = float(np.dot(problem.objective, x)) + float(problem.offset)
@@ -135,7 +189,8 @@ class TestAssembleLp:
         assert problem.column_posteriors == (f(3, 4),)
         # variables: yellow ratios rows 1-2, white ratios rows 2-3, the
         # column's bottom width; both anchors are 1/4 (q3 and 1 - q1)
-        assert problem.a_eq.tolist() == [
+        _, a_ub, b_ub, a_eq, b_eq, bounds = _dense(*_lp_args(problem))
+        assert a_eq.tolist() == [
             [0.25, 0.0, 0.0, 0.0, 2.0],  # total width, row 1
             [0.0, 0.25, 0.25, 0.0, 1.0],
             [0.0, 0.0, 0.0, 0.25, 1.0],
@@ -143,25 +198,110 @@ class TestAssembleLp:
             [0.0, 0.25, 0.0, 0.0, 1.0],
             [0.0, 0.0, 0.0, 0.0, 0.0],  # row 3 is white in the column
         ]
-        assert problem.b_eq.tolist() == [0.75, 1.0, 0.75, 0.75, 0.5, 0.0]
+        assert b_eq.tolist() == [0.75, 1.0, 0.75, 0.75, 0.5, 0.0]
         # x_j <= w x_j2 between the two free rows of each anchor column
-        assert problem.a_ub.tolist() == [
+        assert a_ub.tolist() == [
             [1.0, -2.0, 0.0, 0.0, 0.0],
             [-2.0, 1.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, -2.0, 0.0],
             [0.0, 0.0, -2.0, 1.0, 0.0],
         ]
-        assert problem.b_ub.tolist() == [0.0] * 4
-        assert problem.bounds.tolist() == [[0.5, 2.0]] * 4 + [[0.0, 1.0]]
+        assert b_ub.tolist() == [0.0] * 4
+        assert bounds.tolist() == [[0.5, 2.0]] * 4 + [[0.0, 1.0]]
         # u(1) q3 p1, u(1) q3 p2, u(0) (1 - q1) p2, u(0) (1 - q1) p3, then
         # u(3/4) (2 p1 + p2 + p3); the offset is the two anchors' own rows
-        assert problem.objective.tolist() == [0.125, 0.03125, 0.03125, 0.09375, 0.75]
+        assert problem.objective == [0.125, 0.03125, 0.03125, 0.09375, 0.75]
         assert problem.offset == 0.21875
 
     def test_prior_size_mismatch_rejected(self, fixture_prior_exact):
         assignment = CutAssignment(n=3, columns=(), exp_eps=Fraction(2))
         with pytest.raises(ValidationError):
             assemble_lp(fixture_prior_exact, UtilityFn("abs"), assignment)
+
+
+def _model_prior(n):
+    """A seeded n-secret float prior; n=4 has q_n = 0 and n=5 has q_1 = 1, so an anchor is 0."""
+    rng = random.Random(n)
+    q = [round(rng.uniform(0, 1), 6) for _ in range(n)]
+    if n == 4:
+        q[-1] = 0.0
+    if n == 5:
+        q[0] = 1.0
+    p = [rng.uniform(0.1, 1.0) for _ in range(n)]
+    return load_prior([(x / sum(p), y) for x, y in zip(p, q)])
+
+
+class TestColumnwiseModel:
+    """assemble_lp's column-wise lists against dense blocks built from the cut definition."""
+
+    W = Fraction(3)
+
+    def _expected(self, prior, bank):
+        """(A_ub, A_eq, b_eq) of the bank's LP, from (i, b, c) alone."""
+        n, w = prior.n, self.W
+        ratios, m = 2 * (n - 1), len(bank.columns)
+        anchor_yellow, anchor_white = float(prior.q[-1]), float(1 - prior.q[0])
+        a_eq = np.zeros((2 * n, ratios + m))
+        for j in range(n - 1):
+            a_eq[j, j] = a_eq[n + j, j] = anchor_yellow  # all-yellow column, rows 1..n-1
+            a_eq[j + 1, n - 1 + j] = anchor_white  # all-white column, rows 2..n
+        for k, (i, b, c) in enumerate(bank.columns):
+            top = n + 1 - i
+            factor = [w if (j <= b if j <= top else j >= c) else 1 for j in range(1, n + 1)]
+            for j in range(n):
+                a_eq[j, ratios + k] = float(factor[j] / factor[-1])
+                if j < top:
+                    a_eq[n + j, ratios + k] = float(factor[j] / factor[-1])
+        b_eq = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow]
+        b_eq += [float(x) for x in prior.q[:-1]] + [0.0]
+        a_ub = []
+        for first in (0, n - 1):
+            for j in range(first, first + n - 1):
+                for j2 in range(first, first + n - 1):
+                    if j != j2:
+                        a_ub.append(np.zeros(ratios + m))
+                        a_ub[-1][[j, j2]] = 1.0, -float(w)
+        return np.reshape(a_ub, (-1, ratios + m)), a_eq, b_eq
+
+    @staticmethod
+    def _assert_columnwise(start, index, value):
+        """Rows ascending within each column, and no zero entries."""
+        assert start[0] == 0 and start[-1] == len(index) == len(value)
+        for s, e in zip(start, start[1:]):
+            assert index[s:e] == sorted(set(index[s:e]))
+        assert 0 not in value
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_dense_form_matches_the_cut_definition(self, n):
+        prior = _model_prior(n)
+        bank = ipd.general._full_bank(n, self.W)
+        problem = assemble_lp(prior, UtilityFn("quadratic"), bank)
+        self._assert_columnwise(problem.start, problem.index, problem.value)
+        a_ub, a_eq, b_eq = self._expected(prior, bank)
+        _, dense_ub, b_ub, dense_eq, dense_b_eq, bounds = _dense(*_lp_args(problem))
+        assert dense_eq.tolist() == a_eq.tolist()
+        assert dense_b_eq.tolist() == b_eq
+        assert dense_ub.tolist() == a_ub.tolist()
+        assert b_ub.tolist() == [0.0] * len(a_ub)
+        ratios = 2 * (n - 1)
+        assert bounds.tolist() == [[1 / 3, 3.0]] * ratios + [[0.0, 1.0]] * len(bank.columns)
+        if n == 2:  # the simplex's LP: 4 rows, at most 6 variables
+            assert dense_eq.shape[0] == 4 and dense_eq.shape[1] <= 6
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_hold_row_follows_the_budget_pair_rows(self, n):
+        prior = _model_prior(n)
+        bank = ipd.general._full_bank(n, self.W)
+        size = 2 * (n - 1) + len(bank.columns)
+        coefficients = [float(k % 3) for k in range(size)]  # every third is zero
+        lists = ipd.general._constraints(prior, bank, (coefficients, -0.5))
+        self._assert_columnwise(*lists[:3])
+        a_ub, a_eq, b_eq = self._expected(prior, bank)
+        _, dense_ub, b_ub, dense_eq, dense_b_eq, _ = _dense([0.0] * size, *lists)
+        assert dense_ub.tolist() == [*a_ub.tolist(), coefficients]
+        assert b_ub.tolist() == [0.0] * len(a_ub) + [-0.5]
+        assert dense_eq.tolist() == a_eq.tolist()
+        assert dense_b_eq.tolist() == b_eq
 
 
 class TestSolveLp:
@@ -193,7 +333,7 @@ class TestSolveLp:
         problem = assemble_lp(fixture_prior_exact, UtilityFn("quadratic"), assignment)
         first = solve_lp(problem)
         second = solve_lp(problem)
-        assert np.array_equal(first.values, second.values)
+        assert first.values == second.values
 
 
 class TestSolveGeneral:
@@ -302,7 +442,7 @@ class TestSolveGeneral:
     def test_non_chain_after_the_tie_break_is_a_solver_error(self, monkeypatch):
         # every column positive cannot be a chain at n=3, in either stage
         def everything_positive(problem):
-            return LpSolution(np.ones(len(problem.objective)), 0.0, 0.0)
+            return LpSolution([1.0] * len(problem.objective), 0.0, 0.0)
 
         monkeypatch.setattr(ipd.general, "solve_lp", everything_positive)
         prior = load_prior([(1 / 3, 0.9), (1 / 3, 0.5), (1 / 3, 0.1)])
@@ -382,14 +522,15 @@ class TestPatternOracle:
             assert report.solver_dominates_all
 
 
-def _scipy_linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
-    """The same LP through scipy's linprog on HiGHS, with _highs's options.
+def _scipy_linprog(*args):
+    """The same column-wise LP through scipy's linprog on HiGHS, with _highs's options.
 
-    Presolve is on, as in _highs, only when a finite bound exceeds
-    PRESOLVE_ABOVE.
+    The LP goes in dense, as A_ub and A_eq. Presolve is on, as in _highs,
+    only when a finite bound exceeds PRESOLVE_ABOVE.
     """
     from scipy.optimize import linprog
 
+    c, a_ub, b_ub, a_eq, b_eq, bounds = _dense(*args)
     finite = bounds[np.isfinite(bounds)]
     options = dict(
         primal_feasibility_tolerance=1e-10,
@@ -448,14 +589,16 @@ class TestBoundedSimplex:
         assert len(seen) == 320  # one LP per two-secret solve
         for args in seen:
             ours, ref = real(*args), _scipy_linprog(*args)
-            c, _, _, a_eq, b_eq, bounds = args
+            c, a_ub, _, a_eq, b_eq, bounds = _dense(*args)
+            assert a_eq.shape == (4, len(c)) and len(a_ub) == 0 and len(c) <= 6
             lo, hi = bounds.T
-            assert np.all((lo <= ours.x) & (ours.x <= hi))
-            assert np.max(np.abs(a_eq @ ours.x - b_eq)) <= GUARD_TOL
+            x = np.array(ours.x)
+            assert np.all((lo <= x) & (x <= hi))
+            assert np.max(np.abs(a_eq @ x - b_eq)) <= GUARD_TOL
             # HiGHS's own answer may miss the rows by up to its 1e-10
             # tolerance and gain objective by it; compare where it does not
             if ref.status == 0 and np.max(np.abs(a_eq @ ref.x - b_eq)) <= GUARD_TOL:
-                assert abs(c @ ours.x - c @ ref.x) <= 1e-12
+                assert abs(c @ x - c @ ref.x) <= 1e-12
         assert highs_calls == []  # the guard accepted every answer
 
     @pytest.mark.parametrize("family", ["abs", "quadratic", "negentropy"])
@@ -468,12 +611,7 @@ class TestBoundedSimplex:
         assert abs(solution.utility - closed) <= PATH_TOL
 
     def test_infeasible_lp_reports_status_2(self):
-        # x0 + x1 = 3 with both in [0, 1]
-        args = (
-            np.array([1.0, 1.0]), np.zeros((0, 2)), np.zeros(0),
-            np.array([[1.0, 1.0]]), np.array([3.0]), np.array([[0.0, 1.0], [0.0, 1.0]]),
-        )
-        assert ipd.general.linprog(*args).status == 2
+        assert ipd.general.linprog(*INFEASIBLE_EQ).status == 2
 
     @staticmethod
     def _nudged_solve(monkeypatch, j, delta):
@@ -501,11 +639,7 @@ class TestBoundedSimplex:
         monkeypatch.setattr(
             ipd.general, "_highs", lambda *a: answers.append(highs(*a)) or answers[-1]
         )
-        args = (
-            -problem.objective, problem.a_ub, problem.b_ub,
-            problem.a_eq, problem.b_eq, problem.bounds,
-        )
-        return ipd.general.linprog(*args), answers
+        return ipd.general.linprog(*_lp_args(problem)), answers
 
     @pytest.mark.parametrize(
         "j, delta", [(2, 1e-9), (0, 1e-9)], ids=["off-the-rows", "past-a-bound"]
@@ -560,7 +694,7 @@ class TestHighsCall:
         corpus = _general_corpus()
         ours = [solve_general(prior, u=u, **budget) for prior, budget, u in corpus]
         # a tie-break LP carries one row beyond the even number of budget rows
-        assert any(len(b_ub) % 2 for _, _, b_ub, _, _, _ in lps)
+        assert any(row_lower.count(-math.inf) % 2 for _, _, _, _, row_lower, *_ in lps)
         for args in lps:
             direct, ref = highs(*args), _scipy_linprog(*args)
             assert direct.status == ref.status
@@ -575,19 +709,12 @@ class TestHighsCall:
             assert solution.utility == ref.utility
 
     def test_infeasible_lp_reports_status_2(self):
-        # x0 + x1 = 3 with both in [0, 1], and x0 - x1 <= 0
-        args = (
-            np.array([1.0, 1.0]), np.array([[1.0, -1.0]]), np.zeros(1),
-            np.array([[1.0, 1.0]]), np.array([3.0]), np.array([[0.0, 1.0], [0.0, 1.0]]),
-        )
+        args = INFEASIBLE
         assert ipd.general._highs(*args).status == _scipy_linprog(*args).status == 2
         # an LP HiGHS calls infeasible although the solver's own simplex solves it
         prior = load_prior([(0.478199, 1.0), (0.521801, 0.7141)])
         problem = assemble_lp(prior, UtilityFn("abs"), ipd.general._full_bank(2, math.exp(15.0)))
-        args = (
-            -problem.objective, problem.a_ub, problem.b_ub,
-            problem.a_eq, problem.b_eq, problem.bounds,
-        )
+        args = _lp_args(problem)
         assert ipd.general._highs(*args).status == _scipy_linprog(*args).status == 2
 
     def test_scipy_ships_every_binding_the_call_uses(self):
@@ -604,8 +731,9 @@ class TestHighsCall:
             "_Highs.passModel", "_Highs.run",
             "_Highs.getModelStatus", "_Highs.modelStatusToString", "_Highs.getSolution",
             "HighsSolution.col_value",
-            # read by the tests of the presolve rule
+            # read by the tests of the presolve rule and the iteration limit
             "_Highs.getModelPresolveStatus", "HighsPresolveStatus.kNotPresolved",
+            "_Highs.getOptionValue",
         ]
         for name in names:
             obj = _core
@@ -618,8 +746,8 @@ class TestHighsCall:
                  "col_upper_", "row_lower_", "row_upper_"),
             lp.a_matrix_: ("format_", "num_col_", "num_row_", "start_", "index_", "value_"),
             options: ("solver", "simplex_strategy", "presolve", "primal_feasibility_tolerance",
-                      "dual_feasibility_tolerance", "output_flag", "log_to_console",
-                      "highs_debug_level"),
+                      "dual_feasibility_tolerance", "simplex_iteration_limit", "output_flag",
+                      "log_to_console", "highs_debug_level"),
         }
         for obj, attrs in fields.items():
             for attr in attrs:
@@ -653,6 +781,12 @@ def _answer(prior, budget, u):
 class TestHighsSolver:
     """Presolve by the LP's widest bound, one reused solver per thread, no round-off columns."""
 
+    def test_runaway_lp_stops_at_the_iteration_limit(self):
+        limit = ipd.general._thread_highs().getOptionValue("simplex_iteration_limit")[1]
+        assert limit == ipd.general.SIMPLEX_ITERATION_LIMIT
+        with pytest.raises(SolverError, match="Iteration limit reached"):
+            solve_general(load_prior(RUNAWAY_PRIOR), 23.0, UtilityFn("quadratic"))
+
     @pytest.mark.parametrize("family", ["abs", "quadratic", "negentropy"])
     def test_wide_bounds_are_presolved(self, family):
         solution = solve_general(load_prior(PRESOLVED_PRIOR), 20.0, UtilityFn(family))
@@ -679,12 +813,7 @@ class TestHighsSolver:
     def test_an_infeasible_lp_leaves_no_trace(self):
         corpus = _general_corpus()
         first = [_answer(*case) for case in corpus]
-        # x0 + x1 = 3 with both in [0, 1], and x0 - x1 <= 0
-        args = (
-            np.array([1.0, 1.0]), np.array([[1.0, -1.0]]), np.zeros(1),
-            np.array([[1.0, 1.0]]), np.array([3.0]), np.array([[0.0, 1.0], [0.0, 1.0]]),
-        )
-        assert ipd.general._highs(*args).status == 2
+        assert ipd.general._highs(*INFEASIBLE).status == 2
         assert [_answer(*case) for case in corpus] == first
 
     def test_threads_give_the_serial_answers(self):
@@ -718,7 +847,7 @@ class TestFeasibilityGuard:
             load_prior(FLOAT_3), UtilityFn("quadratic"), ipd.general._full_bank(3, 2.0)
         )
 
-    def _solve_with_answer(self, monkeypatch, perturb, x_of=np.array):
+    def _solve_with_answer(self, monkeypatch, perturb, x_of=list):
         """solve_lp on a perturbed n=3 LP, answered with x_of(the original's optimum)."""
         problem = self._problem()
         x = solve_lp(problem).values
@@ -726,22 +855,31 @@ class TestFeasibilityGuard:
         monkeypatch.setattr(ipd.general, "linprog", lambda *a: answer)
         return solve_lp(perturb(problem, x))
 
-    MISSES = {
-        "equality-row": lambda pr, x, d: replace(pr, b_eq=pr.b_eq + np.eye(len(pr.b_eq))[0] * d),
-        "inequality-row": lambda pr, x, d: replace(
-            pr, b_ub=np.append(pr.b_ub[:-1], pr.a_ub[-1] @ x - d)
-        ),
-        "upper-bound": lambda pr, x, d: replace(
-            pr, bounds=np.vstack([pr.bounds[:-1], [pr.bounds[-1][0], x[-1] - d]])
-        ),
-        "lower-bound": lambda pr, x, d: replace(
-            pr, bounds=np.vstack([[x[0] + d, pr.bounds[0][1]], pr.bounds[1:]])
-        ),
-    }
+    @staticmethod
+    def _missed(miss, pr, x, d):
+        """pr with one row or bound moved so that x misses it by d."""
+        first_eq = pr.row_lower.count(-math.inf)  # the inequality rows come first
+        if miss == "equality-row":
+            b = pr.row_upper[first_eq] + d
+            return replace(
+                pr,
+                row_lower=_with(pr.row_lower, first_eq, b),
+                row_upper=_with(pr.row_upper, first_eq, b),
+            )
+        if miss == "inequality-row":
+            a_ub = _dense(*_lp_args(pr))[1]
+            return replace(pr, row_upper=_with(pr.row_upper, first_eq - 1, a_ub[-1] @ x - d))
+        if miss == "upper-bound":
+            return replace(pr, col_upper=_with(pr.col_upper, -1, x[-1] - d))
+        return replace(pr, col_lower=_with(pr.col_lower, 0, x[0] + d))
 
-    @pytest.mark.parametrize("miss", sorted(MISSES))
+    @pytest.mark.parametrize(
+        "miss", ["equality-row", "inequality-row", "lower-bound", "upper-bound"]
+    )
     def test_answer_off_a_row_or_bound_is_a_solver_error(self, monkeypatch, miss):
-        perturb = self.MISSES[miss]
+        def perturb(pr, x, d):
+            return self._missed(miss, pr, x, d)
+
         with pytest.raises(SolverError):
             self._solve_with_answer(monkeypatch, lambda pr, x: perturb(pr, x, 2 * FEASIBILITY_TOL))
         # a miss inside the tolerance is accepted and reported as the residual
@@ -750,7 +888,9 @@ class TestFeasibilityGuard:
 
     def test_nan_answer_is_a_solver_error(self, monkeypatch):
         with pytest.raises(SolverError):
-            self._solve_with_answer(monkeypatch, lambda pr, x: pr, lambda x: x * np.nan)
+            self._solve_with_answer(
+                monkeypatch, lambda pr, x: pr, lambda x: [v * math.nan for v in x]
+            )
 
     def test_infeasible_answer_is_a_solver_error(self, monkeypatch):
         # status 2 is an error like any other failure, with the backend's message
