@@ -9,7 +9,8 @@ Exit codes: 0 success; 1 semantic verification failure (a verify that finds
 the budget violated, an oracle that beats the solver); 2 input or validation
 error or LP solver failure, reported as a JSON object on stderr (an unknown
 secret label, a document row that is not a list and a negative seed are input
-errors too); 3 secret-count cap exceeded.
+errors too); 3 secret-count cap exceeded; 141 (128 + SIGPIPE) when stdout
+is a pipe its reader closed early, with nothing on stderr.
 The IPD_TOLERANCE environment variable overrides the default 1e-9 slack of
 the verification checks.
 """
@@ -20,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -270,8 +272,8 @@ def cmd_sample(args) -> int:
             f"count {args.count} is above the cap of {MAX_SAMPLE_COUNT} draws"
         )
     draws = sample_signal(mechanism, args.secret, args.y, args.seed, args.count)
-    for label in draws:
-        print(label)
+    if draws:
+        sys.stdout.write("\n".join(draws) + "\n")
     return 0
 
 
@@ -388,13 +390,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so a closed pipe surfaces in this try and not at exit
+        sys.stdout.flush()
+        return code
     except UnsupportedSize as exc:
         _report_error(exc)
         return 3
+    except BrokenPipeError:
+        _discard_stdout()
+        return 141
     except (IpdError, OSError) as exc:
         _report_error(exc)
         return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at os.devnull.
+
+    The interpreter's final flush of what the closed pipe never took then
+    cannot fail a second time.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # a stream without a descriptor is not the process's stdout
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _report_error(exc: Exception) -> None:

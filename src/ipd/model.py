@@ -15,8 +15,10 @@ construction.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -662,17 +664,22 @@ def sample_signal(
 ) -> list[str]:
     """Draw signals i.i.d. from the kernel row for (secret, state).
 
+    Draws come from the standard library's ``random.Random(rng_seed)``, by
+    bisection over the cumulative float kernel row, so a signal of zero
+    kernel weight is never drawn and an exact mechanism draws the same
+    stream as its float twin.
+
     Args:
         m: The release mechanism.
         s: Secret label.
         y: State, 0 or 1.
-        rng_seed: Seed for numpy's default_rng; draws are deterministic per seed.
+        rng_seed: Seed of the draws; draws are deterministic per seed.
         count: Number of draws; 0 gives an empty list.
 
     Raises:
         UnknownLabel: The mechanism's prior has no secret s.
         ValidationError: y is not 0 or 1, count or rng_seed is negative, or
-            count is too large for numpy's index type.
+            count is above sys.maxsize.
         ZeroMassContext: P(S=s, Y=y) is zero under the prior.
     """
     if y not in (0, 1):
@@ -687,12 +694,10 @@ def sample_signal(
         raise ZeroMassContext(f"P(S={s!r}, Y={y}) is zero under the prior")
     if count == 0:
         return []
-    import numpy as np
+    import random
 
-    if count > np.iinfo(np.intp).max:
+    if count > sys.maxsize:
         raise ValidationError(f"count {count} is too large to draw")
-    row = np.asarray([float(x) for x in m.kernel[idx][y]], dtype=float)
-    row = row / row.sum()
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.choice(len(row), size=count, p=row)
-    return [m.signals[t] for t in draws]
+    cum_weights = list(accumulate(float(x) for x in m.kernel[idx][y]))
+    rng = random.Random(rng_seed)
+    return rng.choices(m.signals, cum_weights=cum_weights, k=count)

@@ -1,8 +1,8 @@
 """End-to-end tests of the command-line interface and the JSON round trips.
 
 Commands run in-process through main(argv) so exit codes and output are
-captured without spawning interpreters; only the import-cost checks start
-fresh ones.
+captured without spawning interpreters; only the import-cost and closed-pipe
+checks start fresh ones.
 """
 
 import csv
@@ -374,17 +374,19 @@ class TestImportCost:
         code = """
 import sys
 from ipd.cli import main
-prior, st, out = sys.argv[1:]
+prior, st, mech, out = sys.argv[1:]
 codes = [
-    main(["solve", prior, "--eps", "ln2", "--out-structure", st]),
+    main(["solve", prior, "--eps", "ln2", "--out-structure", st, "--out-mechanism", mech]),
     main(["verify", st, "--eps", "ln2"]),
     main(["utility", st, "--utility", "quadratic"]),
     main(["sweep", prior, "--grid", "0:1:0.25", "--out", out]),
+    main(["sample", mech, "--secret", "s0", "--y", "1", "--count", "100", "--seed", "1"]),
 ]
 print(codes, "numpy" in sys.modules)
 """
-        stdout = self._child(code, prior_file, str(tmp_path / "st.json"), str(tmp_path / "s.csv"))
-        assert stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+        paths = [str(tmp_path / name) for name in ("st.json", "mech.json", "s.csv")]
+        stdout = self._child(code, prior_file, *paths)
+        assert stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
     def test_solve_general_loads_scipy_only_when_it_runs(
         self, prior_file, three_secret_prior_file
@@ -669,6 +671,68 @@ class TestSampleCommand:
         )
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ZeroMassContext"
+
+    def test_count_zero_writes_nothing(self, prior_file, tmp_path, capsys):
+        mech_path = str(tmp_path / "mech.json")
+        main(["solve", prior_file, "--eps", "ln2", "--out-mechanism", mech_path])
+        capsys.readouterr()
+        argv = ["sample", mech_path, "--secret", "s0", "--y", "1",
+                "--count", "0", "--seed", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+
+
+class TestClosedStdout:
+    """A reader that stops early is not an input error: exit 141, no stderr."""
+
+    def test_broken_pipe_exits_141_with_empty_stderr(
+        self, prior_file, monkeypatch, capsys
+    ):
+        class ClosedPipe:
+            """Buffers writes; the pipe's close shows at the flush."""
+
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["solve", prior_file, "--eps", "ln2"]) == 141
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "count, read",
+        [(10, 0), (100_000, 0), (100_000, 4)],
+        ids=["10-unread", "100000-unread", "100000-read-4"],
+    )
+    def test_sample_into_a_closed_pipe(self, count, read, prior_file, tmp_path):
+        mech_path = str(tmp_path / "mech.json")
+        main(["solve", prior_file, "--eps", "ln2", "--out-mechanism", mech_path])
+        src = os.path.dirname(os.path.dirname(ipd.__file__))
+        argv = [sys.executable, "-m", "ipd.cli", "sample", mech_path, "--secret", "s0",
+                "--y", "1", "--count", str(count), "--seed", "1"]
+        # the default block-buffered stdout, so ten draws wait for the flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        child = subprocess.Popen(
+            argv,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": src},
+        )
+        head = child.stdout.read(read)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        code = child.wait(timeout=60)
+        # a closed pipe that outlived the interpreter's final flush would
+        # print "Exception ignored ... BrokenPipeError" here
+        assert err == b""
+        if read:
+            # the one write may have filled the pipe before the reader left
+            assert head[:1] == b"t" and code in (0, 141)
+        else:
+            assert code == 141
 
 
 class TestOracleCommand:

@@ -17,6 +17,7 @@ from ipd import (
     merge_signals,
     posterior_summary,
     sample_signal,
+    solve_binary,
     split_signal,
     structure_to_mechanism,
 )
@@ -383,6 +384,27 @@ class TestSampling:
         for count in (2**63, 10**20):
             with pytest.raises(ValidationError, match="too large"):
                 sample_signal(fixture_solution.mechanism, "s0", 1, 1, count)
+
+    def test_stream_for_seed_42_is_pinned(self, fixture_solution):
+        # a change of this stream changes every seeded `ipd sample` output
+        assert sample_signal(fixture_solution.mechanism, "s0", 1, 42, 12) == [
+            "t1", "t1", "t1", "t1", "t2", "t2", "t3", "t1", "t1", "t1", "t1", "t1",
+        ]
+
+    def test_exact_and_float_mechanisms_draw_alike(self, fixture_solution, fixture_prior):
+        exact = fixture_solution.mechanism
+        twin = solve_binary(fixture_prior, exp_eps=2.0).mechanism
+        assert twin.kernel != exact.kernel  # the float row is off in its last bits
+        for s in ("s0", "s1"):
+            for y in (0, 1):
+                draws = sample_signal(twin, s, y, 7, 1000)
+                assert sample_signal(exact, s, y, 7, 1000) == draws
+
+    def test_zero_weight_signals_are_never_drawn(self, fixture_solution):
+        # rows (s0, Y=1) = (2/3, 2/9, 1/9, 0) and (s0, Y=0) = (0, 0, 0, 1)
+        m = fixture_solution.mechanism
+        assert set(sample_signal(m, "s0", 1, 3, 100_000)) == {"t1", "t2", "t3"}
+        assert set(sample_signal(m, "s0", 0, 3, 100_000)) == {"t4"}
 
 
 def _random_structure(rng, prior, k):
