@@ -63,9 +63,10 @@ from .numeric import CHECK_TOL, NORM_TOL, PATH_TOL, check_slack
 
 __version__ = "0.1.0"
 
-# The general solver and the oracles import numpy, which the binary-secret
-# commands never need, so their modules load on the first lookup of one of
-# these names (PEP 562), not with the package.
+# The general solver and the oracles serve few commands, so their modules
+# load on the first lookup of one of these names (PEP 562), not with the
+# package. Neither imports numpy; HiGHS, the random oracle and the pattern
+# oracle load numpy or scipy only when they run.
 _LAZY = {
     "general": "general",
     "CutAssignment": "general",

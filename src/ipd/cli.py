@@ -53,9 +53,10 @@ from .serialize import (
 )
 
 # Only the commands that run the general solver or the oracles import them,
-# at call time. The oracles import numpy; the general solver is plain Python
-# and loads numpy and scipy only with HiGHS, on three or more secrets. So the
-# binary commands, and solve-general on two secrets, start without numpy.
+# at call time. Both modules are plain Python: the general solver loads numpy
+# and scipy only with HiGHS, on three or more secrets, and of the oracles
+# only `oracle random` loads numpy. So the binary commands, solve-general on
+# two secrets and `oracle grid` start without numpy.
 
 MAX_GRID_POINTS = 100_000  # budgets in one sweep; each runs every utility
 MAX_SAMPLE_COUNT = 10_000_000  # draws in one sample; each prints one line

@@ -13,9 +13,9 @@ solvers are never beaten.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analysis import UtilityFn, blackwell_dominates, expected_utility
 from .binary import pack_columns, solve_binary
@@ -24,8 +24,12 @@ from .general import _rescaled_structure, solve_general
 from .model import InfoStructure, Prior, posterior_summary
 from .numeric import Scalar, check_slack, log_of, ratio_bound
 
-# Size caps of one oracle call, each keeping its largest array under about
-# 0.5 GB: (grid + 1)**2 lattice floats, (trials x signals x (signals + the
+if TYPE_CHECKING:  # numpy loads only inside the oracles that use it
+    import numpy as np
+
+# Size caps of one oracle call. The grid scan keeps a few lists of grid + 1
+# floats and scores at most two points per lattice row; the other caps keep
+# the largest array under about 0.5 GB: (trials x signals x (signals + the
 # solver's signals)) dominance floats, a 2n x 2**n (2**n - 1) pattern matrix.
 MAX_GRID = 2_000
 MAX_TRIALS = 500_000
@@ -61,11 +65,23 @@ def binary_grid_oracle(
 ) -> OracleReport:
     """Sweep the binary feasible region on a (grid+1) x (grid+1) lattice.
 
-    The two anchor widths (all-yellow width of the high-q secret, all-white
-    width of the low-q one) range over their budget boxes; the two middle
-    widths follow from the row sums and must come out nonnegative. Every
-    feasible lattice point is scored and convex-order-compared against
-    solve_binary. grid=1 visits just the four box corners.
+    The two anchor widths (l10, the all-yellow width of the high-q secret,
+    and l41, the all-white width of the low-q one) range over their budget
+    boxes; the two middle widths l21 and l31 follow from the row sums and
+    must come out nonnegative (to -1e-15). Every feasible lattice point is
+    a trial, scored and convex-order-compared against solve_binary. grid=1
+    visits just the four box corners.
+
+    The scan finds the same feasible points without visiting each one.
+    Every float operation in the formulas of l21 and l31 is monotone under
+    round-to-nearest, so along a lattice row (fixed l10) l21 never falls and
+    l31 never rises as l41 rises: a row's feasible points form one
+    contiguous run. Neither end of the run moves left as l10 rises (l21
+    only falls and l31 only rises with l10), so two pointers find every
+    row's run with O(grid) evaluations in all. The utility and each
+    hockey-stick term of the convex order are affine in l41 along a row
+    (convex, once l21 and l31 are clipped at zero), so only the two ends of
+    each run are scored.
     """
     if u is None:
         raise TypeError("binary_grid_oracle needs a utility function")
@@ -84,58 +100,95 @@ def binary_grid_oracle(
     solver_utility = float(expected_utility(solution.structure, u))
     summary = posterior_summary(solution.structure)
 
-    l10 = np.linspace(q1 / w, min(w * q1, q0), grid + 1)[:, None]
-    l41 = np.linspace((1 - q0) / w, min(w * (1 - q0), 1 - q1), grid + 1)[None, :]
-    denom = w * w - 1.0
-    l21 = (-w * l10 + l41 + w * q0 + q1 - 1.0) / denom
-    l31 = w * (l10 - w * l41 - q0 - w * q1 + w) / denom
-    feasible = (l21 >= -1e-15) & (l31 >= -1e-15)
-    l21 = np.clip(l21, 0.0, None)
-    l31 = np.clip(l31, 0.0, None)
+    l10s = _linspace(q1 / w, min(w * q1, q0), grid)
+    l41s = _linspace((1 - q0) / w, min(w * (1 - q0), 1 - q1), grid)
+    # l21 = (-w*l10 + l41 + w*q0 + q1 - 1) / (w*w - 1) and
+    # l31 = w*(l10 - w*l41 - q0 - w*q1 + w) / (w*w - 1), evaluated left to
+    # right. Where w*w, or w times the bracket of l31 (at most w + 1), would
+    # overflow a float, both are divided through by w: s = 1 instead of w.
+    s = w if w * (w + 1.0) < math.inf else 1.0
+    r = s / w
+    denom = s * w - r
+    sq0, rq1, wq1 = s * q0, r * q1, w * q1
+    rl41s = [r * x for x in l41s]
+    wl41s = [w * x for x in l41s]
+
+    def middle_widths(l10: float, j: int) -> tuple[float, float]:
+        return (
+            (-s * l10 + rl41s[j] + sq0 + rq1 - r) / denom,
+            s * (l10 - wl41s[j] - q0 - wq1 + w) / denom,
+        )
 
     qt2 = w * p0 / (w * p0 + p1)
     qt3 = p0 / (p0 + w * p1)
-    mass1 = p0 * l10 + p1 * q1
-    mass2 = (p0 * w + p1) * l21
-    mass3 = (p0 / w + p1) * l31
-    mass4 = p0 * (1 - q0) + p1 * l41
-    utilities = (
-        float(u(1.0)) * mass1
-        + float(u(qt2)) * mass2
-        + float(u(qt3)) * mass3
-        + float(u(0.0)) * mass4
-    )
+    u1, u2, u3, u0 = (float(u(x)) for x in (1.0, qt2, qt3, 0.0))
+    per_l21, per_l31 = p0 * w + p1, p0 / w + p1
+    mass1_base, mass4_base = p1 * q1, p0 * (1 - q0)
+    # Per x of the convex order: the weights of the three yellow masses in
+    # the lattice point's hockey-stick sum, and the solver's sum plus slack.
+    solver_points = [(float(p), float(qv)) for p, qv in zip(summary.p, summary.q)]
+    sticks = [
+        (
+            max(1.0 - x, 0.0),
+            max(qt2 - x, 0.0),
+            max(qt3 - x, 0.0),
+            sum(p * max(qv - x, 0.0) for p, qv in solver_points) + slack,
+        )
+        for x in (0.0, qt3, qt2, 1.0)
+    ]
 
+    trials = 0
     dominates = True
-    for x in (0.0, qt3, qt2, 1.0):
-        h_solver = sum(
-            float(p) * max(float(qv) - x, 0.0)
-            for p, qv in zip(summary.p, summary.q)
-        )
-        h_grid = (
-            mass1 * max(1.0 - x, 0.0)
-            + mass2 * max(qt2 - x, 0.0)
-            + mass3 * max(qt3 - x, 0.0)
-        )
-        if np.any(feasible & (h_grid > h_solver + slack)):
-            dominates = False
-            break
+    best_utility = -math.inf
+    best_point = None
+    lo, hi = 0, -1  # the current row's run of feasible columns is lo..hi
+    for l10 in l10s:
+        while lo <= grid and not middle_widths(l10, lo)[0] >= -1e-15:
+            lo += 1
+        while hi < grid and middle_widths(l10, hi + 1)[1] >= -1e-15:
+            hi += 1
+        if lo > hi:
+            continue
+        trials += hi - lo + 1
+        mass1 = p0 * l10 + mass1_base
+        for j in (lo, hi) if lo < hi else (lo,):
+            l21, l31 = middle_widths(l10, j)
+            l21, l31 = max(0.0, l21), max(0.0, l31)
+            mass2 = per_l21 * l21
+            mass3 = per_l31 * l31
+            mass4 = mass4_base + p1 * l41s[j]
+            utility = u1 * mass1 + u2 * mass2 + u3 * mass3 + u0 * mass4
+            if utility > best_utility:
+                best_utility = utility
+                best_point = (l10, l21, l31, l41s[j])
+            if dominates:
+                for k1, k2, k3, limit in sticks:
+                    if mass1 * k1 + mass2 * k2 + mass3 * k3 > limit:
+                        dominates = False
+                        break
 
-    if not feasible.any():
+    if best_point is None:
         return OracleReport(float("-inf"), None, 0, solver_utility, True)
-    scored = np.where(feasible, utilities, -np.inf)
-    flat = int(np.argmax(scored))
-    a, b = np.unravel_index(flat, scored.shape)
-    best = _binary_point_structure(
-        prior, w, float(l10[a, 0]), float(l21[a, b]), float(l31[a, b]), float(l41[0, b])
-    )
+    best = _binary_point_structure(prior, w, *best_point)
     return OracleReport(
         best_utility=float(expected_utility(best, u)),
         best_structure=best,
-        trials=int(feasible.sum()),
+        trials=trials,
         solver_utility=solver_utility,
-        solver_dominates_all=bool(dominates),
+        solver_dominates_all=dominates,
     )
+
+
+def _linspace(start: float, stop: float, grid: int) -> list[float]:
+    """The grid + 1 floats of numpy.linspace(start, stop, grid + 1), bit for bit."""
+    delta = stop - start
+    step = delta / grid
+    if step == 0.0:  # a subnormal delta: numpy scales each index by it instead
+        points = [i / grid * delta + start for i in range(grid)]
+    else:
+        points = [i * step + start for i in range(grid)]
+    points.append(stop)
+    return points
 
 
 def _binary_point_structure(
@@ -195,6 +248,8 @@ def random_structure_oracle(
     eps_f = log_of(w)
     slack = check_slack()
     n = prior.n
+    import numpy as np
+
     p = np.array([float(x) for x in prior.p])
     q = np.array([float(x) for x in prior.q])
 
@@ -274,6 +329,8 @@ def _random_batch(
     eps_f: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random (widths, yellow) batches of shape (count, n, k)."""
+    import numpy as np
+
     yellow = rng.integers(0, 2, size=(count, n, k)).astype(bool)
     fixes = rng.integers(0, k, size=(count, n))
     ci, ri = np.nonzero(~yellow.any(axis=2))
@@ -345,6 +402,7 @@ def pattern_lp_oracle(
         )
     w = ratio_bound(eps, exp_eps)
     solver = _solver_structure(prior, u, w)
+    import numpy as np
     from scipy.optimize import linprog
 
     # Row k of subsets marks the secrets of the binary expansion of k; as a

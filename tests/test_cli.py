@@ -359,8 +359,9 @@ class TestImportCost:
         [
             ("ipd", ("numpy", "scipy.optimize")),
             ("ipd.cli", ("numpy", "scipy.optimize")),
-            # the solver and the oracles import scipy only inside the LP calls
-            ("ipd.oracle, ipd.general", ("scipy.optimize",)),
+            # the oracles import numpy and scipy only inside the calls that
+            # need them
+            ("ipd.oracle, ipd.general", ("numpy", "scipy.optimize")),
             # the solver's own arithmetic is plain Python
             ("ipd.general", ("numpy", "scipy.optimize")),
         ],
@@ -387,6 +388,20 @@ print(codes, "numpy" in sys.modules)
         paths = [str(tmp_path / name) for name in ("st.json", "mech.json", "s.csv")]
         stdout = self._child(code, prior_file, *paths)
         assert stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
+
+    def test_only_the_random_oracle_loads_numpy(self, prior_file):
+        code = """
+import contextlib, io, sys
+from ipd.cli import main
+seen = []
+for mode in (["grid", "--grid", "20"], ["random", "--trials", "50", "--seed", "1"]):
+    args = ["oracle", mode[0], sys.argv[1], "--eps", "ln2", "--utility", "abs"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(args + mode[1:])
+    seen += [code, "numpy" in sys.modules]
+print(*seen)
+"""
+        assert self._child(code, prior_file) == "0 False 0 True"
 
     def test_solve_general_loads_scipy_only_when_it_runs(
         self, prior_file, three_secret_prior_file
