@@ -38,6 +38,7 @@ from .errors import (
     IpdError,
     MassNotNormalized,
     MeanMismatch,
+    MissingDependency,
     NotBinarySecret,
     SolverError,
     UnsupportedSize,

@@ -19,14 +19,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import MeanMismatch, ValidationError
+from .errors import MeanMismatch, ValidationError, require
 from .model import InfoStructure, PosteriorSummary, Prior, column_stats
 from .numeric import (
     Scalar,
     check_slack,
     exactify,
+    far,
     is_exact,
     log_of,
+    near,
     ratio_bound,
     typed_key,
 )
@@ -108,7 +110,7 @@ class UtilityFn:
         )
 
     def _call_array(self, q):
-        import numpy as np
+        np = require("numpy")
 
         if self.family == "abs":
             return np.abs(2.0 * q - 1.0)
@@ -212,10 +214,11 @@ def check_ip(
         col_log = log_of(hi / lo)
         max_log_ratio = max(max_log_ratio, col_log)
         if exact:
-            binding[label] = hi == bound * lo
-            ok = hi <= bound * lo
+            scaled = bound * lo
+            binding[label] = hi == scaled
+            ok = hi <= scaled
         else:
-            binding[label] = abs(col_log - eps_f) <= slack
+            binding[label] = near(col_log, eps_f, slack)
             ok = col_log <= eps_f + slack
         if not ok and witness is None:
             witness = (label, secrets[s_hi], secrets[s_lo])
@@ -320,9 +323,9 @@ def check_regions(
                 zero_width.append((prior.secrets[i], st.signals[t]))
                 continue
             value = st.cells[i][t]
-            if value >= 1 - slack:
+            if value == 1 or value >= 1 - slack:
                 yellow_cells.add((i, j))
-            elif value <= slack:
+            elif value == 0 or value <= slack:
                 white_cells.add((i, j))
             elif witnesses["cells_binary"] is None:
                 witnesses["cells_binary"] = (
@@ -337,9 +340,11 @@ def check_regions(
         widths = [(st.widths[i][t], i) for i in range(n) if st.widths[i][t] > 0]
         lo = min(x for x, _ in widths)
         hi = max(x for x, _ in widths)
-        ratio_ok = abs(log_of(hi / lo) - eps_f) <= slack
-        two_valued = all(min(abs(x - lo), abs(x - hi)) <= slack for x, _ in widths)
-        wide_cells.update((i, j) for x, i in widths if abs(x - hi) <= slack)
+        ratio_ok = near(log_of(hi / lo), eps_f, slack)
+        # near(x, lo) or near(x, hi) is min(abs(x - lo), abs(x - hi)) <= slack
+        # for every width a structure can hold, none of them NaN
+        two_valued = all(near(x, lo, slack) or near(x, hi, slack) for x, _ in widths)
+        wide_cells.update((i, j) for x, i in widths if near(x, hi, slack))
         if witnesses["columns_binding"] is None and not (ratio_ok and two_valued):
             witnesses["columns_binding"] = (st.signals[t], float(lo), float(hi))
 
@@ -383,7 +388,7 @@ def blackwell_dominates(a: PosteriorSummary, b: PosteriorSummary) -> BlackwellRe
         MeanMismatch: The summaries disagree on P(Y=1) beyond the check slack.
     """
     slack = check_slack()
-    if abs(a.mean - b.mean) > slack:
+    if far(a.mean, b.mean, slack):
         raise MeanMismatch(
             f"summaries have different means: {float(a.mean)!r} vs {float(b.mean)!r}"
         )

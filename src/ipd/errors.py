@@ -4,9 +4,13 @@ Every error raised deliberately by this package derives from IpdError, so
 callers can catch one type at the boundary. Input-shaped problems (bad
 probabilities, malformed tables) additionally derive from ValueError via
 ValidationError, which keeps ``except ValueError`` workflows functional.
+numpy and scipy are optional: ``require`` imports them where they are used
+and turns their absence into MissingDependency.
 """
 
 from __future__ import annotations
+
+import importlib
 
 
 class IpdError(Exception):
@@ -65,3 +69,22 @@ class UnsupportedSize(IpdError):
 
 class SolverError(IpdError):
     """The LP backend failed, or its answer is not a valid optimal structure."""
+
+
+class MissingDependency(IpdError):
+    """An optional package that the operation needs cannot be imported."""
+
+
+def require(module: str):
+    """Import and return module, raising MissingDependency if it cannot be.
+
+    The error names the top-level package that failed to import, which is
+    not always the one asked for: scipy without numpy names numpy.
+    """
+    try:
+        return importlib.import_module(module)
+    except ImportError as exc:
+        package = (exc.name or module).partition(".")[0]
+        raise MissingDependency(
+            f"this operation needs {package}, which cannot be imported: {exc}"
+        ) from exc

@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 from .analysis import UtilityFn, expected_utility
 from .binary import _width_ratios
-from .errors import SolverError, UnsupportedSize, ValidationError
+from .errors import SolverError, UnsupportedSize, ValidationError, require
 from .model import InfoStructure, Mechanism, Prior, compress, structure_to_mechanism
 from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, is_exact, ratio_bound
 
@@ -472,9 +472,10 @@ def _highs(
     past that bound it is the call scipy makes. An optimal model gives
     status 0 and HiGHS's x, an infeasible one status 2; any other model
     status (the iteration limit included), or an error from HiGHS, gives
-    status 4. solve_lp checks the x.
+    status 4. solve_lp checks the x. Without scipy it raises
+    MissingDependency.
     """
-    from scipy.optimize._highspy import _core as highs
+    highs = require(_HIGHS_MODULE)
 
     lp = highs.HighsLp()
     matrix = lp.a_matrix_
@@ -507,6 +508,7 @@ def _highs(
     return LinprogResult(4, None, message)
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"  # scipy's HiGHS bindings
 _thread = threading.local()
 
 
@@ -518,8 +520,7 @@ def _thread_highs():
     """
     solver = getattr(_thread, "highs", None)
     if solver is None:
-        from scipy.optimize._highspy import _core as highs
-
+        highs = require(_HIGHS_MODULE)
         solver = highs._Highs()
         if solver.passOptions(_highs_options()) == highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the solver options")
@@ -534,8 +535,7 @@ def _highs_options():
     output; beyond scipy's, the cap SIMPLEX_ITERATION_LIMIT. _highs sets
     presolve per LP.
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = require(_HIGHS_MODULE)
     options = highs.HighsOptions()
     options.solver = "simplex"
     strategy = highs.simplex_constants.SimplexStrategy

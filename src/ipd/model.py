@@ -32,7 +32,16 @@ from .errors import (
     ValidationError,
     ZeroMassContext,
 )
-from .numeric import NORM_TOL, Scalar, check_slack, exactify, typed_key
+from .numeric import (
+    NORM_TOL,
+    Scalar,
+    check_slack,
+    exactify,
+    far,
+    near,
+    outside_unit,
+    typed_key,
+)
 
 
 def _as_scalar_tuple(values: Iterable[Scalar]) -> tuple[Scalar, ...]:
@@ -98,17 +107,17 @@ class Prior:
         # Ranges first: an exact value far above 1 cannot meet a float in a
         # sum without overflowing it.
         for label, mass in zip(self.secrets, self.p):
-            if mass <= 0:
-                raise NonPositiveMass(f"secret {label!r} has mass {_shown(mass)}")
-            if mass > 1:
+            if mass == 0 or outside_unit(mass):
+                if mass <= 0:
+                    raise NonPositiveMass(f"secret {label!r} has mass {_shown(mass)}")
                 raise MassNotNormalized(
                     f"secret {label!r} has mass {_shown(mass)} above 1"
                 )
         for label, cond in zip(self.secrets, self.q):
-            if cond < 0 or cond > 1:
+            if outside_unit(cond):
                 raise ConditionalOutOfRange(f"q for secret {label!r} is {_shown(cond)}")
         total = sum(self.p)
-        if abs(total - 1) > NORM_TOL:
+        if far(total, 1, NORM_TOL):
             raise MassNotNormalized(f"secret masses sum to {_shown(total)}")
         for a, b in zip(self.q, self.q[1:]):
             if a < b:
@@ -202,7 +211,7 @@ def load_prior_joint(
         if y1 > 1 or y0 > 1:
             raise MassNotNormalized("joint masses must be at most 1")
     total = sum(y1 + y0 for y1, y0 in rows)
-    if abs(total - 1) > NORM_TOL:
+    if far(total, 1, NORM_TOL):
         raise MassNotNormalized(f"joint masses sum to {_shown(total)}")
     pairs = []
     for y1, y0 in rows:
@@ -266,19 +275,19 @@ class InfoStructure:
                         f"negative width {x} in row {self.prior.secrets[s]!r}"
                     )
             total = sum(row)
-            if abs(total - 1) > NORM_TOL:
+            if far(total, 1, NORM_TOL):
                 raise MassNotNormalized(
                     f"widths for secret {self.prior.secrets[s]!r} sum to {_shown(total)}"
                 )
         for s, row in enumerate(self.cells):
             for x in row:
-                if x < 0 or x > 1:
+                if outside_unit(x):
                     raise ConditionalOutOfRange(
                         f"cell posterior {x} in row {self.prior.secrets[s]!r}"
                     )
         for s in range(n):
             yellow = sum(l * c for l, c in zip(self.widths[s], self.cells[s]))
-            if abs(yellow - self.prior.q[s]) > slack:
+            if far(yellow, self.prior.q[s], slack):
                 raise ValidationError(
                     f"row {self.prior.secrets[s]!r} is inconsistent with the prior: "
                     f"yellow mass {_shown(yellow)} vs q={_shown(self.prior.q[s])}"
@@ -293,24 +302,24 @@ class InfoStructure:
 
     def signal_mass(self, t: int) -> Scalar:
         """Marginal mass P(T=t) of column t."""
-        return sum(self.prior.p[s] * self.widths[s][t] for s in range(self.prior.n))
+        return self._column_stats[t][0]
 
     @cached_property
     def _column_stats(self) -> tuple[ColumnStats, ...]:
         # Read through column_stats. The fields are immutable, so the cache
         # cannot go stale; dataclass eq and hash look only at the fields.
-        prior = self.prior
+        # Each joint mass p[s] * widths[s][t] is formed once and serves the
+        # column mass, its yellow mass and the secret posteriors alike.
+        p, secrets = self.prior.p, range(self.prior.n)
         stats = []
         for t in range(self.num_signals):
-            mass = self.signal_mass(t)
+            joint = [p[s] * self.widths[s][t] for s in secrets]
+            mass = sum(joint)
             if mass == 0:
                 stats.append((mass, None, None))
                 continue
-            yellow = sum(
-                prior.p[s] * self.widths[s][t] * self.cells[s][t]
-                for s in range(prior.n)
-            )
-            s_post = tuple(prior.p[s] * self.widths[s][t] / mass for s in range(prior.n))
+            yellow = sum(x * self.cells[s][t] for s, x in zip(secrets, joint))
+            s_post = tuple(x / mass for x in joint)
             stats.append((mass, yellow / mass, s_post))
         return tuple(stats)
 
@@ -354,13 +363,13 @@ class PosteriorSummary:
         for mass in self.p:
             if mass <= 0:
                 raise NonPositiveMass("summary keeps only positive-mass signals")
-        if abs(sum(self.p) - 1) > NORM_TOL:
+        if far(sum(self.p), 1, NORM_TOL):
             raise MassNotNormalized("signal masses must sum to 1")
         for post in self.q:
-            if post < 0 or post > 1:
+            if outside_unit(post):
                 raise ConditionalOutOfRange(f"posterior {post} outside [0, 1]")
         for row in self.s_post:
-            if abs(sum(row) - 1) > NORM_TOL:
+            if far(sum(row), 1, NORM_TOL):
                 raise MassNotNormalized("secret posteriors must sum to 1 per signal")
 
     @property
@@ -432,14 +441,14 @@ class Mechanism:
                 if len(row) != k:
                     raise ValidationError("kernel rows need one entry per signal")
                 for x in row:
-                    if x < 0 or x > 1:
+                    if outside_unit(x):
                         raise ConditionalOutOfRange(
                             f"kernel entry {x} outside [0, 1]"
                         )
                 mass = self.prior.p[s] * (
                     self.prior.q[s] if y == 1 else 1 - self.prior.q[s]
                 )
-                if mass > 0 and abs(sum(row) - 1) > NORM_TOL:
+                if mass > 0 and far(sum(row), 1, NORM_TOL):
                     raise MassNotNormalized(
                         f"kernel row for ({self.prior.secrets[s]!r}, y={y}) "
                         f"sums to {_shown(sum(row))}"
@@ -485,7 +494,8 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
                 )
             row1 = tuple(1 if t == top else 0 for t in range(k))
         if qs < 1:
-            row0 = tuple(x / (1 - qs) for x in white_row)
+            white_q = 1 - qs
+            row0 = tuple(x / white_q for x in white_row)
         else:
             if sum(white_row) > slack:
                 raise DegenerateConditional(
@@ -538,7 +548,7 @@ def split_signal(
         raise BadWeights("weights must be non-empty")
     if any(w <= 0 for w in parts):
         raise BadWeights("weights must be positive")
-    if abs(sum(parts) - 1) > NORM_TOL:
+    if far(sum(parts), 1, NORM_TOL):
         raise BadWeights(f"weights sum to {_shown(sum(parts))}")
     idx = st.signal_index(t)
     if len(parts) == 1:
@@ -563,8 +573,8 @@ def split_signal(
 
 def _equivalent(a: ColumnStats, b: ColumnStats, slack: float) -> bool:
     """Whether two positive-mass columns agree on P(Y|T) and P(S|T)."""
-    return abs(a[1] - b[1]) <= slack and all(
-        abs(x - y) <= slack for x, y in zip(a[2], b[2])
+    return near(a[1], b[1], slack) and all(
+        near(x, y, slack) for x, y in zip(a[2], b[2])
     )
 
 

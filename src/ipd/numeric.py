@@ -20,6 +20,16 @@ Tolerance ladder:
   grouping decisions, and LP residuals; overridable through the
   ``IPD_TOLERANCE`` environment variable (read per call).
 * ``PATH_TOL`` (1e-7): agreement between independent solution paths.
+
+Tolerance and range tests go through three helpers, ``far(a, b, tol)``,
+``near(a, b, tol)`` and ``outside_unit(x)``. Each answers exactly as the
+expression it stands for (``abs(a - b) > tol``, ``abs(a - b) <= tol`` and
+``x < 0 or x > 1``) for every input type, NaN and infinities included, given
+a tolerance that is a number >= 0. They only settle the common cases
+cheaply: an equality test before the subtraction, which on Fractions spares
+a subtraction and a comparison against a float tolerance (a Fraction with a
+denominator near 2**92 for 1e-12), and a Fraction's integer fields in place
+of two rational comparisons.
 """
 
 from __future__ import annotations
@@ -72,6 +82,8 @@ def exactify(x: Scalar) -> Scalar:
     (a True/False probability is always a bug at the call site), and so are
     NaN and infinities, which would slip past every range check.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise TypeError("probabilities must be numbers, not booleans")
     if isinstance(x, int):
@@ -109,15 +121,45 @@ def ratio_bound(eps: float | None = None, exp_eps: Scalar | None = None) -> Scal
     if (eps is None) == (exp_eps is None):
         raise TypeError("pass exactly one of eps or exp_eps")
     if exp_eps is not None:
-        bound = exactify(exp_eps)
-        if bound < 1:
+        if type(exp_eps) is Fraction:  # compared through its integer fields
+            bound, num, den = exp_eps, exp_eps.numerator, exp_eps.denominator
+            below, above = num < den, num > _FLOAT_MAX * den
+        else:
+            bound = exactify(exp_eps)
+            below, above = bound < 1, bound > _FLOAT_MAX
+        if below:
             raise ValidationError(f"exp_eps must be >= 1, got {exp_eps!r}")
-        if bound > _FLOAT_MAX:  # a budget past what eps allows
+        if above:  # a budget past what eps allows
             raise ValidationError(f"exp_eps must be at most e**{MAX_EPS:.2f}")
         return bound
     if not 0 <= eps <= MAX_EPS:
         raise ValidationError(f"eps must be in [0, {MAX_EPS:.2f}], got {eps!r}")
     return math.exp(eps)
+
+
+# Types whose equal values always differ by exactly zero; a float equal to
+# itself may be an infinity, whose difference with itself is NaN.
+_FINITE_TYPES = (int, Fraction)
+
+
+def far(a: Scalar, b: Scalar, tol: float) -> bool:
+    """abs(a - b) > tol, with no subtraction when a == b."""
+    return a != b and abs(a - b) > tol
+
+
+def near(a: Scalar, b: Scalar, tol: float) -> bool:
+    """abs(a - b) <= tol, with no subtraction when a is an int or Fraction equal to b."""
+    if a == b and (type(a) in _FINITE_TYPES or a - b == 0):
+        return True
+    return abs(a - b) <= tol
+
+
+def outside_unit(x: Scalar) -> bool:
+    """x < 0 or x > 1; a Fraction is read off its numerator and denominator."""
+    if type(x) is Fraction:
+        num = x.numerator
+        return num < 0 or num > x.denominator
+    return x < 0 or x > 1
 
 
 def log_of(x: Scalar) -> float:

@@ -19,7 +19,13 @@ from typing import TYPE_CHECKING
 
 from .analysis import UtilityFn, blackwell_dominates, expected_utility
 from .binary import pack_columns, solve_binary
-from .errors import NotBinarySecret, SolverError, UnsupportedSize, ValidationError
+from .errors import (
+    NotBinarySecret,
+    SolverError,
+    UnsupportedSize,
+    ValidationError,
+    require,
+)
 from .general import _rescaled_structure, solve_general
 from .model import InfoStructure, Prior, posterior_summary
 from .numeric import Scalar, check_slack, log_of, ratio_bound
@@ -230,7 +236,8 @@ def random_structure_oracle(
     width zero, which no amount of squeezing can bring inside the budget.
 
     The solver side is solve_binary for two secrets and solve_general
-    otherwise. A seed is required; there is no implicit randomness.
+    otherwise. A seed is required; there is no implicit randomness. The
+    draws need numpy, and MissingDependency is raised without it.
     """
     if u is None:
         raise TypeError("random_structure_oracle needs a utility function")
@@ -248,7 +255,7 @@ def random_structure_oracle(
     eps_f = log_of(w)
     slack = check_slack()
     n = prior.n
-    import numpy as np
+    np = require("numpy")
 
     p = np.array([float(x) for x in prior.p])
     q = np.array([float(x) for x in prior.q])
@@ -329,7 +336,7 @@ def _random_batch(
     eps_f: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random (widths, yellow) batches of shape (count, n, k)."""
-    import numpy as np
+    np = require("numpy")
 
     yellow = rng.integers(0, 2, size=(count, n, k)).astype(bool)
     fixes = rng.integers(0, k, size=(count, n))
@@ -391,7 +398,8 @@ def pattern_lp_oracle(
     The solver side is solve_binary for two secrets, solve_general
     otherwise. best_utility is the LP optimum, best_structure the witness
     built from the positive types with each row rescaled to its exact sums,
-    and trials the number of types.
+    and trials the number of types. The LP needs numpy and scipy, and
+    MissingDependency is raised without them.
     """
     if u is None:
         raise TypeError("pattern_lp_oracle needs a utility function")
@@ -402,8 +410,8 @@ def pattern_lp_oracle(
         )
     w = ratio_bound(eps, exp_eps)
     solver = _solver_structure(prior, u, w)
-    import numpy as np
-    from scipy.optimize import linprog
+    np = require("numpy")
+    linprog = require("scipy.optimize").linprog
 
     # Row k of subsets marks the secrets of the binary expansion of k; as a
     # width pattern, the last row is the first at scale w.

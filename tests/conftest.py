@@ -1,5 +1,6 @@
 """Shared fixtures: the worked binary example and helpers for random inputs."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -72,3 +73,15 @@ RUNAWAY_PRIOR = [
     (0.08801632271773992, 0.6471881237673606),
     (0.2583599696296675, 0.35346600926098826),
 ]
+
+
+def hide_packages(monkeypatch, *packages):
+    """Make each package, and every submodule of it, fail to import.
+
+    A None entry in sys.modules makes the import system raise
+    ModuleNotFoundError; monkeypatch puts the real entries back.
+    """
+    for package in packages:
+        for name in [m for m in sys.modules if m.startswith(package + ".")]:
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setitem(sys.modules, package, None)

@@ -35,7 +35,7 @@ from ipd.serialize import (
     write_json,
 )
 
-from conftest import RUNAWAY_PRIOR
+from conftest import RUNAWAY_PRIOR, hide_packages
 
 
 @pytest.fixture
@@ -504,6 +504,32 @@ class TestSolveGeneralCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SolverError"
         assert "Iteration limit reached" in err["message"]
+
+
+class TestMissingPackages:
+    """A command that needs numpy or scipy without them is a JSON error, exit 2."""
+
+    def _exits_2_naming(self, package, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "MissingDependency"
+        assert f"needs {package}" in err["message"]
+
+    def test_solve_general_on_three_secrets_without_scipy(
+        self, three_secret_prior_file, monkeypatch, capsys
+    ):
+        hide_packages(monkeypatch, "scipy")
+        argv = ["solve-general", three_secret_prior_file, "--eps", "ln2", "--utility", "abs"]
+        self._exits_2_naming("scipy", argv, capsys)
+
+    def test_random_oracle_without_numpy(self, prior_file, monkeypatch, capsys):
+        hide_packages(monkeypatch, "numpy")
+        argv = ["oracle", "random", prior_file, "--eps", "ln2", "--utility", "abs",
+                "--seed", "1"]
+        self._exits_2_naming("numpy", argv, capsys)
 
 
 class TestUtilityCommand:

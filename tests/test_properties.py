@@ -25,7 +25,9 @@ from ipd import (
     solve_binary,
     solve_perfect_privacy,
     structure_to_mechanism,
+    utility_gain,
 )
+from ipd.numeric import PATH_TOL
 
 _unit = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
 
@@ -145,3 +147,59 @@ def test_every_utility_is_convex(u, steps):
     values = [u(Fraction(i, steps)) for i in range(steps + 1)]
     second = [a - 2 * b + c for a, b, c in zip(values, values[1:], values[2:])]
     assert min(second) >= (-1e-12 if u.family == "negentropy" else 0)
+
+
+_rational_unit = st.fractions(min_value=0, max_value=1, max_denominator=40)
+
+
+@st.composite
+def rational_binary_points(draw):
+    """A rational binary prior with an exact budget, conditionals 0 and 1 allowed."""
+    p0 = draw(st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40),
+                           max_denominator=40))
+    pairs = [(p0, draw(_rational_unit)), (1 - p0, draw(_rational_unit))]
+    w = draw(st.fractions(min_value=1, max_value=12, max_denominator=16))
+    return pairs, w
+
+
+def _kernel_by_label(m):
+    return {
+        (s, y, label): x
+        for s, by_state in enumerate(m.kernel)
+        for y, row in enumerate(by_state)
+        for label, x in zip(m.signals, row)
+    }
+
+
+@given(rational_binary_points())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_exact_binary_pipeline_is_exact_and_matches_its_float_twin(point):
+    pairs, w = point
+    exact_prior = load_prior(pairs)
+    twin_prior = load_prior([(float(p), float(q)) for p, q in pairs])
+    exact = solve_binary(exact_prior, exp_eps=w)
+    twin = solve_binary(twin_prior, exp_eps=float(w))
+
+    widths = [x for row in exact.structure.widths for x in row]
+    assert all(type(x) is Fraction for x in widths)
+    exact_kernel = _kernel_by_label(exact.mechanism)
+    assert all(type(x) is Fraction for x in exact_kernel.values())
+    for a, b in zip(exact.widths_by_signal, twin.widths_by_signal):
+        for x, y in zip(a, b):
+            assert abs(float(x) - y) <= PATH_TOL
+    # a column the exact solve leaves empty may keep a sliver in floats
+    twin_kernel = _kernel_by_label(twin.mechanism)
+    for key in exact_kernel.keys() | twin_kernel.keys():
+        assert abs(float(exact_kernel.get(key, 0)) - twin_kernel.get(key, 0.0)) <= PATH_TOL
+
+    for family in BUILTIN_FAMILIES:
+        u = UtilityFn(family)
+        report = utility_gain(exact_prior, u=u, exp_eps=w)
+        twin_report = utility_gain(twin_prior, u=u, exp_eps=float(w))
+        if family != "negentropy":
+            assert type(report.u_eps) is Fraction and type(report.u_0) is Fraction
+        assert abs(float(report.u_eps) - twin_report.u_eps) <= PATH_TOL
+        assert abs(float(report.u_0) - twin_report.u_0) <= PATH_TOL
+
+    assert check_ip(exact.structure, exp_eps=w).satisfied
+    assert check_ip(twin.structure, exp_eps=float(w)).satisfied
