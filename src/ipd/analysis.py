@@ -323,9 +323,13 @@ def check_regions(
                 zero_width.append((prior.secrets[i], st.signals[t]))
                 continue
             value = st.cells[i][t]
-            if value == 1 or value >= 1 - slack:
+            # an exact 0 first: a white Fraction cell against the float
+            # 1 - slack costs as much as a Fraction conversion
+            if value == 0:
+                white_cells.add((i, j))
+            elif value == 1 or value >= 1 - slack:
                 yellow_cells.add((i, j))
-            elif value == 0 or value <= slack:
+            elif value <= slack:
                 white_cells.add((i, j))
             elif witnesses["cells_binary"] is None:
                 witnesses["cells_binary"] = (

@@ -4,8 +4,8 @@ Every error raised deliberately by this package derives from IpdError, so
 callers can catch one type at the boundary. Input-shaped problems (bad
 probabilities, malformed tables) additionally derive from ValueError via
 ValidationError, which keeps ``except ValueError`` workflows functional.
-numpy and scipy are optional: ``require`` imports them where they are used
-and turns their absence into MissingDependency.
+numpy and scipy are optional (the ``lp`` extra): ``require`` imports them
+where they are used and turns their absence into MissingDependency.
 """
 
 from __future__ import annotations
@@ -79,12 +79,14 @@ def require(module: str):
     """Import and return module, raising MissingDependency if it cannot be.
 
     The error names the top-level package that failed to import, which is
-    not always the one asked for: scipy without numpy names numpy.
+    not always the one asked for: scipy without numpy names numpy. It also
+    names the extra that installs both.
     """
     try:
         return importlib.import_module(module)
     except ImportError as exc:
         package = (exc.name or module).partition(".")[0]
         raise MissingDependency(
-            f"this operation needs {package}, which cannot be imported: {exc}"
+            f"this operation needs {package}, which cannot be imported ({exc}); "
+            "pip install ipd[lp] installs numpy and scipy"
         ) from exc

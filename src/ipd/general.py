@@ -18,22 +18,28 @@ Every cut column meets the budget on its own, so one LP whose middle
 variables are all the non-uniform cut columns at once admits only private
 structures, and each chain's LP is that LP with some columns held at zero;
 by the structure theorem the best chain, and so this LP, reaches the global
-optimum. A piecewise-linear utility can leave the LP on an optimal vertex
-whose positive columns are not a chain; only then does a second LP hold the
-objective within CHECK_TOL of the optimum and maximize the strictly convex
-quadratic utility, which lands on a chain.
+optimum. The two anchor columns need no budget rows either: each anchor row
+is held as the narrowest row of its column, with every other row's ratio
+to it boxed to [1, e**eps], so any two rows are within that factor; on
+seeded corpora this box never lost utility against bounding every pair of
+rows on its own. A
+piecewise-linear utility can leave the LP with an optimal face that holds
+positive columns that are not a chain, so for a utility that is not
+strictly convex the same linprog call then maximizes the quadratic
+utility over that face, which lands on a chain that no other optimum
+Blackwell-dominates.
 
 assemble_lp/solve_lp handle one linear program; solve_general builds the
-bank, runs one or two LPs, and rebuilds the structure from the chain.
+bank, runs its one LP, and rebuilds the structure from the chain.
 assemble_lp builds the LP straight in HiGHS's column-wise form: for each
 variable, the rows it enters and its coefficients there, zeros left out,
-beside lists of row bounds, variable bounds and costs. linprog is the one
-LP backend: an LP with equality rows only and finite bounds is made dense
-and goes to a small bounded-variable simplex in pure Python, and every
-other LP goes to HiGHS's dual simplex. The two-secret LP (four rows, at
-most six variables) is the only equality-only one the solver builds, since
-every LP for three or more secrets has budget-pair rows, so a two-secret
-solve imports neither numpy nor scipy. HiGHS is called through the
+beside the 2n equality right-hand sides, variable bounds and costs; every
+bound is finite. linprog is the one LP backend, and takes an optional
+second objective that it minimizes over the first one's optimal face,
+warm from the first one's answer. An LP of at most four rows (the
+two-secret one) is made dense and goes to a small bounded-variable simplex
+in pure Python, so a two-secret solve imports neither numpy nor scipy, and
+every other LP goes to HiGHS's dual simplex. HiGHS is called through the
 bindings scipy bundles, with the model and tolerances scipy's
 linprog(method="highs-ds") would pass it but none of that wrapper's
 per-call checks, and with an iteration cap of SIMPLEX_ITERATION_LIMIT, past
@@ -126,11 +132,6 @@ def _bank_columns(n: int, positive: bool) -> tuple[CutColumn, ...]:
     return tuple(col for col, row in zip(position, wide) if any(row) and not all(row))
 
 
-def _width_bounds(w: Scalar) -> tuple[float, float]:
-    """1/w and w as floats, 1/w rounded once when w is exact."""
-    return float(1 / w) if is_exact(w) else 1.0 / w, float(w)
-
-
 @dataclass(frozen=True)
 class CutAssignment:
     """A bank of distinct in-range middle columns for an n-secret instance.
@@ -187,9 +188,13 @@ class CutAssignment:
 
     @cached_property
     def relative_widths(self) -> tuple[tuple[float, ...], ...]:
-        """(columns x rows) width over the bottom row's width: 1/w, 1 or w."""
-        inv_w, w = _width_bounds(self.exp_eps)
-        factor = (inv_w, 1.0, w).__getitem__
+        """(columns x rows) width over the bottom row's width: 1/w, 1 or w.
+
+        1/w is rounded once when w is exact.
+        """
+        w = self.exp_eps
+        inv_w = float(1 / w) if is_exact(w) else 1.0 / w
+        factor = (inv_w, 1.0, float(w)).__getitem__
         table = _cut_table(self.n)[3]
         return tuple(tuple(map(factor, table[k])) for k in self._positions)
 
@@ -226,12 +231,11 @@ class LpProblem:
     Variables: a width ratio per non-bottom row of the all-yellow column, a
     width ratio per non-top row of the all-white column, then the bottom-row
     width of each middle column. Maximize objective . x + offset subject to
-    row_lower <= A x <= row_upper and col_lower <= x <= col_upper. A is kept
+    A x = rhs and col_lower <= x <= col_upper, every bound finite. A is kept
     by variable: variable j has the coefficients value[start[j]:start[j + 1]]
     in the rows index[start[j]:start[j + 1]], rows ascending, zeros left
-    out. The rows are the budget-pair rows (from -inf to 0), then a
-    tie-break LP's hold row, then the 2n equality rows (both bounds equal).
-    Problems compare by identity.
+    out. Its 2n rows are equalities: each secret's total width, then each
+    secret's yellow width. Problems compare by identity.
     """
 
     prior: Prior
@@ -241,8 +245,7 @@ class LpProblem:
     start: list[int]
     index: list[int]
     value: list[float]
-    row_lower: list[float]
-    row_upper: list[float]
+    rhs: list[float]
     col_lower: list[float]
     col_upper: list[float]
     column_posteriors: tuple[Scalar, ...]
@@ -297,83 +300,47 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     )
 
 
-def _constraints(
-    prior: Prior,
-    bank: CutAssignment,
-    hold: tuple[list[float], float] | None = None,
-) -> tuple[list, ...]:
-    """The LP's start, index, value, row_lower, row_upper, col_lower, col_upper.
+def _constraints(prior: Prior, bank: CutAssignment) -> tuple[list, ...]:
+    """The LP's start, index, value, rhs, col_lower, col_upper.
 
-    The box on the ratio variables only controls each row against the
-    anchor row; for n >= 3 the budget must also hold between two non-anchor
-    rows of the same column, one row x_j - w x_j2 <= 0 for each ordered
-    pair, which come first. hold, a (coefficients, upper) pair, adds the row
-    coefficients . x <= upper after them. The first n equality rows fix
-    each secret's total width, the next n its yellow width; the middle
-    columns enter them with the bank's relative widths, the second half only
-    in their yellow block.
+    The first n rows fix each secret's total width, the next n its yellow
+    width; the middle columns enter them with the bank's relative widths,
+    the second half only in their yellow block. Each ratio variable is
+    boxed to [1, w]: an anchor row is the narrowest of its column, so every
+    two rows of an anchor column are within the factor w.
     """
     n = prior.n
     q = [float(x) for x in prior.q]
     anchor_yellow = q[n - 1]
     anchor_white = float(1 - prior.q[0])
-    inv_w, w = _width_bounds(bank.exp_eps)
     ratios = 2 * (n - 1)
 
-    # (row, coefficient) entries of each ratio variable, rows ascending
-    pair_entries = [[] for _ in range(ratios)]
-    pairs = 0
-    for first in (0, n - 1):
-        free = range(first, first + n - 1)
-        for j in free:
-            for j2 in free:
-                if j != j2:
-                    pair_entries[j].append((pairs, 1.0))
-                    pair_entries[j2].append((pairs, -w))
-                    pairs += 1
-    eq = pairs + (hold is not None)  # the first equality row
-    # the all-yellow column's rows 1..n-1, the all-white column's rows 2..n
-    eq_entries = [[(eq + j, anchor_yellow), (eq + n + j, anchor_yellow)] for j in range(n - 1)]
-    eq_entries += [[(eq + 1 + j, anchor_white)] for j in range(n - 1)]
-
-    # the hold row's coefficients; without one they are zeros, left out below
-    coefficients = hold[0] if hold else [0.0] * (ratios + len(bank.columns))
+    # the all-yellow column's rows 1..n-1 (total and yellow), the all-white
+    # column's rows 2..n (total only); an anchor of 0 leaves its ratios empty
+    entries = [[(j, anchor_yellow), (n + j, anchor_yellow)] for j in range(n - 1)]
+    entries += [[(1 + j, anchor_white)] for j in range(n - 1)]
     start, index, value = [0], [], []
-    for j in range(ratios):
-        for row, v in (*pair_entries[j], (pairs, coefficients[j]), *eq_entries[j]):
+    for column in entries:
+        for row, v in column:
             if v != 0:
                 index.append(row)
                 value.append(v)
         start.append(len(index))
     # A middle column enters every total row and the yellow rows of its
     # block, rows 1..top, with its relative widths, which are never zero.
-    rows_of = [[*range(eq, eq + n), *range(eq + n, eq + n + top)] for top in range(n + 1)]
-    for coefficient, rel, yellow in zip(
-        coefficients[ratios:], bank.relative_widths, bank.yellow
-    ):
-        if coefficient != 0:
-            index.append(pairs)
-            value.append(coefficient)
+    for rel, yellow in zip(bank.relative_widths, bank.yellow):
         top = yellow.count(True)
-        index += rows_of[top]
+        index += range(n + top)
         value += rel
         value += rel[:top]
         start.append(len(index))
 
     # each row's total is 1 and its yellow width q, less what an anchor holds
     # (the bottom row's yellow width is all anchor)
-    b_eq = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow, *q[:-1], 0.0]
-    upper = [0.0] * pairs + ([hold[1]] if hold else [])
+    rhs = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow, *q[:-1], 0.0]
     m = len(bank.columns)
-    return (
-        start,
-        index,
-        value,
-        [-math.inf] * len(upper) + b_eq,
-        upper + b_eq,
-        [inv_w] * ratios + [0.0] * m,
-        [w] * ratios + [1.0] * m,
-    )
+    w = float(bank.exp_eps)
+    return start, index, value, rhs, [1.0] * ratios + [0.0] * m, [w] * ratios + [1.0] * m
 
 
 class LinprogResult(NamedTuple):
@@ -396,21 +363,22 @@ _COST_TOL = 1e-12
 # linprog check, 10 * sqrt(tol) at its default tol of 1e-9.
 FEASIBILITY_TOL = 10 * math.sqrt(1e-9)
 # HiGHS's primal and dual feasibility tolerance; a column no wider than it
-# is round-off (_support).
+# is round-off (_support), and a reduced cost no larger than it leaves its
+# variable free on the optimal face (linprog's then).
 HIGHS_TOL = 1e-10
-# HiGHS presolves an LP only when a finite variable bound exceeds this. Every
-# LP assemble_lp builds has the budget factor w as its widest bound, and w is
+# HiGHS presolves an LP only when a variable bound exceeds this. Every LP
+# assemble_lp builds has the budget factor w as its widest bound, and w is
 # 1e4 at eps of about 9.2. Below that, presolve removes next to nothing from
 # these LPs yet costs more than the dual simplex, and both ways reach the same
-# optimum to 1e-11. At eps 11 to 13 the two optima part by up to 1e-6 either
-# way, and from eps 20 the dual simplex alone can stop on answers that fail
-# check_ip, so a wide LP is solved as scipy's linprog would solve it.
+# optimum to 1e-11. Past it presolve pays: on 46 seeded LPs at eps 26, each
+# with a conditional of 0 or 1, the dual simplex alone failed 12 that it
+# solved after presolve, so a wide LP is solved as scipy's linprog would.
 PRESOLVE_ABOVE = 1e4
 # The most dual simplex iterations HiGHS may take on one LP; past it the LP
 # fails with a SolverError instead of running on. Seeded solves at eps 0.3
-# to 30 took at most 10, 30, 88, 215 and 380 iterations at n = 3, 5, 10, 20
-# and 30, and 2016 solves at n = 3..6, eps 3 to 30, with a q of 0, 1 or
-# 1e-6, at most 58; yet some LPs past eps 20 never finish without a cap.
+# to 30 took at most 8, 18, 50 and 117 iterations at n = 3, 5, 10 and 20,
+# yet an n=6 LP at eps 23 once ran on for minutes, when the LP still held
+# the budget between each pair of anchor rows with a row of its own.
 SIMPLEX_ITERATION_LIMIT = 10_000
 
 
@@ -419,36 +387,39 @@ def linprog(
     start: list[int],
     index: list[int],
     value: list[float],
-    row_lower: list[float],
-    row_upper: list[float],
+    rhs: list[float],
     col_lower: list[float],
     col_upper: list[float],
+    then: list[float] | None = None,
 ) -> LinprogResult:
-    """Minimize c . x subject to row_lower <= A x <= row_upper and col bounds.
+    """Minimize c . x subject to A x = rhs and col_lower <= x <= col_upper.
 
     solve_lp's backend; the pattern-LP oracle goes through scipy's own
     linprog instead, so that it stays an independent check of this path.
-    A is given by column as in LpProblem; the result carries scipy's status
-    (0 optimal, 2 infeasible), x and a message. An LP whose rows are all
-    equalities and whose bounds are all finite (of the solver's LPs, only
-    the two-secret one) is made dense for a bounded-variable simplex in pure
+    A is given by column as in LpProblem, and every bound is finite. With
+    then, every variable whose reduced cost at the optimum exceeds
+    HIGHS_TOL in magnitude is held at its bound, which leaves the optimal
+    face, and then . x is minimized over it, warm from the first optimum.
+    The result carries scipy's status (0 optimal, 2 infeasible), x and a
+    message. An LP of at most four rows (of the solver's LPs, the
+    two-secret one) is made dense for a bounded-variable simplex in pure
     Python, whose answer is taken only when it passes the GUARD_TOL checks.
     Every other LP, and every one the simplex fails or the guard rejects,
     goes to HiGHS's dual simplex through _highs, on this thread's solver and
     with presolve only past PRESOLVE_ABOVE; scipy is imported then, on first
     use, so a two-secret solve normally never loads it.
     """
-    if row_lower == row_upper and all(map(math.isfinite, col_lower + col_upper)):
-        a = [[0.0] * len(c) for _ in row_upper]
+    if len(rhs) <= 4:
+        a = [[0.0] * len(c) for _ in rhs]
         for j, (s, e) in enumerate(zip(start, start[1:])):
             for row, v in zip(index[s:e], value[s:e]):
                 a[row][j] = v
-        x = _bounded_simplex(c, a, row_upper, col_lower, col_upper)
+        x = _bounded_simplex(c, a, rhs, col_lower, col_upper, then)
         if x is not None:
-            x = _guarded(x, a, row_upper, col_lower, col_upper)
+            x = _guarded(x, a, rhs, col_lower, col_upper)
         if x is not None:
             return LinprogResult(0, x, "optimal (bounded simplex)")
-    return _highs(c, start, index, value, row_lower, row_upper, col_lower, col_upper)
+    return _highs(c, start, index, value, rhs, col_lower, col_upper, then=then)
 
 
 def _highs(
@@ -456,20 +427,22 @@ def _highs(
     start: list[int],
     index: list[int],
     value: list[float],
-    row_lower: list[float],
-    row_upper: list[float],
+    rhs: list[float],
     col_lower: list[float],
     col_upper: list[float],
+    then: list[float] | None = None,
 ) -> LinprogResult:
     """linprog's LP on HiGHS's dual simplex, through scipy's HiGHS bindings.
 
     The lists go to HiGHS as they are; they are the model scipy's
     linprog(method="highs-ds") would hand HiGHS for the same LP with its
-    inequality rows given as A_ub and its equality rows as A_eq, without
-    that wrapper's input checks and result post-processing. It goes to this
-    thread's solver (_thread_highs), whose solve state is cleared first,
-    with presolve on only when a finite bound exceeds PRESOLVE_ABOVE, so
-    past that bound it is the call scipy makes. An optimal model gives
+    rows given as A_eq, without that wrapper's input checks and result
+    post-processing. It goes to this thread's solver (_thread_highs), whose
+    solve state is cleared first, with presolve on only when a bound
+    exceeds PRESOLVE_ABOVE, so past that bound it is the call scipy makes.
+    With then, the optimum's reduced costs (col_dual) pick the variables
+    held at their bounds, and the same solver re-runs from its optimal
+    basis with those bounds and the costs then. An optimal model gives
     status 0 and HiGHS's x, an infeasible one status 2; any other model
     status (the iteration limit included), or an error from HiGHS, gives
     status 4. solve_lp checks the x. Without scipy it raises
@@ -481,27 +454,37 @@ def _highs(
     matrix = lp.a_matrix_
     matrix.format_ = highs.MatrixFormat.kColwise
     lp.num_col_ = matrix.num_col_ = len(c)
-    lp.num_row_ = matrix.num_row_ = len(row_lower)
+    lp.num_row_ = matrix.num_row_ = len(rhs)
     matrix.start_, matrix.index_, matrix.value_ = start, index, value
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = col_lower, col_upper
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    widest = max(map(abs, filter(math.isfinite, col_lower + col_upper)), default=0.0)
+    lp.row_lower_ = lp.row_upper_ = rhs
+    widest = max(map(abs, col_lower + col_upper), default=0.0)
     presolve = "on" if widest > PRESOLVE_ABOVE else "off"
 
     solver = _thread_highs()
     error = highs.HighsStatus.kError
+    optimal = highs.HighsModelStatus.kOptimal
     ran = (
         solver.setOptionValue("presolve", presolve) != error
         and solver.clearSolver() != error
         and solver.passModel(lp) != error
         and solver.run() != error
     )
+    if ran and then is not None and solver.getModelStatus() == optimal:
+        reduced = solver.getSolution().col_dual
+        held = [j for j, d in enumerate(reduced) if abs(d) > HIGHS_TOL]
+        at = [col_lower[j] if reduced[j] > 0 else col_upper[j] for j in held]
+        ran = (
+            solver.changeColsBounds(len(held), held, at, at) != error
+            and solver.changeColsCost(len(then), list(range(len(then))), then) != error
+            and solver.run() != error
+        )
     status = solver.getModelStatus()
     message = f"HiGHS model status {solver.modelStatusToString(status)}"
     if not ran:
         return LinprogResult(4, None, f"HiGHS could not load or run the LP; {message}")
-    if status == highs.HighsModelStatus.kOptimal:
+    if status == optimal:
         return LinprogResult(0, solver.getSolution().col_value, message)
     if status == highs.HighsModelStatus.kInfeasible:
         return LinprogResult(2, None, message)
@@ -580,6 +563,7 @@ def _bounded_simplex(
     b: list[float],
     lo: list[float],
     hi: list[float],
+    then: list[float] | None = None,
 ) -> list[float] | None:
     """Minimize c . x subject to a x = b and lo <= x <= hi, all bounds finite.
 
@@ -590,8 +574,11 @@ def _bounded_simplex(
     tolerances' eyes, than a column weight bounded by 1. Phase 1 starts
     every variable at its lower bound, gives each row an artificial
     variable holding its residual, and drives their sum to zero; phase 2
-    fixes the artificials at zero and minimizes c. Returns x, or None when
-    phase 1 leaves a residual above GUARD_TOL or a phase stops early.
+    fixes the artificials at zero and minimizes c. With then, a third phase
+    holds every variable whose scaled reduced cost exceeds HIGHS_TOL in
+    magnitude where it sits and minimizes then from phase 2's tableau.
+    Returns x, or None when phase 1 leaves a residual above GUARD_TOL or a
+    phase stops early.
     """
     scale = [max(abs(low), abs(high)) or 1.0 for low, high in zip(lo, hi)]
     c = [cj * s for cj, s in zip(c, scale)]
@@ -610,13 +597,21 @@ def _bounded_simplex(
     x = [*lo, *map(abs, residual)]
     lo, hi = [*lo, *[0.0] * m], [*hi, *[math.inf] * m]
     basis = list(range(nv, nv + m))
-    if not _pivot_to_optimum(tableau, basis, x, [0.0] * nv + [1.0] * m, lo, hi):
+    if _pivot_to_optimum(tableau, basis, x, [0.0] * nv + [1.0] * m, lo, hi) is None:
         return None
     if any(v > GUARD_TOL for v in x[nv:]):
         return None
     hi[nv:] = [0.0] * m  # the artificials stay at zero from here on
-    if not _pivot_to_optimum(tableau, basis, x, [*c, *[0.0] * m], lo, hi):
+    reduced = _pivot_to_optimum(tableau, basis, x, [*c, *[0.0] * m], lo, hi)
+    if reduced is None:
         return None
+    if then is not None:
+        for j, d in enumerate(reduced):
+            if abs(d) > HIGHS_TOL:
+                lo[j] = hi[j] = x[j]
+        cost = [*(tj * s for tj, s in zip(then, scale)), *[0.0] * m]
+        if _pivot_to_optimum(tableau, basis, x, cost, lo, hi) is None:
+            return None
     return [xj * s for xj, s in zip(x, scale)]
 
 
@@ -627,14 +622,15 @@ def _pivot_to_optimum(
     cost: list[float],
     lo: list[float],
     hi: list[float],
-) -> bool:
+) -> list[float] | None:
     """Take simplex steps, in place, until no step lowers cost . x.
 
     The entering variable has the reduced cost of largest magnitude
     (Dantzig's rule), or the lowest index right after a degenerate step
     (Bland's rule, which cannot cycle). It moves until a basic variable
     reaches a bound and leaves the basis there, or until it reaches its own
-    other bound. Returns False on an unbounded ray or at the step cap.
+    other bound. Returns the final reduced costs, or None on an unbounded
+    ray or at the step cap.
     """
     width = len(x)
     reduced = [
@@ -655,7 +651,7 @@ def _pivot_to_optimum(
             )
         ]
         if not candidates:
-            return True
+            return reduced
         if degenerate:
             j = candidates[0]
         else:
@@ -676,7 +672,7 @@ def _pivot_to_optimum(
             if limit < step or tie:
                 step, leave = limit, i
         if step == math.inf:
-            return False
+            return None
         for i, k in enumerate(basis):
             x[k] -= tableau[i][j] * direction * step
         if leave is None:
@@ -695,18 +691,20 @@ def _pivot_to_optimum(
             reduced = [v - f * p for v, p in zip(reduced, pivot)]
             basis[leave] = j
         degenerate = step == 0
-    return False
+    return None
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
+def solve_lp(problem: LpProblem, then: list[float] | None = None) -> LpSolution:
     """Solve one assembled LP through linprog.
 
-    Any answer but an optimal one, infeasible included, raises SolverError
-    with the backend's message. So does an optimal x that is NaN or misses
-    a bound, an inequality row or an equality row by more than
-    FEASIBILITY_TOL, the check scipy's linprog makes on HiGHS's answer.
-    linprog is looked up as a module global at call time, so a replacement
-    bound here (a test's fake, a tracer's wrapper) sees every solve.
+    then, coefficients of a second objective to maximize, is maximized over
+    the optimal face of the first (see linprog); the reported objective is
+    still the first. Any answer but an optimal one, infeasible included,
+    raises SolverError with the backend's message. So does an optimal x
+    that is NaN or misses a bound or a row by more than FEASIBILITY_TOL,
+    the check scipy's linprog makes on HiGHS's answer. linprog is looked up
+    as a module global at call time, so a replacement bound here (a test's
+    fake, a tracer's wrapper) sees every solve.
     """
     start, index, value = problem.start, problem.index, problem.value
     result = linprog(
@@ -714,26 +712,23 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         start,
         index,
         value,
-        problem.row_lower,
-        problem.row_upper,
+        problem.rhs,
         problem.col_lower,
         problem.col_upper,
+        then=None if then is None else [-v for v in then],
     )
     if result.status != 0:
         raise SolverError(f"LP solver failed: {result.message}")
     x = list(result.x)
-    activity = [0.0] * len(problem.row_lower)
+    activity = [0.0] * len(problem.rhs)
     for xj, s, e in zip(x, start, start[1:]):
         if xj:  # most columns sit at zero
             for row, v in zip(index[s:e], value[s:e]):
                 activity[row] += v * xj
-    misses = [
+    misses = [abs(v - b) for v, b in zip(activity, problem.rhs)]
+    misses += [
         max(low - v, v - high)
-        for low, v, high in zip(
-            problem.row_lower + problem.col_lower,
-            activity + x,
-            problem.row_upper + problem.col_upper,
-        )
+        for low, v, high in zip(problem.col_lower, x, problem.col_upper)
     ]
     residual = math.nan if any(map(math.isnan, misses)) else max(misses)
     if not residual <= FEASIBILITY_TOL:  # a NaN fails too
@@ -766,27 +761,6 @@ def _chain(problem: LpProblem, solution: LpSolution) -> CutAssignment:
     support = _support(problem, solution)
     cols = tuple(itertools.compress(bank.columns, support))
     return CutAssignment(bank.n, cols, bank.exp_eps)
-
-
-def _hold_and_maximize_quadratic(
-    problem: LpProblem, solution: LpSolution
-) -> tuple[LpProblem, LpSolution]:
-    """Among the optima of problem, the one best for the quadratic utility.
-
-    The row objective . x + offset >= optimum - CHECK_TOL keeps the primary
-    value; a tighter slack lets solver round-off cut off the chain optima.
-    It joins the first LP's rows after the budget-pair rows; the bank's
-    posteriors are the first LP's, and only the objective is recomputed.
-    """
-    prior, bank = problem.prior, problem.assignment
-    posts = problem.column_posteriors
-    objective, offset = _objective(prior, UtilityFn("quadratic"), bank, posts)
-    floor = solution.objective - problem.offset - CHECK_TOL
-    hold = ([-v for v in problem.objective], -floor)
-    held = LpProblem(
-        prior, bank, objective, offset, *_constraints(prior, bank, hold), posts
-    )
-    return held, solve_lp(held)
 
 
 def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructure:
@@ -881,22 +855,22 @@ def solve_general(
 ) -> GeneralSolution:
     """Best eps-private structure for a given utility and up to max_secrets.
 
-    Solves one LP over every non-uniform cut column. When the columns wider
-    than round-off do not form a chain (possible only on ties, as with a
-    piecewise-linear utility), a second LP keeps the objective within
-    CHECK_TOL of the optimum and maximizes the quadratic utility, which
-    breaks the tie toward a chain. A budget past the point where full
+    Solves one LP over every non-uniform cut column. A utility that is not
+    strictly convex (abs, rewards) can tie several chains and non-chains on
+    the optimal face, so for it the same linprog call goes on to maximize
+    the quadratic utility over that face, which lands on a chain no other
+    optimum Blackwell-dominates. A budget past the point where full
     disclosure is private solves at that point, with the same optimum. The
     reported assignment is the chain of those columns sorted by
     (i, -b, -c); the structure is rebuilt from those columns alone and
     compressed; its mechanism is derived only when read.
 
     Raises:
-        UnsupportedSize: n exceeds max_secrets (the dense LP has O(n**3)
-            columns and O(n**2) rows).
-        SolverError: an LP's answer was not optimal (infeasible is seen
+        UnsupportedSize: n exceeds max_secrets (the LP has O(n**3)
+            columns).
+        SolverError: the LP's answer was not optimal (infeasible is seen
             only at extreme budgets with a conditional of 0 or 1) or missed
-            its rows or bounds, or the tie-break still left a non-chain.
+            its rows or bounds, or its support is not a chain.
     """
     if u is None:
         raise TypeError("solve_general needs a utility function")
@@ -909,11 +883,12 @@ def solve_general(
     # so the LP runs there: a larger budget adds nothing but ill-conditioning.
     w = min(ratio_bound(eps, exp_eps), max(_width_ratios(prior.q[0], prior.q[-1])))
     problem = assemble_lp(prior, u, _full_bank(prior.n, w))
-    solution = solve_lp(problem)
+    then = None
+    if u.family not in ("quadratic", "negentropy"):  # not strictly convex
+        bank, posts = problem.assignment, problem.column_posteriors
+        then = _objective(prior, UtilityFn("quadratic"), bank, posts)[0]
+    solution = solve_lp(problem, then)
     chain = _chain(problem, solution)
-    if not chain.is_chain:
-        problem, solution = _hold_and_maximize_quadratic(problem, solution)
-        chain = _chain(problem, solution)
     if not chain.is_chain:
         raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
     structure = compress(_structure_from_lp(problem, solution))

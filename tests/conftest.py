@@ -1,6 +1,7 @@
 """Shared fixtures: the worked binary example and helpers for random inputs."""
 
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -63,9 +64,20 @@ def random_binary_prior(rng: np.random.Generator, gap: float = 0.05):
     return load_prior([(p0, q0), (1.0 - p0, q1)])
 
 
-# At eps 23 under the quadratic utility, HiGHS's dual simplex never finishes
-# this prior's LP without an iteration cap.
-RUNAWAY_PRIOR = [
+@pytest.fixture
+def capped_highs(monkeypatch):
+    """A new HiGHS solver for this thread that stops each LP at 5 iterations.
+
+    SIX_SECRET_PRIOR's LP needs more, so it reaches the cap; monkeypatch
+    puts the thread's own solver and the real cap back afterwards.
+    """
+    monkeypatch.setattr(ipd.general, "_thread", threading.local())
+    monkeypatch.setattr(ipd.general, "SIMPLEX_ITERATION_LIMIT", 5)
+
+
+# At eps 23 under the quadratic utility this prior's LP takes 16 dual simplex
+# iterations, with a conditional of 1 and a budget factor near 1e10.
+SIX_SECRET_PRIOR = [
     (0.19191968999582873, 0.5374100700757825),
     (0.2167549332487808, 0.06103034737112922),
     (0.14291066779780362, 1.0),

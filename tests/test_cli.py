@@ -35,7 +35,7 @@ from ipd.serialize import (
     write_json,
 )
 
-from conftest import RUNAWAY_PRIOR, hide_packages
+from conftest import SIX_SECRET_PRIOR, hide_packages
 
 
 @pytest.fixture
@@ -484,19 +484,20 @@ class TestSolveGeneralCommand:
     def test_lp_backend_failure_exits_2_with_json_error(
         self, prior_file, monkeypatch, capsys
     ):
-        monkeypatch.setattr(ipd.general, "linprog", lambda *args: self.FAILED)
+        monkeypatch.setattr(ipd.general, "linprog", lambda *args, **kwargs: self.FAILED)
         self._exits_2_with_json_error(prior_file, capsys)
 
     def test_highs_failure_exits_2_with_json_error(
         self, three_secret_prior_file, monkeypatch, capsys
     ):
-        monkeypatch.setattr(ipd.general, "_highs", lambda *args: self.FAILED)
+        monkeypatch.setattr(ipd.general, "_highs", lambda *args, **kwargs: self.FAILED)
         self._exits_2_with_json_error(three_secret_prior_file, capsys)
 
+    @pytest.mark.usefixtures("capped_highs")
     def test_lp_past_the_iteration_limit_exits_2_with_json_error(self, tmp_path, capsys):
-        path = tmp_path / "runaway.json"
+        path = tmp_path / "six.json"
         secrets = [
-            {"name": f"s{k}", "p": p, "q_y1": q} for k, (p, q) in enumerate(RUNAWAY_PRIOR)
+            {"name": f"s{k}", "p": p, "q_y1": q} for k, (p, q) in enumerate(SIX_SECRET_PRIOR)
         ]
         path.write_text(json.dumps({"secrets": secrets}))
         args = ["solve-general", str(path), "--eps", "23", "--utility", "quadratic"]

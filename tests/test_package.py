@@ -83,6 +83,7 @@ class TestMissingDependency:
         hide_packages(monkeypatch, "scipy")
         with pytest.raises(MissingDependency, match="needs scipy") as caught:
             require("scipy.optimize._highspy._core")
+        assert "pip install ipd[lp]" in str(caught.value)
         assert isinstance(caught.value, ipd.IpdError)
         assert isinstance(caught.value.__cause__, ImportError)
 

@@ -23,6 +23,7 @@ from ipd import (
     mechanism_to_structure,
     posterior_summary,
     solve_binary,
+    solve_general,
     solve_perfect_privacy,
     structure_to_mechanism,
     utility_gain,
@@ -203,3 +204,74 @@ def test_exact_binary_pipeline_is_exact_and_matches_its_float_twin(point):
 
     assert check_ip(exact.structure, exp_eps=w).satisfied
     assert check_ip(twin.structure, exp_eps=float(w)).satisfied
+
+
+# Properties of the general optimum that the theory implies, checked on
+# n = 3..6 (the split one up to 6), exact and float priors, every family.
+_REWARDS = UtilityFn("rewards", ((3, 0, 1), (0, 2, 1)))
+_FAMILIES = [*map(UtilityFn, BUILTIN_FAMILIES), _REWARDS]
+
+
+@st.composite
+def general_priors(draw, min_n=3, max_n=6, zero_one=True):
+    """(pairs, exact) for n secrets in user order; a q of 0 or 1 when zero_one allows."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    exact = draw(st.booleans())
+    q_values = st.fractions(min_value=0, max_value=1, max_denominator=20)
+    if not zero_one:
+        q_values = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
+                                max_denominator=20)
+    q = draw(st.lists(q_values, min_size=n, max_size=n))
+    p = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=n, max_size=n))
+    pairs = [(Fraction(x, sum(p)), y) for x, y in zip(p, q)]
+    if not exact:
+        pairs = [(float(x), float(y)) for x, y in pairs]
+    return pairs
+
+
+_general_eps = st.floats(min_value=0.1, max_value=3.0, allow_nan=False)
+
+
+@given(
+    general_priors(min_n=2, max_n=5),
+    _general_eps,
+    st.sampled_from(["abs", "quadratic"]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_splitting_a_secret_keeps_the_general_optimum(pairs, eps, family, data):
+    # Both halves share the conditional, so the joint law of (Y, signal) of
+    # any structure carries over either way, and mixing the halves' kernels
+    # keeps every posterior-odds ratio within the budget.
+    k = data.draw(st.integers(min_value=0, max_value=len(pairs) - 1))
+    share = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]))
+    p, q = pairs[k]
+    share = share if isinstance(p, Fraction) else float(share)
+    split = [*pairs[:k], (p * share, q), (p - p * share, q), *pairs[k + 1 :]]
+    u = UtilityFn(family)
+    whole = solve_general(load_prior(pairs), eps, u).utility
+    assert abs(solve_general(load_prior(split), eps, u).utility - whole) <= 1e-11
+
+
+@given(general_priors(), _general_eps, st.sampled_from(_FAMILIES), st.randoms())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_relabeling_the_secrets_keeps_the_general_utility(pairs, eps, u, rng):
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    labels = [f"r{k}" for k in range(len(pairs))]
+    moved = load_prior([pairs[k] for k in order], labels=labels)
+    utility = solve_general(load_prior(pairs), eps, u).utility
+    assert abs(solve_general(moved, eps, u).utility - utility) <= 1e-11
+
+
+@given(
+    general_priors(zero_one=False),
+    st.lists(st.floats(min_value=0.05, max_value=20.0, allow_nan=False),
+             min_size=2, max_size=2, unique=True).map(sorted),
+    st.sampled_from(_FAMILIES),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_more_budget_never_hurts_the_general_optimum(pairs, budgets, u):
+    prior = load_prior(pairs)
+    tight, loose = (solve_general(prior, eps, u).utility for eps in budgets)
+    assert loose >= tight - 1e-11
