@@ -22,41 +22,43 @@ optimum. The two anchor columns need no budget rows either: each anchor row
 is held as the narrowest row of its column, with every other row's ratio
 to it boxed to [1, e**eps], so any two rows are within that factor; on
 seeded corpora this box never lost utility against bounding every pair of
-rows on its own. A
-piecewise-linear utility can leave the LP with an optimal face that holds
-positive columns that are not a chain, so for a utility that is not
-strictly convex the same linprog call then maximizes the quadratic
-utility over that face, which lands on a chain that no other optimum
-Blackwell-dominates.
+rows on its own. A piecewise-linear utility can leave the LP with an
+optimal face that holds positive columns that are not a chain, so for a
+utility that is not strictly convex the LP carries a second objective,
+then, the quadratic utility, which the same linprog call maximizes over
+that face; that lands on a chain that no other optimum Blackwell-dominates.
 
-assemble_lp/solve_lp handle one linear program; solve_general builds the
-bank, runs its one LP, and rebuilds the structure from the chain.
-assemble_lp builds the LP straight in HiGHS's column-wise form: for each
-variable, the rows it enters and its coefficients there, zeros left out,
-beside the 2n equality right-hand sides, variable bounds and costs; every
-bound is finite. linprog is the one LP backend, and takes an optional
-second objective that it minimizes over the first one's optimal face,
-warm from the first one's answer. An LP of at most four rows (the
-two-secret one) is made dense and goes to a small bounded-variable simplex
-in pure Python, so a two-secret solve imports neither numpy nor scipy, and
-every other LP goes to HiGHS's dual simplex. HiGHS is called through the
-bindings scipy bundles, with the model and tolerances scipy's
-linprog(method="highs-ds") would pass it but none of that wrapper's
-per-call checks, and with an iteration cap of SIMPLEX_ITERATION_LIMIT, past
-which the LP fails instead of running on. Each thread keeps one HiGHS
-solver and reuses it for every LP it solves, and presolve runs only on an
-LP whose widest bound exceeds PRESOLVE_ABOVE (a budget past eps of about
-9.2); below that it costs more than the simplex and removes next to
-nothing. A column whose widest cell is within HiGHS's feasibility
-tolerance is round-off and is left out of the chain. solve_lp raises
-SolverError on any answer that is not optimal, and makes the one check of
-an optimal answer that matters, holding its x to FEASIBILITY_TOL on every
-row and bound.
+assemble_lp builds one bank's LP in a single pass over its columns,
+straight in HiGHS's column-wise form: for each variable, the rows it enters
+and its coefficients there, zeros left out, beside the 2n equality
+right-hand sides, variable bounds, costs and then; every bound is finite.
+solve_lp solves it. solve_general builds the bank, runs its one LP, reads
+the chain and the rebuilt structure off the answer at once, and checks the
+compressed structure with check_ip at the budget asked for: past eps 20,
+with a conditional of 0 or 1, an answer within HiGHS's tolerances can still
+break the budget by about 1e-9 in log, and that is a SolverError.
+
+linprog is the one LP backend, and minimizes an optional second objective
+over the first one's optimal face, warm from the first one's answer. An LP
+of at most four rows (the two-secret one) is made dense and goes to a
+small bounded-variable simplex in pure Python, so a two-secret solve
+imports neither numpy nor scipy, and every other LP goes to HiGHS's dual
+simplex. HiGHS is called through the bindings scipy bundles, with the
+model and tolerances scipy's linprog(method="highs-ds") would pass it but
+none of that wrapper's per-call checks, and with an iteration cap of
+SIMPLEX_ITERATION_LIMIT, past which the LP fails instead of running on.
+Each thread keeps one HiGHS solver and reuses it for every LP it solves,
+and presolve runs only on an LP whose widest bound exceeds PRESOLVE_ABOVE
+(a budget past eps of about 9.2); below that it costs more than the
+simplex and removes next to nothing. A column whose widest cell is within
+HiGHS's feasibility tolerance is round-off and is left out of the chain.
+solve_lp raises SolverError on any answer that is not optimal, and makes
+the one check of an optimal answer that matters, holding its x to
+FEASIBILITY_TOL on every row and bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import threading
@@ -64,11 +66,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .analysis import UtilityFn, expected_utility
+from .analysis import UtilityFn, check_ip, expected_utility
 from .binary import _width_ratios
 from .errors import SolverError, UnsupportedSize, ValidationError, require
 from .model import InfoStructure, Mechanism, Prior, compress, structure_to_mechanism
-from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, is_exact, ratio_bound
+from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, is_exact, log_of, ratio_bound
 
 
 class CutColumn(NamedTuple):
@@ -125,7 +127,13 @@ def _cut_table(n: int) -> tuple[dict[CutColumn, int], Flags, Flags, Levels]:
 
 @lru_cache(maxsize=16)
 def _bank_columns(n: int, positive: bool) -> tuple[CutColumn, ...]:
-    """The columns of _full_bank for n secrets at a positive or a zero budget."""
+    """Every cut column the single LP needs, sorted by (i, -b, -c).
+
+    At a positive budget that is every column that is not width-uniform (a
+    uniform column never binds the budget, so it never strictly helps). At a
+    zero budget every column is uniform and all columns sharing an i are the
+    same column, so one per i remains.
+    """
     if not positive:
         return tuple(CutColumn(i, 0, n + 2 - i) for i in range(2, n + 1))
     position, _, wide, _ = _cut_table(n)  # position lists the cuts in order
@@ -199,31 +207,6 @@ class CutAssignment:
         return tuple(tuple(map(factor, table[k])) for k in self._positions)
 
 
-def _full_bank(n: int, exp_eps: Scalar) -> CutAssignment:
-    """Every cut column the single LP needs, sorted by (i, -b, -c).
-
-    At a positive budget that is every column that is not width-uniform (a
-    uniform column never binds the budget, so it never strictly helps). At a
-    zero budget every column is uniform and all columns sharing an i are the
-    same column, so one per i remains.
-    """
-    return CutAssignment(n, _bank_columns(n, exp_eps != 1), exp_eps)
-
-
-def _column_posteriors(prior: Prior, bank: CutAssignment) -> tuple[Scalar, ...]:
-    """P(Y=1 | column) per column; fixed by the cut and prior alone.
-
-    The yellow block's prior mass over the column's, each row's mass scaled
-    by its width factor, so exact inputs give exact posteriors.
-    """
-    p, w = prior.p, bank.exp_eps
-    mass = [[x * w if wide else x for x, wide in zip(p, row)] for row in bank.wide]
-    return tuple(
-        sum(x for x, y in zip(row, yellow) if y) / sum(row)
-        for row, yellow in zip(mass, bank.yellow)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """The linear program of one bank of columns, in HiGHS's column-wise form.
@@ -235,7 +218,10 @@ class LpProblem:
     by variable: variable j has the coefficients value[start[j]:start[j + 1]]
     in the rows index[start[j]:start[j + 1]], rows ascending, zeros left
     out. Its 2n rows are equalities: each secret's total width, then each
-    secret's yellow width. Problems compare by identity.
+    secret's yellow width. then, when not None, is a second objective that
+    solve_lp maximizes over the first one's optimal face (see linprog).
+    column_posteriors holds P(Y=1 | column) per middle column. Problems
+    compare by identity.
     """
 
     prior: Prior
@@ -249,6 +235,7 @@ class LpProblem:
     col_lower: list[float]
     col_upper: list[float]
     column_posteriors: tuple[Scalar, ...]
+    then: list[float] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,24 +247,9 @@ class LpSolution:
     max_residual: float
 
 
-def _objective(
-    prior: Prior, u: UtilityFn, bank: CutAssignment, posts: tuple[Scalar, ...]
-) -> tuple[list[float], float]:
-    """LP objective coefficients and constant offset for utility u.
-
-    The anchor rows of the all-yellow and all-white columns are the offset;
-    each middle column earns u at its fixed posterior per unit of mass.
-    """
-    p = [float(x) for x in prior.p]
-    top = float(u(1)) * float(prior.q[-1])  # u(1) times the all-yellow anchor width
-    bottom = float(u(0)) * float(1 - prior.q[0])  # u(0) times the all-white one
-    mass = [sum(map(operator.mul, row, p)) for row in bank.relative_widths]
-    objective = [
-        *(top * x for x in p[:-1]),
-        *(bottom * x for x in p[1:]),
-        *(float(u(post)) * x for post, x in zip(posts, mass)),
-    ]
-    return objective, top * p[-1] + bottom * p[0]
+# The tie-break utility: strictly convex, so its optimum over a face is a
+# chain that no other point of the face Blackwell-dominates.
+_QUADRATIC = UtilityFn("quadratic")
 
 
 def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProblem:
@@ -286,61 +258,73 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     The all-yellow column's bottom row and the all-white column's top row
     are fixed by the prior (the bottom secret's yellow mass has nowhere else
     to go, likewise the top secret's white mass), so only ratios against
-    those anchors are free. Middle-column posteriors are constants, which is
-    what keeps the objective linear. _constraints builds the rows and bounds.
+    those anchors are free. Each ratio is boxed to [1, w]: an anchor row is
+    the narrowest of its column, so every two rows of an anchor column are
+    within the factor w. The anchor columns earn u(1) and u(0) per unit of
+    mass, and their anchor rows make up the offset. The first n rows fix
+    each secret's total width, the next n its yellow width.
+
+    One pass over the bank gives each middle column
+    - its posterior: its yellow block's prior mass over the column's, each
+      row's mass scaled by its width factor, so exact inputs give exact
+      posteriors; fixed by the cut, it keeps the objective linear;
+    - its mass per unit of bottom-row width, and u at the posterior times
+      that mass as its objective coefficient;
+    - its matrix entries: its relative widths in every total row and in
+      the yellow rows of its block;
+    - for a utility that is not strictly convex (abs, rewards), the same
+      coefficient for the quadratic utility, in then.
     """
     if assignment.n != prior.n:
         raise ValidationError(
             f"assignment is for n={assignment.n}, prior has n={prior.n}"
         )
-    posts = _column_posteriors(prior, assignment)
-    objective, offset = _objective(prior, u, assignment, posts)
-    return LpProblem(
-        prior, assignment, objective, offset, *_constraints(prior, assignment), posts
-    )
-
-
-def _constraints(prior: Prior, bank: CutAssignment) -> tuple[list, ...]:
-    """The LP's start, index, value, rhs, col_lower, col_upper.
-
-    The first n rows fix each secret's total width, the next n its yellow
-    width; the middle columns enter them with the bank's relative widths,
-    the second half only in their yellow block. Each ratio variable is
-    boxed to [1, w]: an anchor row is the narrowest of its column, so every
-    two rows of an anchor column are within the factor w.
-    """
-    n = prior.n
+    n, w = prior.n, assignment.exp_eps
+    p = [float(x) for x in prior.p]
     q = [float(x) for x in prior.q]
     anchor_yellow = q[n - 1]
     anchor_white = float(1 - prior.q[0])
     ratios = 2 * (n - 1)
+    utilities = [u] if u.family in ("quadratic", "negentropy") else [u, _QUADRATIC]
+    # each utility's u(1) times the all-yellow anchor, u(0) times the all-white one
+    anchors = [(float(f(1)) * anchor_yellow, float(f(0)) * anchor_white) for f in utilities]
+    costs = [[top * x for x in p[:-1]] + [bottom * x for x in p[1:]] for top, bottom in anchors]
 
     # the all-yellow column's rows 1..n-1 (total and yellow), the all-white
     # column's rows 2..n (total only); an anchor of 0 leaves its ratios empty
-    entries = [[(j, anchor_yellow), (n + j, anchor_yellow)] for j in range(n - 1)]
-    entries += [[(1 + j, anchor_white)] for j in range(n - 1)]
+    anchor_rows = [((j, n + j), anchor_yellow) for j in range(n - 1)]
+    anchor_rows += [((1 + j,), anchor_white) for j in range(n - 1)]
     start, index, value = [0], [], []
-    for column in entries:
-        for row, v in column:
-            if v != 0:
-                index.append(row)
-                value.append(v)
+    for rows, anchor in anchor_rows:
+        if anchor != 0:
+            index += rows
+            value += [anchor] * len(rows)
         start.append(len(index))
-    # A middle column enters every total row and the yellow rows of its
-    # block, rows 1..top, with its relative widths, which are never zero.
-    for rel, yellow in zip(bank.relative_widths, bank.yellow):
-        top = yellow.count(True)
-        index += range(n + top)
-        value += rel
-        value += rel[:top]
+    posts = []
+    for rel, yellow, wide in zip(assignment.relative_widths, assignment.yellow, assignment.wide):
+        scaled = [x * w if f else x for x, f in zip(prior.p, wide)]
+        post = sum(x for x, y in zip(scaled, yellow) if y) / sum(scaled)
+        posts.append(post)
+        mass = sum(map(operator.mul, rel, p))
+        for f, cost in zip(utilities, costs):
+            cost.append(float(f(post)) * mass)
+        block = yellow.count(True)
+        index += range(n + block)
+        value += rel  # relative widths are never zero
+        value += rel[:block]
         start.append(len(index))
 
     # each row's total is 1 and its yellow width q, less what an anchor holds
     # (the bottom row's yellow width is all anchor)
     rhs = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow, *q[:-1], 0.0]
-    m = len(bank.columns)
-    w = float(bank.exp_eps)
-    return start, index, value, rhs, [1.0] * ratios + [0.0] * m, [w] * ratios + [1.0] * m
+    m = len(assignment.columns)
+    top, bottom = anchors[0]
+    objective, *then = costs
+    return LpProblem(
+        prior, assignment, objective, top * p[-1] + bottom * p[0], start, index, value,
+        rhs, [1.0] * ratios + [0.0] * m, [float(w)] * ratios + [1.0] * m, tuple(posts),
+        then[0] if then else None,
+    )
 
 
 class LinprogResult(NamedTuple):
@@ -363,8 +347,8 @@ _COST_TOL = 1e-12
 # linprog check, 10 * sqrt(tol) at its default tol of 1e-9.
 FEASIBILITY_TOL = 10 * math.sqrt(1e-9)
 # HiGHS's primal and dual feasibility tolerance; a column no wider than it
-# is round-off (_support), and a reduced cost no larger than it leaves its
-# variable free on the optimal face (linprog's then).
+# is round-off (_chain_and_structure), and a reduced cost no larger than it
+# leaves its variable free on the optimal face (linprog's then).
 HIGHS_TOL = 1e-10
 # HiGHS presolves an LP only when a variable bound exceeds this. Every LP
 # assemble_lp builds has the budget factor w as its widest bound, and w is
@@ -694,17 +678,17 @@ def _pivot_to_optimum(
     return None
 
 
-def solve_lp(problem: LpProblem, then: list[float] | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve one assembled LP through linprog.
 
-    then, coefficients of a second objective to maximize, is maximized over
-    the optimal face of the first (see linprog); the reported objective is
-    still the first. Any answer but an optimal one, infeasible included,
-    raises SolverError with the backend's message. So does an optimal x
-    that is NaN or misses a bound or a row by more than FEASIBILITY_TOL,
-    the check scipy's linprog makes on HiGHS's answer. linprog is looked up
-    as a module global at call time, so a replacement bound here (a test's
-    fake, a tracer's wrapper) sees every solve.
+    The problem's then, when not None, is maximized over the optimal face
+    of its objective (see linprog); the reported objective is still the
+    first. Any answer but an optimal one, infeasible included, raises
+    SolverError with the backend's message. So does an optimal x that is
+    NaN or misses a bound or a row by more than FEASIBILITY_TOL, the check
+    scipy's linprog makes on HiGHS's answer. linprog is looked up as a
+    module global at call time, so a replacement bound here (a test's fake,
+    a tracer's wrapper) sees every solve.
     """
     start, index, value = problem.start, problem.index, problem.value
     result = linprog(
@@ -715,7 +699,7 @@ def solve_lp(problem: LpProblem, then: list[float] | None = None) -> LpSolution:
         problem.rhs,
         problem.col_lower,
         problem.col_upper,
-        then=None if then is None else [-v for v in then],
+        then=None if problem.then is None else [-v for v in problem.then],
     )
     if result.status != 0:
         raise SolverError(f"LP solver failed: {result.message}")
@@ -740,55 +724,38 @@ def solve_lp(problem: LpProblem, then: list[float] | None = None) -> LpSolution:
     return LpSolution(x, objective, residual)
 
 
-def _support(problem: LpProblem, solution: LpSolution) -> list[bool]:
-    """Flags of the bank's columns whose widest cell exceeds HIGHS_TOL.
+def _chain_and_structure(
+    problem: LpProblem, solution: LpSolution
+) -> tuple[CutAssignment, InfoStructure]:
+    """The chain of the LP's answer, and its width grid rescaled to exact row sums.
 
-    A column's widest cell is its LP value times its largest relative
-    width. One no wider than HiGHS's feasibility tolerance is round-off the
-    LP cannot tell from zero, such as a degenerate basic column that HiGHS
-    leaves at 1e-17 to 1e-13; the chain and the structure leave it out.
+    A bank column is kept when its widest cell, its LP value times its
+    largest relative width, exceeds HIGHS_TOL. One no wider than HiGHS's
+    feasibility tolerance is round-off the LP cannot tell from zero, such
+    as a degenerate basic column that HiGHS leaves at 1e-17 to 1e-13, and
+    is left out of both. The kept columns, in the bank's (i, -b, -c) order,
+    must be a chain, or SolverError is raised. The structure's columns are
+    the all-yellow column, the chain's columns and the all-white column.
     """
-    middle = solution.values[2 * (problem.prior.n - 1) :]
-    return [
-        v * max(rel) > HIGHS_TOL
-        for v, rel in zip(middle, problem.assignment.relative_widths)
+    prior, bank, x = problem.prior, problem.assignment, solution.values
+    n, ratios = prior.n, 2 * (prior.n - 1)
+    kept = [
+        (col, v, rel, flags)
+        for col, v, rel, flags in zip(bank.columns, x[ratios:], bank.relative_widths, bank.yellow)
+        if v * max(rel) > HIGHS_TOL
     ]
-
-
-def _chain(problem: LpProblem, solution: LpSolution) -> CutAssignment:
-    """The support's columns, in the bank's (i, -b, -c) order."""
-    bank = problem.assignment
-    support = _support(problem, solution)
-    cols = tuple(itertools.compress(bank.columns, support))
-    return CutAssignment(bank.n, cols, bank.exp_eps)
-
-
-def _structure_from_lp(problem: LpProblem, solution: LpSolution) -> InfoStructure:
-    """Rebuild the width grid of the chain's columns, then its exact row sums.
-
-    Columns of the bank outside the chain carry no mass beyond round-off
-    and are left out.
-    """
-    prior = problem.prior
-    n = prior.n
-    bank = problem.assignment
-    x = solution.values
-    kept = list(
-        itertools.compress(
-            zip(x[2 * (n - 1) :], bank.relative_widths, bank.yellow),
-            _support(problem, solution),
-        )
-    )
-    # (columns x rows), as the bank's tables are: the all-yellow column,
-    # the chain's columns, the all-white column
+    chain = CutAssignment(n, tuple(col for col, _, _, _ in kept), bank.exp_eps)
+    if not chain.is_chain:
+        raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
+    # (columns x rows), as the bank's tables are
     anchor_yellow, anchor_white = float(prior.q[n - 1]), float(1 - prior.q[0])
     widths = [
         [*(v * anchor_yellow for v in x[: n - 1]), anchor_yellow],
-        *([r * v for r in rel] for v, rel, _ in kept),
-        [anchor_white, *(v * anchor_white for v in x[n - 1 : 2 * (n - 1)])],
+        *([r * v for r in rel] for _, v, rel, _ in kept),
+        [anchor_white, *(v * anchor_white for v in x[n - 1 : ratios])],
     ]
-    yellow = [(True,) * n, *(flags for _, _, flags in kept), (False,) * n]
-    return _rescaled_structure(prior, widths, yellow, solution.max_residual)
+    yellow = [(True,) * n, *(flags for _, _, _, flags in kept), (False,) * n]
+    return chain, _rescaled_structure(prior, widths, yellow, solution.max_residual)
 
 
 def _rescaled_structure(
@@ -870,7 +837,9 @@ def solve_general(
             columns).
         SolverError: the LP's answer was not optimal (infeasible is seen
             only at extreme budgets with a conditional of 0 or 1) or missed
-            its rows or bounds, or its support is not a chain.
+            its rows or bounds, or its support is not a chain, or the
+            compressed structure fails check_ip at the budget asked for
+            (seen past eps 20 with a conditional of 0 or 1).
     """
     if u is None:
         raise TypeError("solve_general needs a utility function")
@@ -881,19 +850,17 @@ def solve_general(
         )
     # Past the widest conditional ratio full disclosure is private and optimal,
     # so the LP runs there: a larger budget adds nothing but ill-conditioning.
-    w = min(ratio_bound(eps, exp_eps), max(_width_ratios(prior.q[0], prior.q[-1])))
-    problem = assemble_lp(prior, u, _full_bank(prior.n, w))
-    then = None
-    if u.family not in ("quadratic", "negentropy"):  # not strictly convex
-        bank, posts = problem.assignment, problem.column_posteriors
-        then = _objective(prior, UtilityFn("quadratic"), bank, posts)[0]
-    solution = solve_lp(problem, then)
-    chain = _chain(problem, solution)
-    if not chain.is_chain:
-        raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
-    structure = compress(_structure_from_lp(problem, solution))
-    return GeneralSolution(
-        structure=structure,
-        assignment=chain,
-        utility=float(expected_utility(structure, u)),
-    )
+    bound = ratio_bound(eps, exp_eps)
+    w = min(bound, max(_width_ratios(prior.q[0], prior.q[-1])))
+    problem = assemble_lp(prior, u, CutAssignment(prior.n, _bank_columns(prior.n, w != 1), w))
+    chain, structure = _chain_and_structure(problem, solve_lp(problem))
+    structure = compress(structure)
+    # Rescaling rows whose LP residual is within HiGHS's tolerance can still
+    # push a width ratio past the check slack at large budgets.
+    report = check_ip(structure, exp_eps=bound)
+    if not report.satisfied:
+        excess = report.max_log_ratio - log_of(bound)
+        raise SolverError(
+            f"LP answer is not private: a log width ratio exceeds eps by {excess:.3g}"
+        )
+    return GeneralSolution(structure, chain, float(expected_utility(structure, u)))

@@ -35,7 +35,7 @@ from ipd.serialize import (
     write_json,
 )
 
-from conftest import SIX_SECRET_PRIOR, hide_packages
+from conftest import OVER_BUDGET_PRIOR, SIX_SECRET_PRIOR, hide_packages
 
 
 @pytest.fixture
@@ -232,6 +232,27 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--eps", "0.5"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "solve-general" in err["message"]
+
+    def test_joint_mass_document_solves_as_its_secrets_form(self, prior_file, tmp_path, capsys):
+        # the fixture prior as P(S=s, Y=1) and P(S=s, Y=0) per secret
+        path = tmp_path / "joint.json"
+        rows = [("s0", "3/8", "1/8"), ("s1", "1/8", "3/8")]
+        joint = [{"name": name, "p_y1": y1, "p_y0": y0} for name, y1, y0 in rows]
+        path.write_text(json.dumps({"joint": joint}))
+        outputs = []
+        for prior in (prior_file, str(path)):
+            assert main(["solve", prior, "--eps", "ln2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_joint_row_missing_a_mass_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "joint.json"
+        joint = [{"name": "s0", "p_y1": "3/8", "p_y0": "1/8"}, {"name": "s1", "p_y1": "1/8"}]
+        path.write_text(json.dumps({"joint": joint}))
+        assert main(["solve", str(path), "--eps", "ln2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "p_y0" in err["message"]
 
     def test_kernel_is_built_only_for_out_mechanism(
         self, prior_file, tmp_path, kernel_builds, capsys
@@ -493,18 +514,29 @@ class TestSolveGeneralCommand:
         monkeypatch.setattr(ipd.general, "_highs", lambda *args, **kwargs: self.FAILED)
         self._exits_2_with_json_error(three_secret_prior_file, capsys)
 
+    @staticmethod
+    def _prior_file(tmp_path, pairs):
+        path = tmp_path / "prior.json"
+        secrets = [{"name": f"s{k}", "p": p, "q_y1": q} for k, (p, q) in enumerate(pairs)]
+        path.write_text(json.dumps({"secrets": secrets}))
+        return str(path)
+
     @pytest.mark.usefixtures("capped_highs")
     def test_lp_past_the_iteration_limit_exits_2_with_json_error(self, tmp_path, capsys):
-        path = tmp_path / "six.json"
-        secrets = [
-            {"name": f"s{k}", "p": p, "q_y1": q} for k, (p, q) in enumerate(SIX_SECRET_PRIOR)
-        ]
-        path.write_text(json.dumps({"secrets": secrets}))
-        args = ["solve-general", str(path), "--eps", "23", "--utility", "quadratic"]
-        assert main(args) == 2
+        path = self._prior_file(tmp_path, SIX_SECRET_PRIOR)
+        assert main(["solve-general", path, "--eps", "23", "--utility", "quadratic"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SolverError"
         assert "Iteration limit reached" in err["message"]
+
+    def test_answer_past_the_budget_exits_2_with_json_error(self, tmp_path, capsys):
+        path = self._prior_file(tmp_path, OVER_BUDGET_PRIOR)
+        assert main(["solve-general", path, "--eps", "21", "--utility", "abs"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SolverError"
+        assert "exceeds eps by 1.14e-09" in err["message"]
 
 
 class TestMissingPackages:

@@ -47,7 +47,7 @@ from ipd.general import (
 )
 from ipd.numeric import CHECK_TOL, PATH_TOL
 
-from conftest import SIX_SECRET_PRIOR, random_binary_prior
+from conftest import OVER_BUDGET_PRIOR, SIX_SECRET_PRIOR, random_binary_prior
 
 
 def _lp_args(problem):
@@ -126,6 +126,19 @@ class TestAssembleLp:
         problem = assemble_lp(fixture_prior_exact, UtilityFn("abs"), assignment)
         assert len(problem.objective) == 4
         assert problem.column_posteriors == (Fraction(2, 3), Fraction(1, 3))
+
+    @pytest.mark.parametrize("family", ["abs", "rewards", "quadratic", "negentropy"])
+    def test_only_a_utility_that_is_not_strictly_convex_gets_a_tie_break(
+        self, family, fixture_prior_exact
+    ):
+        bank = CutAssignment(2, (CutColumn(2, 1, 3), CutColumn(2, 0, 2)), Fraction(2))
+        u = REWARDS if family == "rewards" else UtilityFn(family)
+        problem = assemble_lp(fixture_prior_exact, u, bank)
+        if family in ("quadratic", "negentropy"):
+            assert problem.then is None
+        else:  # the quadratic utility's objective, over the same columns
+            quadratic = assemble_lp(fixture_prior_exact, UtilityFn("quadratic"), bank)
+            assert problem.then == quadratic.objective
 
     def test_empty_assignment_has_two_ratio_variables(self, fixture_prior_exact):
         assignment = CutAssignment(n=2, columns=(), exp_eps=Fraction(2))
@@ -235,7 +248,7 @@ class TestColumnwiseModel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_dense_form_matches_the_cut_definition(self, n):
         prior = _model_prior(n)
-        bank = ipd.general._full_bank(n, self.W)
+        bank = CutAssignment(n, ipd.general._bank_columns(n, True), self.W)
         problem = assemble_lp(prior, UtilityFn("quadratic"), bank)
         self._assert_columnwise(problem.start, problem.index, problem.value)
         a_eq, b_eq = self._expected(prior, bank)
@@ -359,6 +372,13 @@ class TestSolveGeneral:
         solution = solve_general(prior, 35.0, UtilityFn("abs"))
         assert check_ip(solution.structure, 35.0).satisfied
 
+    @pytest.mark.parametrize("family", ["abs", "quadratic", "negentropy"])
+    def test_answer_past_the_budget_is_a_solver_error(self, family):
+        # the LP's answer is optimal within HiGHS's tolerances, yet check_ip
+        # rejects its compressed structure at eps 21
+        with pytest.raises(SolverError, match="exceeds eps by 1.14e-09"):
+            solve_general(load_prior(OVER_BUDGET_PRIOR), 21.0, UtilityFn(family))
+
     @pytest.mark.parametrize("n", [6, 10])
     def test_larger_supports_are_private_well_shaped_and_unbeaten(self, n):
         rng = np.random.default_rng(n)
@@ -386,7 +406,7 @@ class TestSolveGeneral:
 
     def test_non_chain_after_the_tie_break_is_a_solver_error(self, monkeypatch):
         # every column positive cannot be a chain at n=3, in either stage
-        def everything_positive(problem, then=None):
+        def everything_positive(problem):
             return LpSolution([1.0] * len(problem.objective), 0.0, 0.0)
 
         monkeypatch.setattr(ipd.general, "solve_lp", everything_positive)
@@ -691,7 +711,8 @@ class TestHighsCall:
         assert ipd.general._highs(*args).status == _scipy_linprog(*args).status == 2
         # an LP HiGHS calls infeasible although the solver's own simplex solves it
         prior = load_prior([(0.478199, 1.0), (0.521801, 0.7141)])
-        problem = assemble_lp(prior, UtilityFn("abs"), ipd.general._full_bank(2, math.exp(15.0)))
+        bank = CutAssignment(2, ipd.general._bank_columns(2, True), math.exp(15.0))
+        problem = assemble_lp(prior, UtilityFn("abs"), bank)
         args = _lp_args(problem)
         assert ipd.general._highs(*args).status == _scipy_linprog(*args).status == 2
 
@@ -849,9 +870,8 @@ class TestFeasibilityGuard:
 
     @staticmethod
     def _problem():
-        return assemble_lp(
-            load_prior(FLOAT_3), UtilityFn("quadratic"), ipd.general._full_bank(3, 2.0)
-        )
+        bank = CutAssignment(3, ipd.general._bank_columns(3, True), 2.0)
+        return assemble_lp(load_prior(FLOAT_3), UtilityFn("quadratic"), bank)
 
     def _solve_with_answer(self, monkeypatch, perturb, x_of=list):
         """solve_lp on a perturbed n=3 LP, answered with x_of(the original's optimum)."""

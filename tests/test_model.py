@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from ipd import (
+    CutAssignment,
     InfoStructure,
     MassNotNormalized,
+    PosteriorSummary,
+    Prior,
     ValidationError,
     ZeroMassContext,
     compress,
@@ -24,6 +27,7 @@ from ipd import (
 from ipd.errors import (
     BadWeights,
     ConditionalOutOfRange,
+    DegenerateConditional,
     NonPositiveMass,
     NotEquivalentSignals,
     UnknownLabel,
@@ -419,3 +423,85 @@ def _random_structure(rng, prior, k):
         prior=prior, signals=tuple(f"t{j}" for j in range(k)), kernel=tuple(kernel)
     )
     return mechanism_to_structure(m)
+
+
+def _degenerate_conditional(monkeypatch):
+    """A q=0 row with a 1e-4 yellow width, built under IPD_TOLERANCE=1e-3.
+
+    The structure holds under the looser slack; once the slack tightens,
+    deriving its mechanism finds yellow mass on an impossible state.
+    """
+    monkeypatch.setenv("IPD_TOLERANCE", "1e-3")
+    prior = load_prior([(0.5, 0.5), (0.5, 0.0)])
+    st = InfoStructure(prior, ("a", "b"), ((0.5, 0.5), (1e-4, 1 - 1e-4)), ((1, 0), (1, 0)))
+    monkeypatch.delenv("IPD_TOLERANCE")
+    structure_to_mechanism(st)
+
+
+def _two_signals():
+    """A binary structure whose second signal is named as a split of the first."""
+    prior = load_prior([(0.5, 0.75), (0.5, 0.25)])
+    return InfoStructure(prior, ("y", "y_2"), ((0.75, 0.25), (0.25, 0.75)), ((1, 0), (1, 0)))
+
+
+# case id: (error type, message pattern, the call that raises it)
+REJECTIONS = {
+    "degenerate-conditional": (
+        DegenerateConditional, "q=0 but yellow mass", _degenerate_conditional
+    ),
+    "summary-field-lengths": (
+        ValidationError, "equal length",
+        lambda _: PosteriorSummary(("a", "b"), (1,), (0.5,), ((1,),)),
+    ),
+    "summary-no-signal": (
+        ValidationError, "at least one signal", lambda _: PosteriorSummary((), (), (), ())
+    ),
+    "summary-zero-mass": (
+        NonPositiveMass, "positive-mass",
+        lambda _: PosteriorSummary(("a", "b"), (1, 0), (0.5, 0.5), ((1,), (1,))),
+    ),
+    "summary-mass-sum": (
+        MassNotNormalized, "signal masses",
+        lambda _: PosteriorSummary(("a",), (0.5,), (0.5,), ((1,),)),
+    ),
+    "summary-posterior-range": (
+        ConditionalOutOfRange, "outside",
+        lambda _: PosteriorSummary(("a",), (1,), (1.5,), ((1,),)),
+    ),
+    "summary-secret-posteriors": (
+        MassNotNormalized, "secret posteriors",
+        lambda _: PosteriorSummary(("a",), (1,), (0.5,), ((0.5,),)),
+    ),
+    "split-label-collision": (
+        ValidationError, "collide", lambda _: split_signal(_two_signals(), "y", (0.5, 0.5))
+    ),
+    "merge-empty-group": (
+        ValidationError, "non-empty", lambda _: merge_signals(_two_signals(), [])
+    ),
+    "prior-perm": (
+        ValidationError, "permutation",
+        lambda _: Prior(("a", "b"), (0.5, 0.5), (0.75, 0.25), (1, 1)),
+    ),
+    "prior-field-lengths": (
+        ValidationError, "equal length",
+        lambda _: Prior(("a", "b"), (1.0,), (0.75, 0.25), (1, 2)),
+    ),
+    "prior-increasing-q": (
+        ValidationError, "non-increasing",
+        lambda _: Prior(("a", "b"), (0.5, 0.5), (0.25, 0.75), (1, 2)),
+    ),
+    "cut-assignment-one-secret": (
+        ValidationError, "at least 2 secrets", lambda _: CutAssignment(1, (), 2)
+    ),
+    "cut-assignment-budget-below-1": (
+        ValidationError, "at least 1", lambda _: CutAssignment(2, (), 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_typed_rejection(case, monkeypatch):
+    error, pattern, call = REJECTIONS[case]
+    with pytest.raises(error, match=pattern) as raised:
+        call(monkeypatch)
+    assert type(raised.value) is error
