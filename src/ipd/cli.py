@@ -187,7 +187,8 @@ def cmd_verify(args) -> int:
     eps, exp_eps = parse_eps(args.eps)
     ip = check_ip(structure, eps, exp_eps=exp_eps)
     payload = {"ip": _ip_payload(ip), "regions": None}
-    if exp_eps != 1:
+    # the regions need a positive budget, and e**eps can round to 1 for eps > 0
+    if ratio_bound(eps, exp_eps) != 1:
         payload["regions"] = _regions_payload(
             check_regions(structure, eps, exp_eps=exp_eps)
         )

@@ -8,10 +8,11 @@ e**eps) inside the yellow block, rows c..n get it below the block. Widths
 within such a column are all tied to the bottom row's width, and its
 posterior depends only on the prior and the cut, not on the widths.
 
-A bank of columns is described by two (columns x rows) tables of flags,
-`yellow` and `wide`, whose rows are rows of a per-n table that expands
-every cut once. The relative widths, the posteriors, the LP and the rebuilt
-structure are all computed from those rows in plain Python, so this module
+A cut's rows follow from (i, b, c) by arithmetic, with no table: its
+yellow block is its first n+1-i rows, and its widths over the bottom row's
+width are three runs, rows 1..b wide, rows b+1..c-1 narrow and rows c..n
+wide again. The relative widths, the posteriors, the LP and the rebuilt
+structure are all computed from those runs in plain Python, so this module
 imports no numpy; numpy arrives only with scipy's HiGHS bindings.
 
 Every cut column meets the budget on its own, so one LP whose middle
@@ -64,13 +65,13 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .analysis import UtilityFn, check_ip, expected_utility
 from .binary import _width_ratios
 from .errors import SolverError, UnsupportedSize, ValidationError, require
 from .model import InfoStructure, Mechanism, Prior, compress, structure_to_mechanism
-from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, is_exact, log_of, ratio_bound
+from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, log_of, ratio_bound
 
 
 class CutColumn(NamedTuple):
@@ -100,31 +101,6 @@ def all_cuts(n: int) -> list[CutColumn]:
     ]
 
 
-Flags = tuple[tuple[bool, ...], ...]
-Levels = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=8)
-def _cut_table(n: int) -> tuple[dict[CutColumn, int], Flags, Flags, Levels]:
-    """Position, yellow flags, wide flags and width levels of every cut for n secrets.
-
-    The one place the (i, b, c) encoding is expanded: a bank's flags are
-    rows of these (cuts x rows) tables, which the budget does not change. A
-    row's level picks its width relative to the bottom row's from
-    (1/w, 1, w): 1 where the row is as wide as the bottom row, else 2 for
-    a wide row and 0 for a narrow one.
-    """
-    cuts = all_cuts(n)
-    rows = range(1, n + 1)
-    yellow = tuple(tuple(j <= n + 1 - i for j in rows) for i, _, _ in cuts)
-    wide = tuple(
-        tuple(j <= b if in_block else j >= c for j, in_block in zip(rows, block))
-        for (_, b, c), block in zip(cuts, yellow)
-    )
-    levels = tuple(tuple(1 if f == row[-1] else 2 if f else 0 for f in row) for row in wide)
-    return {cut: k for k, cut in enumerate(cuts)}, yellow, wide, levels
-
-
 @lru_cache(maxsize=16)
 def _bank_columns(n: int, positive: bool) -> tuple[CutColumn, ...]:
     """Every cut column the single LP needs, sorted by (i, -b, -c).
@@ -136,19 +112,36 @@ def _bank_columns(n: int, positive: bool) -> tuple[CutColumn, ...]:
     """
     if not positive:
         return tuple(CutColumn(i, 0, n + 2 - i) for i in range(2, n + 1))
-    position, _, wide, _ = _cut_table(n)  # position lists the cuts in order
-    return tuple(col for col, row in zip(position, wide) if any(row) and not all(row))
+    # a cut has b + n + 1 - c wide rows
+    return tuple(col for col in all_cuts(n) if 0 < col.b + n + 1 - col.c < n)
+
+
+def _relative_widths(n: int, columns: Iterable[CutColumn], w: Scalar) -> list[list[float]]:
+    """Each cut column's row widths over its bottom row's width, as three runs.
+
+    Rows 1..b and c..n of a cut (i, b, c) are wide, w times as wide as the
+    narrow rows b+1..c-1 between them, so the runs are w, 1, w when the
+    bottom row is narrow (c > n) and 1, 1/w, 1 when it is wide; 1/w is
+    rounded once when w is exact.
+    """
+    w_float, inv_w = float(w), float(1 / w)
+    runs = []
+    for _, b, c in columns:
+        lo, hi = (1.0, w_float) if c > n else (inv_w, 1.0)
+        runs.append([hi] * b + [lo] * (c - 1 - b) + [hi] * (n + 1 - c))
+    return runs
 
 
 @dataclass(frozen=True)
 class CutAssignment:
     """A bank of distinct in-range middle columns for an n-secret instance.
 
-    Its yellow and wide flags are rows of the cut table of n; the budget
-    rides along so the relative widths and width factors are
-    self-contained. A chain, the shape an optimal structure has, lists its
-    columns in decreasing-posterior order, which the cut encoding makes
-    equivalent to i non-decreasing with b and c non-increasing.
+    Each cut (i, b, c) holds integers with 2 <= i <= n, 0 <= b <= n+1-i
+    and n+2-i <= c <= n+1. The budget rides along, so the bank alone fixes
+    each column's relative widths. A chain, the shape an optimal structure
+    has, lists its columns in decreasing-posterior order, which the cut
+    encoding makes equivalent to i non-decreasing with b and c
+    non-increasing.
     """
 
     n: int
@@ -160,12 +153,16 @@ class CutAssignment:
             raise ValidationError("need at least 2 secrets")
         if not self.exp_eps >= 1:
             raise ValidationError("budget factor must be at least 1")
-        cols = tuple(CutColumn(*c) for c in self.columns)
+        cols = tuple(c if type(c) is CutColumn else CutColumn(*c) for c in self.columns)
         object.__setattr__(self, "columns", cols)
-        position = _cut_table(self.n)[0]
+        n = self.n
         for col in cols:
-            if col not in position:
-                raise ValidationError(f"cut {col} out of range for n={self.n}")
+            i, b, c = col
+            if not (
+                type(i) is type(b) is type(c) is int
+                and 2 <= i <= n and 0 <= b <= n + 1 - i and n + 2 - i <= c <= n + 1
+            ):
+                raise ValidationError(f"cut {col} is not an integer cut in range for n={n}")
         if len(set(cols)) != len(cols):
             raise ValidationError("duplicate cut columns")
 
@@ -176,35 +173,6 @@ class CutAssignment:
             may_follow(first, second)
             for first, second in zip(self.columns, self.columns[1:])
         )
-
-    @cached_property
-    def _positions(self) -> list[int]:
-        position = _cut_table(self.n)[0]
-        return [position[col] for col in self.columns]
-
-    @cached_property
-    def yellow(self) -> Flags:
-        """(columns x rows) flags of each column's yellow block, rows 1..n+1-i."""
-        table = _cut_table(self.n)[1]
-        return tuple(table[k] for k in self._positions)
-
-    @cached_property
-    def wide(self) -> Flags:
-        """(columns x rows) flags of the wide rows: 1..b in the block, c..n below."""
-        table = _cut_table(self.n)[2]
-        return tuple(table[k] for k in self._positions)
-
-    @cached_property
-    def relative_widths(self) -> tuple[tuple[float, ...], ...]:
-        """(columns x rows) width over the bottom row's width: 1/w, 1 or w.
-
-        1/w is rounded once when w is exact.
-        """
-        w = self.exp_eps
-        inv_w = float(1 / w) if is_exact(w) else 1.0 / w
-        factor = (inv_w, 1.0, float(w)).__getitem__
-        table = _cut_table(self.n)[3]
-        return tuple(tuple(map(factor, table[k])) for k in self._positions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,14 +269,16 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
             value += [anchor] * len(rows)
         start.append(len(index))
     posts = []
-    for rel, yellow, wide in zip(assignment.relative_widths, assignment.yellow, assignment.wide):
-        scaled = [x * w if f else x for x, f in zip(prior.p, wide)]
-        post = sum(x for x, y in zip(scaled, yellow) if y) / sum(scaled)
+    given = list(prior.p)  # exact when the prior is, as the posteriors then are
+    columns = assignment.columns
+    for (i, b, c), rel in zip(columns, _relative_widths(n, columns, w)):
+        scaled = [x * w for x in given[:b]] + given[b : c - 1] + [x * w for x in given[c - 1 :]]
+        block = n + 1 - i
+        post = sum(scaled[:block]) / sum(scaled)
         posts.append(post)
         mass = sum(map(operator.mul, rel, p))
         for f, cost in zip(utilities, costs):
             cost.append(float(f(post)) * mass)
-        block = yellow.count(True)
         index += range(n + block)
         value += rel  # relative widths are never zero
         value += rel[:block]
@@ -739,22 +709,25 @@ def _chain_and_structure(
     """
     prior, bank, x = problem.prior, problem.assignment, solution.values
     n, ratios = prior.n, 2 * (prior.n - 1)
-    kept = [
-        (col, v, rel, flags)
-        for col, v, rel, flags in zip(bank.columns, x[ratios:], bank.relative_widths, bank.yellow)
-        if v * max(rel) > HIGHS_TOL
-    ]
-    chain = CutAssignment(n, tuple(col for col, _, _, _ in kept), bank.exp_eps)
+    # most columns sit at zero, and a zero column is never kept
+    nonzero = [(col, v) for col, v in zip(bank.columns, x[ratios:]) if v]
+    runs = _relative_widths(n, [col for col, _ in nonzero], bank.exp_eps)
+    kept = [(col, v, rel) for (col, v), rel in zip(nonzero, runs) if v * max(rel) > HIGHS_TOL]
+    chain = CutAssignment(n, tuple(col for col, _, _ in kept), bank.exp_eps)
     if not chain.is_chain:
         raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
-    # (columns x rows), as the bank's tables are
+    # (columns x rows); a cut's yellow block is its first n+1-i rows
     anchor_yellow, anchor_white = float(prior.q[n - 1]), float(1 - prior.q[0])
     widths = [
         [*(v * anchor_yellow for v in x[: n - 1]), anchor_yellow],
-        *([r * v for r in rel] for _, v, rel, _ in kept),
+        *([r * v for r in rel] for _, v, rel in kept),
         [anchor_white, *(v * anchor_white for v in x[n - 1 : ratios])],
     ]
-    yellow = [(True,) * n, *(flags for _, _, _, flags in kept), (False,) * n]
+    yellow = [
+        [True] * n,
+        *([True] * (n + 1 - col.i) + [False] * (col.i - 1) for col, _, _ in kept),
+        [False] * n,
+    ]
     return chain, _rescaled_structure(prior, widths, yellow, solution.max_residual)
 
 

@@ -474,6 +474,18 @@ class TestVerifyCommand:
         assert payload["ip"]["satisfied"] is True
         assert payload["regions"] is None
 
+    def test_budget_whose_factor_rounds_to_one_reports_no_regions(
+        self, prior_file, tmp_path, capsys
+    ):
+        # e**1e-17 is 1.0 in floats, a zero budget to the checks
+        st_path = str(tmp_path / "st.json")
+        main(["solve", prior_file, "--eps", "0", "--out-structure", st_path])
+        capsys.readouterr()
+        assert main(["verify", st_path, "--eps", "1e-17"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ip"]["satisfied"] is True
+        assert payload["regions"] is None
+
 
 class TestSolveGeneralCommand:
     def test_agrees_with_the_closed_form(self, prior_file, capsys):

@@ -79,23 +79,39 @@ INFEASIBLE = ([1.0, 1.0], [0, 1, 2], [0, 0], [1.0, 1.0], [3.0], [0.0, 0.0], [1.0
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_masks_follow_the_cut_definition(self, n):
-        # row j (1-based) of column (i, b, c) is yellow for j <= n+1-i and
-        # wide for j <= b inside that block or j >= c below it
-        bank = CutAssignment(n, tuple(all_cuts(n)), Fraction(3))
-        for col, yellow, wide, rel in zip(
-            bank.columns, bank.yellow, bank.wide, bank.relative_widths
-        ):
-            top = n + 1 - col.i
-            assert yellow == tuple(j <= top for j in range(1, n + 1))
-            assert wide == tuple(j <= col.b if j <= top else j >= col.c for j in range(1, n + 1))
-            factors = [Fraction(3) if f else 1 for f in wide]
-            assert rel == tuple(float(f / factors[-1]) for f in factors)
+    @pytest.mark.parametrize("n, size", [(2, 2), (3, 8), (5, 36), (10, 246), (20, 1691)])
+    def test_positive_bank_is_every_non_uniform_cut(self, n, size):
+        # row j (1-based) of column (i, b, c) is wide for j <= b inside its
+        # yellow block, rows 1..n+1-i, or j >= c below it; a column whose
+        # rows are all wide or all narrow is uniform
+        def non_uniform(i, b, c):
+            wide = {j <= b if j <= n + 1 - i else j >= c for j in range(1, n + 1)}
+            return len(wide) == 2
 
-    def test_out_of_range_column_rejected(self):
-        with pytest.raises(ValidationError):
-            CutAssignment(n=2, columns=(CutColumn(4, 0, 3),), exp_eps=Fraction(2))
+        expected = [col for col in all_cuts(n) if non_uniform(*col)]
+        assert list(ipd.general._bank_columns(n, True)) == expected
+        assert len(expected) == size
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_out_of_range_column_rejected(self, n):
+        # just past each edge of 2 <= i <= n, 0 <= b <= n+1-i and
+        # n+2-i <= c <= n+1, the last two at i = 2
+        bad = [
+            (1, 0, n + 1), (n + 1, 0, n + 1),
+            (2, -1, n + 1), (2, n, n + 1),
+            (2, 0, n - 1), (2, 0, n + 2),
+        ]
+        for col in bad:
+            with pytest.raises(ValidationError):
+                CutAssignment(n=n, columns=(CutColumn(*col),), exp_eps=Fraction(2))
+        for i in {2, n}:
+            for b in {0, n + 1 - i}:
+                for c in {n + 2 - i, n + 1}:
+                    CutAssignment(n=n, columns=(CutColumn(i, b, c),), exp_eps=Fraction(2))
+        # an index is a run length, so it must be an integer
+        for col in [(2, 0.5, n + 1), (2.0, 0, n + 1)]:
+            with pytest.raises(ValidationError):
+                CutAssignment(n=n, columns=(CutColumn(*col),), exp_eps=Fraction(2))
 
     def test_non_monotone_chain_rejected(self):
         # a bank may hold any distinct columns; only is_chain judges the order
@@ -218,7 +234,7 @@ class TestColumnwiseModel:
     W = Fraction(3)
 
     def _expected(self, prior, bank):
-        """(A_eq, b_eq) of the bank's LP, from (i, b, c) alone."""
+        """(A_eq, b_eq, column posteriors) of the bank's LP, from (i, b, c) alone."""
         n, w = prior.n, self.W
         ratios, m = 2 * (n - 1), len(bank.columns)
         anchor_yellow, anchor_white = float(prior.q[-1]), float(1 - prior.q[0])
@@ -226,6 +242,7 @@ class TestColumnwiseModel:
         for j in range(n - 1):
             a_eq[j, j] = a_eq[n + j, j] = anchor_yellow  # all-yellow column, rows 1..n-1
             a_eq[j + 1, n - 1 + j] = anchor_white  # all-white column, rows 2..n
+        posts = []
         for k, (i, b, c) in enumerate(bank.columns):
             top = n + 1 - i
             factor = [w if (j <= b if j <= top else j >= c) else 1 for j in range(1, n + 1)]
@@ -233,9 +250,11 @@ class TestColumnwiseModel:
                 a_eq[j, ratios + k] = float(factor[j] / factor[-1])
                 if j < top:
                     a_eq[n + j, ratios + k] = float(factor[j] / factor[-1])
+            scaled = [x * f for x, f in zip(prior.p, factor)]
+            posts.append(sum(scaled[:top]) / sum(scaled))
         b_eq = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow]
         b_eq += [float(x) for x in prior.q[:-1]] + [0.0]
-        return a_eq, b_eq
+        return a_eq, b_eq, tuple(posts)
 
     @staticmethod
     def _assert_columnwise(start, index, value):
@@ -245,21 +264,31 @@ class TestColumnwiseModel:
             assert index[s:e] == sorted(set(index[s:e]))
         assert 0 not in value
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_dense_form_matches_the_cut_definition(self, n):
-        prior = _model_prior(n)
-        bank = CutAssignment(n, ipd.general._bank_columns(n, True), self.W)
+    def _assert_dense_form(self, prior, bank):
         problem = assemble_lp(prior, UtilityFn("quadratic"), bank)
         self._assert_columnwise(problem.start, problem.index, problem.value)
-        a_eq, b_eq = self._expected(prior, bank)
+        a_eq, b_eq, posts = self._expected(prior, bank)
         _, dense_eq, dense_b_eq, bounds = _dense(*_lp_args(problem))
         # the 2n equality rows are the LP's only rows
         assert dense_eq.tolist() == a_eq.tolist()
         assert dense_b_eq.tolist() == b_eq
+        assert problem.column_posteriors == posts
+        return dense_eq, bounds
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_dense_form_matches_the_cut_definition(self, n):
+        prior = _model_prior(n)
+        bank = CutAssignment(n, ipd.general._bank_columns(n, True), self.W)
+        dense_eq, bounds = self._assert_dense_form(prior, bank)
         ratios = 2 * (n - 1)
         assert bounds.tolist() == [[1.0, 3.0]] * ratios + [[0.0, 1.0]] * len(bank.columns)
         if n == 2:  # the simplex's LP: 4 rows, at most 6 variables
             assert dense_eq.shape[0] == 4 and dense_eq.shape[1] <= 6
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_every_cut_follows_the_cut_definition(self, n):
+        # uniform columns too, with all rows wide or all narrow
+        self._assert_dense_form(_model_prior(n), CutAssignment(n, tuple(all_cuts(n)), self.W))
 
 
 class TestSolveLp:

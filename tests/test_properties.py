@@ -213,10 +213,15 @@ _FAMILIES = [*map(UtilityFn, BUILTIN_FAMILIES), _REWARDS]
 
 
 @st.composite
-def general_priors(draw, min_n=3, max_n=6, zero_one=True):
-    """(pairs, exact) for n secrets in user order; a q of 0 or 1 when zero_one allows."""
+def general_priors(draw, min_n=3, max_n=6, zero_one=True, exact=None):
+    """Pairs for n secrets in user order; a q of 0 or 1 when zero_one allows.
+
+    The pairs are Fractions when exact is true, floats when it is false, and
+    either when it is None.
+    """
     n = draw(st.integers(min_value=min_n, max_value=max_n))
-    exact = draw(st.booleans())
+    if exact is None:
+        exact = draw(st.booleans())
     q_values = st.fractions(min_value=0, max_value=1, max_denominator=20)
     if not zero_one:
         q_values = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
@@ -275,3 +280,16 @@ def test_more_budget_never_hurts_the_general_optimum(pairs, budgets, u):
     prior = load_prior(pairs)
     tight, loose = (solve_general(prior, eps, u).utility for eps in budgets)
     assert loose >= tight - 1e-11
+
+
+@given(
+    general_priors(exact=True),
+    st.fractions(min_value=1, max_value=20, max_denominator=16).filter(lambda w: w > 1),
+    st.sampled_from(_FAMILIES),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_exact_general_optimum_matches_its_float_twin(pairs, w, u):
+    exact = solve_general(load_prior(pairs), u=u, exp_eps=w).utility
+    twin_pairs = [(float(p), float(q)) for p, q in pairs]
+    twin = solve_general(load_prior(twin_pairs), u=u, exp_eps=float(w)).utility
+    assert abs(exact - twin) <= PATH_TOL
