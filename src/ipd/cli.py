@@ -60,6 +60,7 @@ from .serialize import (
 
 MAX_GRID_POINTS = 100_000  # budgets in one sweep; each runs every utility
 MAX_SAMPLE_COUNT = 10_000_000  # draws in one sample; each prints one line
+MAX_POWER_BITS = 1 << 20  # numerator bits of a log-form budget's exact power
 
 _LOG_FORM = re.compile(r"^\s*(\d+)?\s*\*?\s*ln\(?\s*([0-9.]+)\s*\)?\s*$")
 
@@ -77,11 +78,19 @@ def parse_eps(text: str) -> tuple[float | None, Fraction | None]:
             base = Fraction(match.group(2))
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"cannot parse budget {text!r}") from None
-        # both checked before the power, which a large multiplier makes huge
+        # all checked before the power, which a large multiplier makes huge
         if mult and base < 1:
             raise ValidationError("budget must be nonnegative")
-        if mult and base > 1 and mult > MAX_EPS / log_of(base):
-            raise ValidationError(f"budget {text!r} is above {MAX_EPS:.2f}")
+        if mult and base > 1:
+            # log1p keeps the log of a base just above 1 off 0.0; where even
+            # base - 1 underflows a float, it equals ln(base) to all its digits
+            log_base = Fraction(math.log1p(base - 1) if base < 2 else log_of(base))
+            if mult * (log_base or base - 1) > MAX_EPS:
+                raise ValidationError(f"budget {text!r} is above {MAX_EPS:.2f}")
+            if mult * base.numerator.bit_length() > MAX_POWER_BITS:
+                raise ValidationError(
+                    f"budget {text!r} needs too large an exact power; give eps as a number"
+                )
         return None, base**mult
     try:
         value = float(text)
@@ -187,8 +196,9 @@ def cmd_verify(args) -> int:
     eps, exp_eps = parse_eps(args.eps)
     ip = check_ip(structure, eps, exp_eps=exp_eps)
     payload = {"ip": _ip_payload(ip), "regions": None}
-    # the regions need a positive budget, and e**eps can round to 1 for eps > 0
-    if ratio_bound(eps, exp_eps) != 1:
+    # the regions need a positive float budget, which eps > 0 can round to 0
+    # through e**eps, and an exact bound just above 1 through its log
+    if log_of(ratio_bound(eps, exp_eps)) > 0:
         payload["regions"] = _regions_payload(
             check_regions(structure, eps, exp_eps=exp_eps)
         )

@@ -709,10 +709,12 @@ def _chain_and_structure(
     """
     prior, bank, x = problem.prior, problem.assignment, solution.values
     n, ratios = prior.n, 2 * (prior.n - 1)
-    # most columns sit at zero, and a zero column is never kept
-    nonzero = [(col, v) for col, v in zip(bank.columns, x[ratios:]) if v]
-    runs = _relative_widths(n, [col for col, _ in nonzero], bank.exp_eps)
-    kept = [(col, v, rel) for (col, v), rel in zip(nonzero, runs) if v * max(rel) > HIGHS_TOL]
+    runs = _relative_widths(n, bank.columns, bank.exp_eps)
+    kept = [
+        (col, v, rel)
+        for col, v, rel in zip(bank.columns, x[ratios:], runs)
+        if v * max(rel) > HIGHS_TOL
+    ]
     chain = CutAssignment(n, tuple(col for col, _, _ in kept), bank.exp_eps)
     if not chain.is_chain:
         raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")

@@ -90,6 +90,30 @@ class TestParseEps:
         with pytest.raises(ValidationError):
             parse_eps(text)
 
+    def test_base_whose_float_log_is_zero(self):
+        near_one = "1.00000000000000001"  # its float log is 0.0
+        assert parse_eps(f"ln({near_one})") == (None, Fraction(near_one))
+        assert parse_eps(f"10ln({near_one})") == (None, Fraction(near_one) ** 10)
+        nearer = "1." + "0" * 399 + "1"  # base - 1 underflows a float too
+        assert parse_eps(f"ln({nearer})") == (None, Fraction(nearer))
+        # 10**20 * 1e-17 and 10**403 * 1e-400 are both 1000
+        for text in (f"1{'0' * 20}ln({near_one})", f"1{'0' * 403}ln({nearer})"):
+            with pytest.raises(ValidationError, match="above"):
+                parse_eps(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "10000000000000000000ln(1.00000000000000001)",
+            "700000ln(1.001)",
+            f"1{'0' * 401}ln(1.{'0' * 399}1)",
+        ],
+        ids=["base_near_one", "long_decimal_base", "base_nearer_one"],
+    )
+    def test_rejects_an_exact_power_too_large_to_compute(self, text):
+        with pytest.raises(ValidationError, match="exact power"):
+            parse_eps(text)
+
     def test_largest_exact_budget_in_range(self):
         assert parse_eps("1023ln2") == (None, Fraction(2**1023))
         assert parse_eps("0ln0.5") == (None, Fraction(1))
@@ -482,6 +506,18 @@ class TestVerifyCommand:
         main(["solve", prior_file, "--eps", "0", "--out-structure", st_path])
         capsys.readouterr()
         assert main(["verify", st_path, "--eps", "1e-17"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ip"]["satisfied"] is True
+        assert payload["regions"] is None
+
+    def test_log_budget_whose_base_has_a_float_log_of_zero(
+        self, prior_file, tmp_path, capsys
+    ):
+        # the float log of 1 + 1e-17 is 0.0, a zero budget to the region checks
+        st_path = str(tmp_path / "st.json")
+        main(["solve", prior_file, "--eps", "0", "--out-structure", st_path])
+        capsys.readouterr()
+        assert main(["verify", st_path, "--eps", "ln(1.00000000000000001)"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ip"]["satisfied"] is True
         assert payload["regions"] is None
