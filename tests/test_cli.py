@@ -63,6 +63,10 @@ def three_secret_prior_file(tmp_path):
     return str(path)
 
 
+NEAR_ONE = "1.00000000000000001"  # its float log is 0.0
+NEARER_ONE = f"1.{'0' * 399}1"  # base - 1 underflows a float too
+
+
 class TestParseEps:
     def test_plain_numbers(self):
         assert parse_eps("0.7") == (0.7, None)
@@ -76,6 +80,9 @@ class TestParseEps:
         assert parse_eps("ln(2)") == (None, Fraction(2))
         assert parse_eps("2ln3") == (None, Fraction(9))
         assert parse_eps("2*ln(1.5)") == (None, Fraction(9, 4))
+        # bases whose float log is 0.0
+        assert parse_eps(f"10ln({NEAR_ONE})") == (None, Fraction(NEAR_ONE) ** 10)
+        assert parse_eps(f"ln({NEARER_ONE})") == (None, Fraction(NEARER_ONE))
 
     def test_rejects_garbage_and_negatives(self):
         for bad in ("-1", "ln0.5", "nan", "inf", "two"):
@@ -84,29 +91,27 @@ class TestParseEps:
 
     @pytest.mark.parametrize(
         "text",
-        ["9999ln9", "9" * 400 + "ln2", "9" * 5000 + "ln2", "ln" + "9" * 400, "99999999999999ln0.5"],
+        [
+            "9999ln9",
+            "9" * 400 + "ln2",
+            "9" * 5000 + "ln2",
+            "ln" + "9" * 400,
+            "99999999999999ln0.5",
+            # 10**20 * 1e-17 and 10**403 * 1e-400, both 1000
+            f"1{'0' * 20}ln({NEAR_ONE})",
+            f"1{'0' * 403}ln({NEARER_ONE})",
+        ],
     )
     def test_rejects_budgets_past_the_float_range_before_computing_them(self, text):
         with pytest.raises(ValidationError):
             parse_eps(text)
 
-    def test_base_whose_float_log_is_zero(self):
-        near_one = "1.00000000000000001"  # its float log is 0.0
-        assert parse_eps(f"ln({near_one})") == (None, Fraction(near_one))
-        assert parse_eps(f"10ln({near_one})") == (None, Fraction(near_one) ** 10)
-        nearer = "1." + "0" * 399 + "1"  # base - 1 underflows a float too
-        assert parse_eps(f"ln({nearer})") == (None, Fraction(nearer))
-        # 10**20 * 1e-17 and 10**403 * 1e-400 are both 1000
-        for text in (f"1{'0' * 20}ln({near_one})", f"1{'0' * 403}ln({nearer})"):
-            with pytest.raises(ValidationError, match="above"):
-                parse_eps(text)
-
     @pytest.mark.parametrize(
         "text",
         [
-            "10000000000000000000ln(1.00000000000000001)",
+            f"10000000000000000000ln({NEAR_ONE})",
             "700000ln(1.001)",
-            f"1{'0' * 401}ln(1.{'0' * 399}1)",
+            f"1{'0' * 401}ln({NEARER_ONE})",
         ],
         ids=["base_near_one", "long_decimal_base", "base_nearer_one"],
     )
