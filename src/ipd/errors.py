@@ -71,6 +71,10 @@ class SolverError(IpdError):
     """The LP backend failed, or its answer is not a valid optimal structure."""
 
 
+class UnsupportedBudget(SolverError):
+    """The LP would carry a budget factor its backend reads as infinite."""
+
+
 class MissingDependency(IpdError):
     """An optional package that the operation needs cannot be imported."""
 

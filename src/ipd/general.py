@@ -69,7 +69,13 @@ from typing import Iterable, NamedTuple
 
 from .analysis import UtilityFn, check_ip, expected_utility
 from .binary import _width_ratios
-from .errors import SolverError, UnsupportedSize, ValidationError, require
+from .errors import (
+    SolverError,
+    UnsupportedBudget,
+    UnsupportedSize,
+    ValidationError,
+    require,
+)
 from .model import InfoStructure, Mechanism, Prior, compress, structure_to_mechanism
 from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, log_of, ratio_bound
 
@@ -334,6 +340,15 @@ PRESOLVE_ABOVE = 1e4
 # yet an n=6 LP at eps 23 once ran on for minutes, when the LP still held
 # the budget between each pair of anchor rows with a row of its own.
 SIMPLEX_ITERATION_LIMIT = 10_000
+# HiGHS's infinite_bound: a bound at or past it is read as infinite. Every LP
+# assemble_lp builds has the budget factor w as its widest bound and its
+# largest matrix entry, so a w this large (eps past ln(1e20), about 46.05,
+# reached only with a conditional of 0 or 1) is refused with
+# UnsupportedBudget, and HiGHS's large_matrix_value (1e15 by default, which
+# refused every w past eps 34.54) is raised to it. Its small_matrix_value
+# stays at 1e-9: HiGHS drops smaller entries, which here can be narrow
+# relative widths 1/w (past eps 20.7) and anchors q_n or 1 - q_1 below 1e-9.
+HIGHS_INFINITE = 1e20
 
 
 def linprog(
@@ -400,9 +415,16 @@ def _highs(
     status 0 and HiGHS's x, an infeasible one status 2; any other model
     status (the iteration limit included), or an error from HiGHS, gives
     status 4. solve_lp checks the x. Without scipy it raises
-    MissingDependency.
+    MissingDependency, and on a bound of HIGHS_INFINITE or more, which
+    HiGHS would read as infinite, UnsupportedBudget.
     """
     highs = require(_HIGHS_MODULE)
+    widest = max(map(abs, col_lower + col_upper), default=0.0)
+    if widest >= HIGHS_INFINITE:
+        raise UnsupportedBudget(
+            f"the LP's widest bound {widest:.3g} is past {HIGHS_INFINITE:.0e}, which "
+            f"HiGHS reads as infinite; solve at eps {math.log(HIGHS_INFINITE):.2f} or below"
+        )
 
     lp = highs.HighsLp()
     matrix = lp.a_matrix_
@@ -413,7 +435,6 @@ def _highs(
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = col_lower, col_upper
     lp.row_lower_ = lp.row_upper_ = rhs
-    widest = max(map(abs, col_lower + col_upper), default=0.0)
     presolve = "on" if widest > PRESOLVE_ABOVE else "off"
 
     solver = _thread_highs()
@@ -480,6 +501,7 @@ def _highs_options():
     options.primal_feasibility_tolerance = HIGHS_TOL
     options.dual_feasibility_tolerance = HIGHS_TOL
     options.simplex_iteration_limit = SIMPLEX_ITERATION_LIMIT
+    options.large_matrix_value = HIGHS_INFINITE
     options.output_flag = options.log_to_console = False
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     return options
@@ -815,6 +837,9 @@ def solve_general(
             its rows or bounds, or its support is not a chain, or the
             compressed structure fails check_ip at the budget asked for
             (seen past eps 20 with a conditional of 0 or 1).
+        UnsupportedBudget: a SolverError for an LP that would go to HiGHS
+            with a budget factor of 1e20 or more (eps past 46.05, with a
+            conditional of 0 or 1), which HiGHS reads as infinite.
     """
     if u is None:
         raise TypeError("solve_general needs a utility function")

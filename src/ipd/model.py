@@ -11,12 +11,20 @@ Secrets are kept in canonical order, sorted by decreasing P(Y=1|S=s) with the
 user's order as tie-break; the permutation back to the user's order is stored
 on the Prior. All values are immutable after construction and validated on
 construction.
+
+Every width-times-cell product (a row's yellow mass, a column's yellow mass,
+a kernel row, a merged cell) goes through _yellow or _white, and each kernel
+row's division through _over. An optimal structure's cells are all 0 or 1,
+so where a cell is a Fraction 0 or 1 these select the width or the zero of
+the product's type instead of calling Fraction's pure-Python operators; each
+returns what the plain expression would, in value, type and repr.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -64,6 +72,52 @@ def _clamp_noise(x: Scalar) -> Scalar:
         if 1.0 < x < 1.0 + NORM_TOL:
             return 1.0
     return x
+
+
+_ZERO = Fraction(0)
+# Width types whose product with a Fraction cell of 0 or 1 is known without
+# multiplying: Fraction keeps Fraction arithmetic, and a float meets the cell
+# as the float 0.0 or 1.0, as Fraction's reverse operator converts it.
+_SELECTABLE = (float, Fraction)
+
+
+def _yellow(w: Scalar, c: Scalar) -> Scalar:
+    """w * c, with the value, type and repr of that product for every input.
+
+    An optimal structure's cells are all 0 or 1, so a Fraction cell of 0 or
+    1 beside a float or Fraction width selects the width, or the zero of
+    the product's type (w * 0.0 for a float w, Fraction(0) otherwise),
+    instead of going through Fraction's pure-Python operators. Any other
+    cell, and a float cell, whose product is a native float operation
+    already, is multiplied.
+    """
+    if type(c) is Fraction and type(w) in _SELECTABLE:
+        if c == 1:
+            return w
+        if c == 0:
+            return w * 0.0 if type(w) is float else _ZERO
+    return w * c
+
+
+def _white(w: Scalar, c: Scalar) -> Scalar:
+    """w * (1 - c) as _yellow gives w * c, without forming 1 - c."""
+    if type(c) is Fraction and type(w) in _SELECTABLE:
+        if c == 0:
+            return w
+        if c == 1:
+            return w * 0.0 if type(w) is float else _ZERO
+    return w * (1 - c)
+
+
+def _over(x: Scalar, d: Scalar) -> Scalar:
+    """x / d for a positive, finite d, with the value, type and repr of x / d.
+
+    Over a Fraction d, a float or Fraction zero x is that quotient's zero
+    itself (a float zero keeps its sign), so it is returned undivided.
+    """
+    if type(d) is Fraction and type(x) in _SELECTABLE and x == 0:
+        return x
+    return x / d
 
 
 def _label_index(labels: tuple[str, ...], label: str, kind: str) -> int:
@@ -286,7 +340,7 @@ class InfoStructure:
                         f"cell posterior {x} in row {self.prior.secrets[s]!r}"
                     )
         for s in range(n):
-            yellow = sum(l * c for l, c in zip(self.widths[s], self.cells[s]))
+            yellow = sum(map(_yellow, self.widths[s], self.cells[s]))
             if far(yellow, self.prior.q[s], slack):
                 raise ValidationError(
                     f"row {self.prior.secrets[s]!r} is inconsistent with the prior: "
@@ -318,7 +372,7 @@ class InfoStructure:
             if mass == 0:
                 stats.append((mass, None, None))
                 continue
-            yellow = sum(x * self.cells[s][t] for s, x in zip(secrets, joint))
+            yellow = sum(_yellow(x, self.cells[s][t]) for s, x in zip(secrets, joint))
             s_post = tuple(x / mass for x in joint)
             stats.append((mass, yellow / mass, s_post))
         return tuple(stats)
@@ -482,10 +536,10 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
     kernel = []
     for s in range(prior.n):
         qs = prior.q[s]
-        yellow_row = tuple(st.widths[s][t] * st.cells[s][t] for t in range(k))
-        white_row = tuple(st.widths[s][t] * (1 - st.cells[s][t]) for t in range(k))
+        yellow_row = tuple(map(_yellow, st.widths[s], st.cells[s]))
+        white_row = tuple(map(_white, st.widths[s], st.cells[s]))
         if qs > 0:
-            row1 = tuple(x / qs for x in yellow_row)
+            row1 = tuple(_over(x, qs) for x in yellow_row)
         else:
             if sum(yellow_row) > slack:
                 raise DegenerateConditional(
@@ -495,7 +549,7 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
             row1 = tuple(1 if t == top else 0 for t in range(k))
         if qs < 1:
             white_q = 1 - qs
-            row0 = tuple(x / white_q for x in white_row)
+            row0 = tuple(_over(x, white_q) for x in white_row)
         else:
             if sum(white_row) > slack:
                 raise DegenerateConditional(
@@ -595,7 +649,7 @@ def _merge_columns(st: InfoStructure, groups: Sequence[Sequence[int]]) -> InfoSt
                 c_out.append(c_row[group[0]])
                 continue
             total = sum(w_row[i] for i in group)
-            yellow = sum(w_row[i] * c_row[i] for i in group)
+            yellow = sum(_yellow(w_row[i], c_row[i]) for i in group)
             w_out.append(total)
             c_out.append(yellow / total if total > 0 else 0)
         widths.append(tuple(w_out))

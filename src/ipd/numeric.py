@@ -5,7 +5,10 @@ and every verification applies a small slack. In exact mode, inputs are
 ``fractions.Fraction`` (ints are promoted on the way in) and the closed-form
 solvers produce exact rationals; verifications then compare exactly. The mode
 is a property of the values, not a global switch: arithmetic here and in the
-solvers is written so that Fractions in give Fractions out.
+solvers is written so that Fractions in give Fractions out. Where ipd.model
+multiplies a width by a cell posterior, a Fraction cell of 0 or 1 (every
+cell of an optimal structure is one) selects the width or a zero instead;
+the result has the product's value, type and repr, so neither mode sees it.
 
 Privacy budgets follow one calling convention everywhere: pass ``eps`` (nats,
 float) or ``exp_eps`` (the width-ratio bound e**eps itself, possibly an exact
@@ -78,20 +81,24 @@ def check_slack() -> float:
 def exactify(x: Scalar) -> Scalar:
     """Promote ints to Fraction so integer division cannot fall back to float.
 
-    Finite floats and Fractions pass through unchanged. Booleans are rejected
-    (a True/False probability is always a bug at the call site), and so are
-    NaN and infinities, which would slip past every range check.
+    Finite floats (numpy's float64, a float subclass, included) and
+    Fractions pass through unchanged, as the same object. Booleans are
+    rejected (a True/False probability is always a bug at the call site),
+    and so are NaN and infinities, which would slip past every range check.
+    Floats, the commonest input, are tested first, then Fractions.
     """
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return x
+        raise ValidationError(f"expected a finite number, got {x!r}")
     if type(x) is Fraction:
         return x
     if isinstance(x, bool):
         raise TypeError("probabilities must be numbers, not booleans")
     if isinstance(x, int):
         return Fraction(x)
-    if not isinstance(x, (float, Fraction)):
+    if not isinstance(x, Fraction):
         raise TypeError(f"expected a real number, got {type(x).__name__}")
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValidationError(f"expected a finite number, got {x!r}")
     return x
 
 

@@ -591,6 +591,17 @@ class TestSolveGeneralCommand:
         assert err["error"] == "SolverError"
         assert "exceeds eps by 1.14e-09" in err["message"]
 
+    def test_budget_past_the_highs_infinite_bound_exits_2_with_json_error(
+        self, tmp_path, capsys
+    ):
+        path = self._prior_file(tmp_path, [("1/3", "9/10"), ("1/3", "1/2"), ("1/3", "0")])
+        assert main(["solve-general", path, "--eps", "50", "--utility", "abs"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "UnsupportedBudget"
+        assert "eps 46.05" in err["message"]
+
 
 class TestMissingPackages:
     """A command that needs numpy or scipy without them is a JSON error, exit 2."""

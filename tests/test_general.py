@@ -45,9 +45,13 @@ from ipd.general import (
     LpSolution,
     all_cuts,
 )
-from ipd.numeric import CHECK_TOL, PATH_TOL
+from ipd.errors import UnsupportedBudget
+from ipd.numeric import CHECK_TOL, MAX_EPS, PATH_TOL
 
 from conftest import OVER_BUDGET_PRIOR, SIX_SECRET_PRIOR, random_binary_prior
+
+# a conditional of 0 lets the LP's budget factor grow with eps
+ZERO_CONDITIONAL_PRIOR = [(1 / 3, 0.9), (1 / 3, 0.5), (1 / 3, 0.0)]
 
 
 def _lp_args(problem):
@@ -395,11 +399,23 @@ class TestSolveGeneral:
         assert solution.utility == pytest.approx(1.0, abs=1e-12)
         assert check_ip(solution.structure, 50.0).satisfied
 
-    @pytest.mark.xfail(strict=True, raises=SolverError, reason="float LP fails at large budgets")
-    def test_huge_budget_with_a_zero_conditional_solves(self):
-        prior = load_prior([(1 / 3, 0.9), (1 / 3, 0.5), (1 / 3, 0.0)])
-        solution = solve_general(prior, 35.0, UtilityFn("abs"))
-        assert check_ip(solution.structure, 35.0).satisfied
+    @pytest.mark.parametrize("eps", [35.0, 40.0, 45.0, 46.0])
+    def test_huge_budget_with_a_zero_conditional_solves(self, eps):
+        # each LP carries w = e**eps, past HiGHS's default large_matrix_value
+        solution = solve_general(load_prior(ZERO_CONDITIONAL_PRIOR), eps, UtilityFn("abs"))
+        assert check_ip(solution.structure, eps).satisfied
+        assert check_regions(solution.structure, eps).all_flags
+
+    @pytest.mark.parametrize("eps", [46.06, 50.0, MAX_EPS])
+    def test_budget_past_the_highs_infinite_bound_is_refused(self, eps):
+        with pytest.raises(UnsupportedBudget, match=r"past 1e\+20.*eps 46\.05"):
+            solve_general(load_prior(ZERO_CONDITIONAL_PRIOR), eps, UtilityFn("abs"))
+
+    def test_two_secrets_solve_past_the_highs_infinite_bound(self):
+        # the two-secret LP goes to the in-package simplex, which has no such bound
+        prior = load_prior([(0.5, 0.9), (0.5, 0.0)])
+        solution = solve_general(prior, 50.0, UtilityFn("abs"))
+        assert solution.utility == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("family", ["abs", "quadratic", "negentropy"])
     def test_answer_past_the_budget_is_a_solver_error(self, family):

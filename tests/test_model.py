@@ -32,7 +32,7 @@ from ipd.errors import (
     NotEquivalentSignals,
     UnknownLabel,
 )
-from ipd.model import column_stats
+from ipd.model import _over, _white, _yellow, column_stats
 
 from conftest import random_binary_prior
 
@@ -409,6 +409,30 @@ class TestSampling:
         m = fixture_solution.mechanism
         assert set(sample_signal(m, "s0", 1, 3, 100_000)) == {"t1", "t2", "t3"}
         assert set(sample_signal(m, "s0", 0, 3, 100_000)) == {"t4"}
+
+
+# the last two are not selected but multiplied
+WIDTHS = (Fraction(3, 7), 0.375, Fraction(0), 0.0, -0.0, Fraction(1), 1.0, 3, np.float64(0.375))
+CELLS = (Fraction(0), Fraction(1), 0.0, 1.0, Fraction(1, 3), 0.25)
+
+
+def _same(got, want):
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+class TestCellSelection:
+    """A cell of 0 or 1 selects; the result is the product's, type and repr alike."""
+
+    @pytest.mark.parametrize("c", CELLS, ids=repr)
+    @pytest.mark.parametrize("w", WIDTHS, ids=repr)
+    def test_yellow_and_white_are_the_products(self, w, c):
+        assert _same(_yellow(w, c), w * c)
+        assert _same(_white(w, c), w * (1 - c))
+
+    @pytest.mark.parametrize("d", (Fraction(1, 3), 0.25, Fraction(1), 1.0), ids=repr)
+    @pytest.mark.parametrize("x", WIDTHS, ids=repr)
+    def test_over_is_the_quotient(self, x, d):
+        assert _same(_over(x, d), x / d)
 
 
 def _random_structure(rng, prior, k):

@@ -17,8 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipd import (
+    InfoStructure,
     Mechanism,
     UtilityFn,
+    ValidationError,
     check_ip,
     check_regions,
     expected_utility,
@@ -27,16 +29,18 @@ from ipd import (
     solve_binary,
     solve_general,
     solve_perfect_privacy,
+    split_signal,
     structure_to_mechanism,
 )
 from ipd.analysis import _FLAGS, _staircase_violation
 from ipd.binary import RegimeTag
-from ipd.model import column_stats
+from ipd.model import column_stats, compress
 from ipd.numeric import (
     CHECK_TOL,
     NORM_TOL,
     PATH_TOL,
     check_slack,
+    exactify,
     far,
     is_exact,
     log_of,
@@ -137,6 +141,31 @@ def test_ratio_bound_keeps_its_answers_and_errors(exp_eps):
     except ValueError as exc:
         got = "below" if ">= 1" in str(exc) else "above"
     assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("x", [0.375, -0.0, np.float64(0.375), Fraction(3, 7), Fraction(0)])
+def test_exactify_passes_floats_and_fractions_through_as_they_are(x):
+    assert exactify(x) is x
+
+
+@pytest.mark.parametrize("x", [0, 1, -3, 10**400])
+def test_exactify_promotes_ints_to_fractions(x):
+    got = exactify(x)
+    assert type(got) is Fraction and got == x
+
+
+@pytest.mark.parametrize("x", [True, False, "0.5", None, 1j, np.bool_(True)])
+def test_exactify_refuses_what_is_not_a_real_number(x):
+    with pytest.raises(TypeError):
+        exactify(x)
+
+
+@pytest.mark.parametrize(
+    "x", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf")]
+)
+def test_exactify_refuses_nan_and_infinities(x):
+    with pytest.raises(ValidationError, match="finite"):
+        exactify(x)
 
 
 # The formulas the column statistics, the kernel and the two verifiers used
@@ -265,6 +294,43 @@ def seed_expected_utility(st_, u):
     )
 
 
+def seed_compress(st_):
+    """compress with each merged yellow mass summed from plain width * cell products."""
+    stats = seed_column_stats(st_)
+    slack = check_slack()
+    classes = []
+    for t, col in enumerate(stats):
+        if col[1] is None:
+            continue
+        for members in classes:
+            first = stats[members[0]]
+            if abs(col[1] - first[1]) <= slack and all(
+                abs(x - y) <= slack for x, y in zip(col[2], first[2])
+            ):
+                members.append(t)
+                break
+        else:
+            classes.append([t])
+    if len(classes) == st_.num_signals:
+        return st_
+    widths, cells = [], []
+    for w_row, c_row in zip(st_.widths, st_.cells):
+        w_out, c_out = [], []
+        for group in classes:
+            if len(group) == 1:
+                w_out.append(w_row[group[0]])
+                c_out.append(c_row[group[0]])
+                continue
+            total = sum(w_row[i] for i in group)
+            yellow = sum(w_row[i] * c_row[i] for i in group)
+            w_out.append(total)
+            c_out.append(yellow / total if total > 0 else 0)
+        widths.append(tuple(w_out))
+        cells.append(tuple(c_out))
+    signals = tuple(st_.signals[group[0]] for group in classes)
+    return InfoStructure(st_.prior, signals, tuple(widths), tuple(cells))
+
+
 def typed(value):
     """value with the type of every scalar in it, for equality that sees types."""
     if isinstance(value, (tuple, list)):
@@ -374,3 +440,44 @@ class TestSeedFormulaParity:
         for pairs, w in _general_corpus():
             solution = solve_general(load_prior(pairs), u=UtilityFn("quadratic"), exp_eps=w)
             self._check(solution.structure, w)
+
+
+@st.composite
+def _binary_points(draw):
+    """A binary prior, exact or float, whose q is now and then 0 or 1, a budget
+    of any of its three forms, and the weights of a split of one signal."""
+    p0 = draw(st.fractions(Fraction(1, 20), Fraction(19, 20), max_denominator=20))
+    conditionals = st.one_of(
+        st.sampled_from((Fraction(0), Fraction(1))), st.fractions(0, 1, max_denominator=40)
+    )
+    q = sorted((draw(conditionals) for _ in range(2)), reverse=True)
+    pairs = [(p0, q[0]), (1 - p0, q[1])]
+    if draw(st.booleans()):
+        pairs = [(float(p), float(c)) for p, c in pairs]
+    budget = draw(
+        st.one_of(
+            st.builds(lambda e: {"eps": e}, st.floats(0, 30)),
+            st.builds(lambda w: {"exp_eps": w}, st.fractions(1, 50, max_denominator=10)),
+            st.builds(lambda w: {"exp_eps": w}, st.floats(1, 50)),
+        )
+    )
+    weights = draw(st.sampled_from(((Fraction(1, 3), Fraction(2, 3)), (0.25, 0.75))))
+    return pairs, budget, weights
+
+
+@given(_binary_points())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_binary_structures_answer_as_the_plain_products(point):
+    # the model selects widths by their 0/1 cells instead of multiplying;
+    # a split makes compress merge columns, mixing exact and float widths
+    pairs, budget, weights = point
+    prior = load_prior(pairs)
+    for solution in (solve_binary(prior, **budget), solve_perfect_privacy(prior)):
+        st_ = solution.structure
+        for case in (st_, split_signal(st_, st_.signals[0], weights)):
+            assert typed(column_stats(case)) == typed(seed_column_stats(case))
+            assert typed(structure_to_mechanism(case).kernel) == typed(seed_kernel(case))
+            got, want = compress(case), seed_compress(case)
+            assert typed((got.signals, got.widths, got.cells)) == typed(
+                (want.signals, want.widths, want.cells)
+            )
