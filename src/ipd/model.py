@@ -88,8 +88,8 @@ def _yellow(w: Scalar, c: Scalar) -> Scalar:
     1 beside a float or Fraction width selects the width, or the zero of
     the product's type (w * 0.0 for a float w, Fraction(0) otherwise),
     instead of going through Fraction's pure-Python operators. Any other
-    cell, and a float cell, whose product is a native float operation
-    already, is multiplied.
+    cell is multiplied, a float cell too: the solvers pair float cells only
+    with float widths, a product that is native already.
     """
     if type(c) is Fraction and type(w) in _SELECTABLE:
         if c == 1:
