@@ -15,7 +15,6 @@ decision maker with a convex utility of the posterior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
@@ -32,6 +31,7 @@ from .numeric import (
     ratio_bound,
     typed_key,
 )
+from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import to avoid a cycle
     from .binary import BinarySolution
@@ -39,8 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import to avoid a cycle
 BUILTIN_FAMILIES = ("abs", "quadratic", "negentropy")
 
 
-@dataclass(frozen=True)
-class UtilityFn:
+class UtilityFn(Record):
     """Convex utility of the posterior probability q = P(Y=1 | T).
 
     Families:
@@ -152,8 +151,7 @@ def parse_utility(spec: str, rewards_loader=None) -> UtilityFn:
     )
 
 
-@dataclass(frozen=True)
-class IpReport:
+class IpReport(Record):
     """Outcome of an inferential-privacy check.
 
     Attributes:
@@ -234,8 +232,7 @@ def _no_witness(flag: str) -> property:
     return property(lambda report: report.witnesses[flag] is None)
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(Record):
     """Geometric fingerprint of optimality for a structure.
 
     After sorting secrets by decreasing q_s (the canonical order) and signals
@@ -369,8 +366,7 @@ def check_regions(
     return RegionReport(witnesses=witnesses, zero_width_cells=tuple(zero_width))
 
 
-@dataclass(frozen=True)
-class BlackwellResult:
+class BlackwellResult(Record):
     """Verdict of a convex-order comparison between two posterior summaries."""
 
     dominates: bool
@@ -419,8 +415,7 @@ def expected_utility(st: InfoStructure, u: UtilityFn) -> Scalar:
     return value
 
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(Record):
     """Utility of the eps-optimal structure relative to the private baseline.
 
     gain is u_eps / u_0; when the baseline utility is zero the ratio is

@@ -18,7 +18,6 @@ and row sums hold exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -26,6 +25,7 @@ from .analysis import UtilityFn, expected_utility
 from .errors import NotBinarySecret, ValidationError
 from .model import InfoStructure, Mechanism, Prior, load_prior, structure_to_mechanism
 from .numeric import Scalar, check_slack, exactify, is_exact, ratio_bound
+from .record import Record
 
 
 class RegimeTag(str, Enum):
@@ -38,8 +38,7 @@ class RegimeTag(str, Enum):
     PERFECT_PRIVACY = "perfect-privacy"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(Record):
     """Regime tag plus the two width ratios that decide it.
 
     r1 or r2 is +inf when the prior is degenerate (q_lo = 0 or q_hi = 1);
@@ -51,8 +50,7 @@ class Regime:
     r2: Scalar
 
 
-@dataclass(frozen=True)
-class BinarySolution:
+class BinarySolution(Record):
     """A closed-form optimum together with its bookkeeping.
 
     structure has zero-mass columns dropped; widths_by_signal keeps all
@@ -256,8 +254,7 @@ def solve_binary(
     return solution
 
 
-@dataclass(frozen=True)
-class GapInstance:
+class GapInstance(Record):
     """A prior and utility exhibiting a guaranteed privacy cost.
 
     scale is the height of the tent-shaped reward utility; the budgeted

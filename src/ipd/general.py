@@ -63,7 +63,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
@@ -78,6 +77,7 @@ from .errors import (
 )
 from .model import InfoStructure, Mechanism, Prior, compress, structure_to_mechanism
 from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, log_of, ratio_bound
+from .record import Record
 
 
 class CutColumn(NamedTuple):
@@ -138,8 +138,7 @@ def _relative_widths(n: int, columns: Iterable[CutColumn], w: Scalar) -> list[li
     return runs
 
 
-@dataclass(frozen=True)
-class CutAssignment:
+class CutAssignment(Record):
     """A bank of distinct in-range middle columns for an n-secret instance.
 
     Each cut (i, b, c) holds integers with 2 <= i <= n, 0 <= b <= n+1-i
@@ -181,8 +180,7 @@ class CutAssignment:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class LpProblem:
+class LpProblem(Record, eq=False):
     """The linear program of one bank of columns, in HiGHS's column-wise form.
 
     Variables: a width ratio per non-bottom row of the all-yellow column, a
@@ -212,8 +210,7 @@ class LpProblem:
     then: list[float] | None
 
 
-@dataclass(frozen=True, eq=False)
-class LpSolution:
+class LpSolution(Record, eq=False):
     """An optimal answer: linprog's x, objective . x + offset, its worst miss."""
 
     values: list[float]
@@ -792,8 +789,7 @@ def _rescaled_structure(
     )
 
 
-@dataclass(frozen=True)
-class GeneralSolution:
+class GeneralSolution(Record):
     """The compressed optimum, its chain of cuts and its utility.
 
     mechanism is derived from structure on first read and cached, so

@@ -23,7 +23,6 @@ returns what the plain expression would, in value, type and repr.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -50,6 +49,7 @@ from .numeric import (
     outside_unit,
     typed_key,
 )
+from .record import Record
 
 
 def _as_scalar_tuple(values: Iterable[Scalar]) -> tuple[Scalar, ...]:
@@ -127,8 +127,7 @@ def _label_index(labels: tuple[str, ...], label: str, kind: str) -> int:
         raise UnknownLabel(f"unknown {kind} {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Prior:
+class Prior(Record):
     """Joint prior over (S, Y) in canonical secret order.
 
     Attributes:
@@ -279,8 +278,7 @@ def load_prior_joint(
 ColumnStats = tuple[Scalar, Scalar | None, tuple[Scalar, ...] | None]
 
 
-@dataclass(frozen=True)
-class InfoStructure:
+class InfoStructure(Record):
     """An information structure: per-secret signal widths and cell posteriors.
 
     Attributes:
@@ -361,7 +359,7 @@ class InfoStructure:
     @cached_property
     def _column_stats(self) -> tuple[ColumnStats, ...]:
         # Read through column_stats. The fields are immutable, so the cache
-        # cannot go stale; dataclass eq and hash look only at the fields.
+        # cannot go stale; Record's eq and hash look only at the fields.
         # Each joint mass p[s] * widths[s][t] is formed once and serves the
         # column mass, its yellow mass and the secret posteriors alike.
         p, secrets = self.prior.p, range(self.prior.n)
@@ -384,8 +382,7 @@ class InfoStructure:
         return {}
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
+class PosteriorSummary(Record):
     """Distribution of the observer's posterior after seeing the signal.
 
     Zero-mass signals are dropped, so every kept signal has p > 0.
@@ -457,8 +454,7 @@ def posterior_summary(st: InfoStructure) -> PosteriorSummary:
     return PosteriorSummary(signals=signals, p=masses, q=posts, s_post=s_rows)
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(Record):
     """Release kernel P(T=t | S=s, Y=y) together with its prior.
 
     Attributes:

@@ -14,7 +14,6 @@ solvers are never beaten.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .analysis import UtilityFn, blackwell_dominates, expected_utility
@@ -29,6 +28,7 @@ from .errors import (
 from .general import _rescaled_structure, solve_general
 from .model import InfoStructure, Prior, posterior_summary
 from .numeric import Scalar, check_slack, log_of, ratio_bound
+from .record import Record
 
 if TYPE_CHECKING:  # numpy loads only inside the oracles that use it
     import numpy as np
@@ -43,8 +43,7 @@ MAX_SIGNALS = 32
 MAX_PATTERN_SECRETS = 8
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Outcome of one brute-force challenge against a solver.
 
     trials counts the candidates actually scored (projection can discard

@@ -117,6 +117,15 @@ def decode_prior(obj) -> Prior:
     raise ValidationError("prior document needs a 'secrets' or 'joint' list")
 
 
+def _embedded_prior(obj: dict, kind: str) -> Prior:
+    # A prior document handed over where a structure or mechanism belongs
+    # has no "prior" key; say so rather than blame the prior's own shape.
+    prior = obj.get("prior")
+    if not isinstance(prior, dict):
+        raise ValidationError(f"{kind} document lacks its 'prior' object")
+    return decode_prior(prior)
+
+
 def _canonical_positions(prior: Prior, order) -> list[int]:
     names = isinstance(order, list) and all(isinstance(x, str) for x in order)
     if not names or sorted(order) != sorted(prior.secrets):
@@ -152,7 +161,7 @@ def encode_structure(st: InfoStructure) -> dict:
 def decode_structure(obj) -> InfoStructure:
     if not isinstance(obj, dict):
         raise ValidationError("structure document must be a JSON object")
-    prior = decode_prior(obj.get("prior"))
+    prior = _embedded_prior(obj, "structure")
     positions = _canonical_positions(prior, obj.get("secret_order"))
     signals = obj.get("signals")
     if not isinstance(signals, list):
@@ -182,7 +191,7 @@ def encode_mechanism(m: Mechanism) -> dict:
 def decode_mechanism(obj) -> Mechanism:
     if not isinstance(obj, dict):
         raise ValidationError("mechanism document must be a JSON object")
-    prior = decode_prior(obj.get("prior"))
+    prior = _embedded_prior(obj, "mechanism")
     positions = _canonical_positions(prior, obj.get("secret_order"))
     signals = obj.get("signals")
     if not isinstance(signals, list):

@@ -382,6 +382,25 @@ class TestInputBoundary:
         if case == "unknown-secret":
             assert payload["message"] == "unknown secret 'zzz'"
 
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            (["verify", "--eps", "ln2"], "structure"),
+            (["sample", "--secret", "s0", "--y", "1", "--seed", "1"], "mechanism"),
+        ],
+        ids=["verify", "sample"],
+    )
+    def test_prior_document_where_a_structure_or_mechanism_belongs(
+        self, command, kind, prior_file, capsys
+    ):
+        # the complaint is about the missing "prior" key, not the prior's shape
+        assert main([command[0], prior_file, *command[1:]]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {
+            "error": "ValidationError",
+            "message": f"{kind} document lacks its 'prior' object",
+        }
+
 
 class TestImportCost:
     """Start-up imports, each checked in a fresh interpreter.
@@ -404,22 +423,34 @@ class TestImportCost:
         )
         return done.stdout.strip()
 
+    # The result types are Records, so dataclasses, which brings inspect,
+    # ast and tokenize and compiles generated code for each class, stays
+    # unloaded too.
     @pytest.mark.parametrize(
         "modules, unloaded",
         [
-            ("ipd", ("numpy", "scipy.optimize")),
-            ("ipd.cli", ("numpy", "scipy.optimize")),
+            ("ipd", ("numpy", "scipy.optimize", "dataclasses")),
+            ("ipd.cli", ("numpy", "scipy.optimize", "dataclasses")),
             # the oracles import numpy and scipy only inside the calls that
             # need them
-            ("ipd.oracle, ipd.general", ("numpy", "scipy.optimize")),
+            ("ipd.oracle, ipd.general", ("numpy", "scipy.optimize", "dataclasses")),
             # the solver's own arithmetic is plain Python
-            ("ipd.general", ("numpy", "scipy.optimize")),
+            ("ipd.general", ("numpy", "scipy.optimize", "dataclasses")),
         ],
         ids=["ipd", "ipd.cli", "ipd.oracle-ipd.general", "ipd.general"],
     )
     def test_import_loads_neither_numpy_nor_scipy_optimize(self, modules, unloaded):
         listed = f"[m for m in {unloaded!r} if m in sys.modules]"
         assert self._child(f"import sys, {modules}; print({listed})") == "[]"
+
+    def test_import_adds_no_inspect(self):
+        # A site hook may load inspect before ipd does (certifi's does on
+        # some installs), so only a load that ipd itself adds counts.
+        code = "import sys; before = 'inspect' in sys.modules; "
+        code += "import ipd.cli, ipd.general, ipd.oracle; "
+        code += "print(before, 'inspect' in sys.modules)"
+        before, after = self._child(code).split()
+        assert after == before
 
     def test_binary_commands_never_load_numpy(self, prior_file, tmp_path):
         code = """

@@ -10,7 +10,6 @@ import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +41,7 @@ from ipd.general import (
     GUARD_TOL,
     MAX_SECRETS,
     LinprogResult,
+    LpProblem,
     LpSolution,
     all_cuts,
 )
@@ -930,10 +930,10 @@ class TestFeasibilityGuard:
     def _missed(miss, pr, x, d):
         """pr with one row or bound moved so that x misses it by d."""
         if miss == "equality-row":
-            return replace(pr, rhs=_with(pr.rhs, 0, pr.rhs[0] + d))
+            return LpProblem(**{**vars(pr), "rhs": _with(pr.rhs, 0, pr.rhs[0] + d)})
         if miss == "upper-bound":
-            return replace(pr, col_upper=_with(pr.col_upper, -1, x[-1] - d))
-        return replace(pr, col_lower=_with(pr.col_lower, 0, x[0] + d))
+            return LpProblem(**{**vars(pr), "col_upper": _with(pr.col_upper, -1, x[-1] - d)})
+        return LpProblem(**{**vars(pr), "col_lower": _with(pr.col_lower, 0, x[0] + d)})
 
     @pytest.mark.parametrize("miss", ["equality-row", "lower-bound", "upper-bound"])
     def test_answer_off_a_row_or_bound_is_a_solver_error(self, monkeypatch, miss):
