@@ -11,9 +11,10 @@ posterior depends only on the prior and the cut, not on the widths.
 A cut's rows follow from (i, b, c) by arithmetic, with no table: its
 yellow block is its first n+1-i rows, and its widths over the bottom row's
 width are three runs, rows 1..b wide, rows b+1..c-1 narrow and rows c..n
-wide again. The relative widths, the posteriors, the LP and the rebuilt
-structure are all computed from those runs in plain Python, so this module
-imports no numpy; numpy arrives only with scipy's HiGHS bindings.
+wide again. Only assemble_lp expands a cut, once, into its LP column; the
+rebuilt structure is read back from those columns. All of it is plain
+Python, so this module imports no numpy; numpy arrives only with scipy's
+HiGHS bindings.
 
 Every cut column meets the budget on its own, so one LP whose middle
 variables are all the non-uniform cut columns at once admits only private
@@ -34,10 +35,11 @@ straight in HiGHS's column-wise form: for each variable, the rows it enters
 and its coefficients there, zeros left out, beside the 2n equality
 right-hand sides, variable bounds, costs and then; every bound is finite.
 solve_lp solves it. solve_general builds the bank, runs its one LP, reads
-the chain and the rebuilt structure off the answer at once, and checks the
-compressed structure with check_ip at the budget asked for: past eps 20,
-with a conditional of 0 or 1, an answer within HiGHS's tolerances can still
-break the budget by about 1e-9 in log, and that is a SolverError.
+the chain and the rebuilt structure off the answer and the LP's columns at
+once, and checks the compressed structure with check_ip at the budget asked
+for: past eps 20, with a conditional of 0 or 1, or near a zero budget, an
+answer within HiGHS's tolerances can still break the budget by about 1e-9
+in log, and that is a SolverError.
 
 linprog is the one LP backend, and minimizes an optional second objective
 over the first one's optimal face, warm from the first one's answer. An LP
@@ -64,7 +66,7 @@ import math
 import operator
 import threading
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .analysis import UtilityFn, check_ip, expected_utility
 from .binary import _width_ratios
@@ -86,11 +88,6 @@ class CutColumn(NamedTuple):
     i: int
     b: int
     c: int
-
-
-def may_follow(first: CutColumn, second: CutColumn) -> bool:
-    """Whether second can sit to the right of first in a chain."""
-    return second.i >= first.i and second.b <= first.b and second.c <= first.c
 
 
 def all_cuts(n: int) -> list[CutColumn]:
@@ -120,22 +117,6 @@ def _bank_columns(n: int, positive: bool) -> tuple[CutColumn, ...]:
         return tuple(CutColumn(i, 0, n + 2 - i) for i in range(2, n + 1))
     # a cut has b + n + 1 - c wide rows
     return tuple(col for col in all_cuts(n) if 0 < col.b + n + 1 - col.c < n)
-
-
-def _relative_widths(n: int, columns: Iterable[CutColumn], w: Scalar) -> list[list[float]]:
-    """Each cut column's row widths over its bottom row's width, as three runs.
-
-    Rows 1..b and c..n of a cut (i, b, c) are wide, w times as wide as the
-    narrow rows b+1..c-1 between them, so the runs are w, 1, w when the
-    bottom row is narrow (c > n) and 1, 1/w, 1 when it is wide; 1/w is
-    rounded once when w is exact.
-    """
-    w_float, inv_w = float(w), float(1 / w)
-    runs = []
-    for _, b, c in columns:
-        lo, hi = (1.0, w_float) if c > n else (inv_w, 1.0)
-        runs.append([hi] * b + [lo] * (c - 1 - b) + [hi] * (n + 1 - c))
-    return runs
 
 
 class CutAssignment(Record):
@@ -173,9 +154,9 @@ class CutAssignment(Record):
 
     @property
     def is_chain(self) -> bool:
-        """True when each column may follow the one before it."""
+        """True when each column may follow the one before: i never falls, b and c never rise."""
         return all(
-            may_follow(first, second)
+            second.i >= first.i and second.b <= first.b and second.c <= first.c
             for first, second in zip(self.columns, self.columns[1:])
         )
 
@@ -241,8 +222,9 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
       posteriors; fixed by the cut, it keeps the objective linear;
     - its mass per unit of bottom-row width, and u at the posterior times
       that mass as its objective coefficient;
-    - its matrix entries: its relative widths in every total row and in
-      the yellow rows of its block;
+    - its matrix entries: its relative widths (its row widths over its
+      bottom row's width, the three runs of its cut) in every total row and
+      in the yellow rows of its block;
     - for a utility that is not strictly convex (abs, rewards), the same
       coefficient for the quadratic utility, in then.
     """
@@ -273,8 +255,12 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
         start.append(len(index))
     posts = []
     given = list(prior.p)  # exact when the prior is, as the posteriors then are
-    columns = assignment.columns
-    for (i, b, c), rel in zip(columns, _relative_widths(n, columns, w)):
+    # a bottom row that is narrow (c > n) makes the runs w, 1, w, a wide one
+    # 1, 1/w, 1; 1/w is rounded once when w is exact
+    w_float, inv_w = float(w), float(1 / w)
+    for i, b, c in assignment.columns:
+        lo, hi = (1.0, w_float) if c > n else (inv_w, 1.0)
+        rel = [hi] * b + [lo] * (c - 1 - b) + [hi] * (n + 1 - c)
         scaled = [x * w for x in given[:b]] + given[b : c - 1] + [x * w for x in given[c - 1 :]]
         block = n + 1 - i
         post = sum(scaled[:block]) / sum(scaled)
@@ -718,7 +704,11 @@ def _chain_and_structure(
 ) -> tuple[CutAssignment, InfoStructure]:
     """The chain of the LP's answer, and its width grid rescaled to exact row sums.
 
-    A bank column is kept when its widest cell, its LP value times its
+    Both are read from the LP's own columns: middle variable j's entries,
+    value[start[j]:start[j + 1]], are its n relative widths in the total
+    rows (never zero, so all present), then the same widths in the yellow
+    rows of its block, so its block holds the entry count less n rows. A
+    bank column is kept when its widest cell, its LP value times its
     largest relative width, exceeds HIGHS_TOL. One no wider than HiGHS's
     feasibility tolerance is round-off the LP cannot tell from zero, such
     as a degenerate basic column that HiGHS leaves at 1e-17 to 1e-13, and
@@ -728,25 +718,25 @@ def _chain_and_structure(
     """
     prior, bank, x = problem.prior, problem.assignment, solution.values
     n, ratios = prior.n, 2 * (prior.n - 1)
-    runs = _relative_widths(n, bank.columns, bank.exp_eps)
-    kept = [
-        (col, v, rel)
-        for col, v, rel in zip(bank.columns, x[ratios:], runs)
-        if v * max(rel) > HIGHS_TOL
-    ]
-    chain = CutAssignment(n, tuple(col for col, _, _ in kept), bank.exp_eps)
+    start, value = problem.start, problem.value
+    kept = []  # (cut, LP value, relative widths, block length)
+    for col, v, s, e in zip(bank.columns, x[ratios:], start[ratios:], start[ratios + 1 :]):
+        rel = value[s : s + n]
+        if v * max(rel) > HIGHS_TOL:
+            kept.append((col, v, rel, e - s - n))
+    chain = CutAssignment(n, tuple(col for col, _, _, _ in kept), bank.exp_eps)
     if not chain.is_chain:
         raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
-    # (columns x rows); a cut's yellow block is its first n+1-i rows
+    # (columns x rows)
     anchor_yellow, anchor_white = float(prior.q[n - 1]), float(1 - prior.q[0])
     widths = [
         [*(v * anchor_yellow for v in x[: n - 1]), anchor_yellow],
-        *([r * v for r in rel] for _, v, rel in kept),
+        *([r * v for r in rel] for _, v, rel, _ in kept),
         [anchor_white, *(v * anchor_white for v in x[n - 1 : ratios])],
     ]
     yellow = [
         [True] * n,
-        *([True] * (n + 1 - col.i) + [False] * (col.i - 1) for col, _, _ in kept),
+        *([True] * block + [False] * (n - block) for _, _, _, block in kept),
         [False] * n,
     ]
     return chain, _rescaled_structure(prior, widths, yellow, solution.max_residual)
@@ -832,7 +822,9 @@ def solve_general(
             only at extreme budgets with a conditional of 0 or 1) or missed
             its rows or bounds, or its support is not a chain, or the
             compressed structure fails check_ip at the budget asked for
-            (seen past eps 20 with a conditional of 0 or 1).
+            (seen past eps 20 with a conditional of 0 or 1). On three or
+            more secrets each is also seen near a zero budget and with a
+            secret of near-zero mass.
         UnsupportedBudget: a SolverError for an LP that would go to HiGHS
             with a budget factor of 1e20 or more (eps past 46.05, with a
             conditional of 0 or 1), which HiGHS reads as infinite.

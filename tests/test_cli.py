@@ -294,6 +294,32 @@ class TestSolveCommand:
         assert len(kernel_builds) == 1
 
 
+# Documents of the right kind but the wrong shape, each with its error type
+# and message: the fixture solution's structure or (a "kernel" case) its
+# mechanism, edited, or a joint prior document with the rows in JOINT_ROWS.
+SHAPE_ERRORS = {
+    "short-widths-row": ("ValidationError", "widths and cells need one column per signal"),
+    "repeated-signal": ("ValidationError", "signal labels must be unique"),
+    "no-signals": ("ValidationError", "a structure needs at least one signal"),
+    "three-row-kernel-block": (
+        "ValidationError", "each kernel entry needs rows for y=0 and y=1"
+    ),
+    "short-kernel-row": ("ValidationError", "kernel rows need one entry per signal"),
+    "kernel-entry-1.5": ("ConditionalOutOfRange", "kernel entry 1.5 outside [0, 1]"),
+    "kernel-row-sums-to-2": (
+        "MassNotNormalized", "kernel row for ('s0', y=0) sums to 2.0"
+    ),
+    "joint-zero-mass": ("NonPositiveMass", "a secret has zero joint mass"),
+    "joint-negative-mass": ("NonPositiveMass", "joint masses must be nonnegative"),
+    "joint-mass-above-1": ("MassNotNormalized", "joint masses must be at most 1"),
+}
+JOINT_ROWS = {
+    "joint-zero-mass": [("1/2", "1/2"), ("0", "0")],
+    "joint-negative-mass": [("3/4", "1/2"), ("-1/4", "0")],
+    "joint-mass-above-1": [("3/2", "0"), ("0", "1/2")],
+}
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize(
         "case",
@@ -313,6 +339,7 @@ class TestInputBoundary:
             "not-utf8",
             "huge-int",
             "deep-nesting",
+            *SHAPE_ERRORS,
         ],
     )
     def test_bad_input_is_a_json_error_not_a_traceback(
@@ -329,7 +356,7 @@ class TestInputBoundary:
         write_json(mechanism, encode_mechanism(fixture_solution.mechanism))
         # a number where a row of numbers or a secret name belongs
         bad_doc = str(tmp_path / "bad_doc.json")
-        if case in ("kernel-row", "mixed-order-mechanism"):
+        if "kernel" in case or case == "mixed-order-mechanism":
             doc = encode_mechanism(fixture_solution.mechanism)
         else:
             doc = encode_structure(fixture_solution.structure)
@@ -337,9 +364,31 @@ class TestInputBoundary:
             doc["kernel"][0][1] = 1
         elif case in ("widths-row", "cells-row"):
             doc["widths" if case == "widths-row" else "cells"][1] = 1
-        else:
+        elif case == "short-widths-row":
+            doc["widths"][0].pop()
+        elif case == "repeated-signal":
+            doc["signals"][1] = doc["signals"][0]
+        elif case == "no-signals":
+            doc.update(signals=[], widths=[[], []], cells=[[], []])
+        elif case == "three-row-kernel-block":
+            doc["kernel"][0].append(doc["kernel"][0][0])
+        elif case == "short-kernel-row":
+            doc["kernel"][0][0].pop()
+        elif case == "kernel-entry-1.5":
+            doc["kernel"][0][0][0] = 1.5
+        elif case == "kernel-row-sums-to-2":
+            doc["kernel"][0][0] = [1, 1, 0, 0]
+        elif case.startswith("mixed-order"):
             doc["secret_order"] = [1, "s0"]
         write_json(bad_doc, doc)
+        # a joint prior document: (P(S=s, Y=1), P(S=s, Y=0)) per secret
+        joint_doc = tmp_path / "joint.json"
+        if case in JOINT_ROWS:
+            joint = [
+                {"name": f"s{k}", "p_y1": y1, "p_y0": y0}
+                for k, (y1, y0) in enumerate(JOINT_ROWS[case])
+            ]
+            joint_doc.write_text(json.dumps({"joint": joint}))
         # documents json cannot decode: bad bytes, a literal past Python's
         # 4300-digit int limit, nesting past the recursion limit
         undecodable = tmp_path / "undecodable.json"
@@ -371,7 +420,14 @@ class TestInputBoundary:
             "not-utf8": ["solve", str(undecodable), "--eps", "0.5"],
             "huge-int": ["solve", str(undecodable), "--eps", "0.5"],
             "deep-nesting": ["verify", str(undecodable), "--eps", "ln2"],
-        }[case]
+        }.get(case)
+        if argv is None:  # a SHAPE_ERRORS case
+            if case in JOINT_ROWS:
+                argv = ["solve", str(joint_doc), "--eps", "ln2"]
+            elif "kernel" in case:
+                argv = ["sample", bad_doc, "--secret", "s0", "--y", "1", "--seed", "1"]
+            else:
+                argv = ["verify", bad_doc, "--eps", "ln2"]
         if case == "tolerance":
             monkeypatch.setenv("IPD_TOLERANCE", "abc")
         assert main(argv) == 2
@@ -381,6 +437,8 @@ class TestInputBoundary:
         assert set(payload) == {"error", "message"}
         if case == "unknown-secret":
             assert payload["message"] == "unknown secret 'zzz'"
+        if case in SHAPE_ERRORS:
+            assert (payload["error"], payload["message"]) == SHAPE_ERRORS[case]
 
     @pytest.mark.parametrize(
         "command, kind",

@@ -424,6 +424,28 @@ class TestSolveGeneral:
         with pytest.raises(SolverError, match="exceeds eps by 1.14e-09"):
             solve_general(load_prior(OVER_BUDGET_PRIOR), 21.0, UtilityFn(family))
 
+    # Near a zero budget, or with a near-massless secret, HiGHS's answer on
+    # three secrets can fail. Not strict: another HiGHS release may solve some.
+    @pytest.mark.xfail(raises=SolverError, strict=False, reason="ROADMAP item 6")
+    @pytest.mark.parametrize(
+        "pairs, eps, family",
+        [
+            # the LP residual of 2.3e-10, after the row rescale, breaks check_ip
+            # ("a log width ratio exceeds eps by 1.17e-09")
+            (list(zip((0.4, 0.3, 0.3), (0.9, 0.8, 0.6))), 1e-6, "quadratic"),
+            # "HiGHS model status Unknown"
+            (list(zip((0.4, 0.3, 0.3), (0.5, 0.4, 0.3))), 1e-6, "abs"),
+            # the near-massless row is degenerate on the optimal face
+            # ("LP optimum is not a chain of cuts")
+            (list(zip((0.6, 1e-12, 0.4 - 1e-12), (0.9, 0.8, 0.3))), 0.5, "abs"),
+        ],
+        ids=["tiny-budget-quadratic", "tiny-budget-abs", "tiny-mass-abs"],
+    )
+    def test_small_budget_or_tiny_mass_solves(self, pairs, eps, family):
+        solution = solve_general(load_prior(pairs), eps, UtilityFn(family))
+        assert check_ip(solution.structure, eps).satisfied
+        assert check_regions(solution.structure, eps).all_flags
+
     @pytest.mark.parametrize("n", [6, 10])
     def test_larger_supports_are_private_well_shaped_and_unbeaten(self, n):
         rng = np.random.default_rng(n)
