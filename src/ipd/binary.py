@@ -285,7 +285,10 @@ def gap_instance(
 
     The prior puts the conditionals at the exact budget ratio, so the
     budgeted solver discloses fully while the private baseline earns only
-    the tails of the tent utility; the achieved gap is 1.5 * delta.
+    the tails of the tent utility. In rational arithmetic (exact exp_eps and
+    delta) the achieved gap is exactly 1.5 * delta. A float budget rounds
+    the conditionals w/(1+w) and 1/(1+w), which moves the gap; where it
+    falls below delta (eps near 1e-16), ValidationError is raised.
     """
     w = ratio_bound(eps, exp_eps)
     if w == 1:
@@ -302,10 +305,16 @@ def gap_instance(
     u = UtilityFn("rewards", rewards=((peak, -peak), (-peak, peak)))
     best = solve_binary(prior, exp_eps=w)
     base = solve_perfect_privacy(prior)
-    return GapInstance(
+    instance = GapInstance(
         prior=prior,
         u=u,
         u_eps=expected_utility(best.structure, u),
         u_0=expected_utility(base.structure, u),
         scale=scale,
     )
+    if instance.gap < delta:
+        raise ValidationError(
+            f"in floats the construction reaches a gap of {float(instance.gap)!r}, "
+            f"below delta {float(delta)!r}; pass the budget exactly with exp_eps"
+        )
+    return instance

@@ -147,6 +147,14 @@ def _summary_payload(structure) -> dict:
     }
 
 
+def _write_solution(args, solution) -> None:
+    """Write --out-structure and --out-mechanism where they were given."""
+    if args.out_structure:
+        write_json(args.out_structure, encode_structure(solution.structure))
+    if args.out_mechanism:
+        write_json(args.out_mechanism, encode_mechanism(solution.mechanism))
+
+
 def cmd_solve(args) -> int:
     prior = decode_prior(read_json(args.prior))
     if not prior.is_binary:
@@ -155,10 +163,7 @@ def cmd_solve(args) -> int:
         )
     eps, exp_eps = parse_eps(args.eps)
     solution = solve_binary(prior, eps, exp_eps=exp_eps)
-    if args.out_structure:
-        write_json(args.out_structure, encode_structure(solution.structure))
-    if args.out_mechanism:
-        write_json(args.out_mechanism, encode_mechanism(solution.mechanism))
+    _write_solution(args, solution)
     payload = {
         "regime": solution.regime.tag.value,
         "r1": _jnum(solution.regime.r1),
@@ -178,10 +183,7 @@ def cmd_solve_general(args) -> int:
     solution = solve_general(
         prior, eps, u, exp_eps=exp_eps, max_secrets=args.max_secrets
     )
-    if args.out_structure:
-        write_json(args.out_structure, encode_structure(solution.structure))
-    if args.out_mechanism:
-        write_json(args.out_mechanism, encode_mechanism(solution.mechanism))
+    _write_solution(args, solution)
     payload = {
         "utility": _jnum(solution.utility),
         "assignment": [list(col) for col in solution.assignment.columns],

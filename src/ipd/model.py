@@ -486,7 +486,7 @@ class Mechanism(Record):
             raise ValidationError("kernel needs one block per secret")
         for s, by_state in enumerate(self.kernel):
             if len(by_state) != 2:
-                raise ValidationError("kernel blocks need rows for y=0 and y=1")
+                raise ValidationError("each kernel entry needs rows for y=0 and y=1")
             for y, row in enumerate(by_state):
                 if len(row) != k:
                     raise ValidationError("kernel rows need one entry per signal")

@@ -92,54 +92,54 @@ def encode_prior(prior: Prior) -> dict:
 def decode_prior(obj) -> Prior:
     if not isinstance(obj, dict):
         raise ValidationError("prior document must be a JSON object")
-    if "joint" in obj:
-        rows = _rows(obj, "joint")
+    # (list key, each entry's two number fields, its name in messages, loader)
+    for key, (a, b), entry, load in (
+        ("joint", ("p_y1", "p_y0"), "joint", load_prior_joint),
+        ("secrets", ("p", "q_y1"), "secret", load_prior),
+    ):
+        if key not in obj:
+            continue
+        rows = _rows(obj, key)
         try:
-            table = [
-                (decode_number(row["p_y1"]), decode_number(row["p_y0"]))
-                for row in rows
-            ]
+            pairs = [(decode_number(row[a]), decode_number(row[b])) for row in rows]
             labels = [row["name"] for row in rows]
         except KeyError as exc:
-            raise ValidationError(f"joint entry missing key {exc}") from None
-        return load_prior_joint(table, labels)
-    if "secrets" in obj:
-        rows = _rows(obj, "secrets")
-        try:
-            pairs = [
-                (decode_number(row["p"]), decode_number(row["q_y1"]))
-                for row in rows
-            ]
-            labels = [row["name"] for row in rows]
-        except KeyError as exc:
-            raise ValidationError(f"secret entry missing key {exc}") from None
-        return load_prior(pairs, labels)
+            raise ValidationError(f"{entry} entry missing key {exc}") from None
+        return load(pairs, labels)
     raise ValidationError("prior document needs a 'secrets' or 'joint' list")
 
 
-def _embedded_prior(obj: dict, kind: str) -> Prior:
+def _read_document(obj, kind: str, grids: tuple[str, ...]):
+    """Check a structure or mechanism document's header and grid lengths.
+
+    Returns the prior, the signal labels and, for each key in grids, that
+    grid's rows in the prior's canonical secret order.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{kind} document must be a JSON object")
     # A prior document handed over where a structure or mechanism belongs
     # has no "prior" key; say so rather than blame the prior's own shape.
     prior = obj.get("prior")
     if not isinstance(prior, dict):
         raise ValidationError(f"{kind} document lacks its 'prior' object")
-    return decode_prior(prior)
-
-
-def _canonical_positions(prior: Prior, order) -> list[int]:
+    prior = decode_prior(prior)
+    order = obj.get("secret_order")
     names = isinstance(order, list) and all(isinstance(x, str) for x in order)
     if not names or sorted(order) != sorted(prior.secrets):
         raise ValidationError(
             "secret_order must list exactly the prior's secret names"
         )
-    return [order.index(name) for name in prior.secrets]
-
-
-def _grid(obj, key: str, rows: int) -> list[list]:
-    grid = obj.get(key)
-    if not isinstance(grid, list) or len(grid) != rows:
-        raise ValidationError(f"{key!r} must have one row per secret")
-    return grid
+    signals = obj.get("signals")
+    if not isinstance(signals, list):
+        raise ValidationError("'signals' must be a list of labels")
+    positions = [order.index(name) for name in prior.secrets]
+    rows = []
+    for key in grids:
+        grid = obj.get(key)
+        if not isinstance(grid, list) or len(grid) != prior.n:
+            raise ValidationError(f"{key!r} must have one row per secret")
+        rows.append([grid[pos] for pos in positions])
+    return prior, tuple(signals), rows
 
 
 def _number_row(row, key: str) -> tuple[Scalar, ...]:
@@ -148,39 +148,37 @@ def _number_row(row, key: str) -> tuple[Scalar, ...]:
     return tuple(decode_number(x) for x in row)
 
 
+def _header(record: InfoStructure | Mechanism) -> dict:
+    return {
+        "prior": encode_prior(record.prior),
+        "secret_order": list(record.prior.secrets),
+        "signals": list(record.signals),
+    }
+
+
 def encode_structure(st: InfoStructure) -> dict:
     return {
-        "prior": encode_prior(st.prior),
-        "secret_order": list(st.prior.secrets),
-        "signals": list(st.signals),
+        **_header(st),
         "widths": [[encode_number(x) for x in row] for row in st.widths],
         "cells": [[encode_number(x) for x in row] for row in st.cells],
     }
 
 
 def decode_structure(obj) -> InfoStructure:
-    if not isinstance(obj, dict):
-        raise ValidationError("structure document must be a JSON object")
-    prior = _embedded_prior(obj, "structure")
-    positions = _canonical_positions(prior, obj.get("secret_order"))
-    signals = obj.get("signals")
-    if not isinstance(signals, list):
-        raise ValidationError("'signals' must be a list of labels")
-    widths = _grid(obj, "widths", prior.n)
-    cells = _grid(obj, "cells", prior.n)
+    prior, signals, (widths, cells) = _read_document(
+        obj, "structure", ("widths", "cells")
+    )
     return InfoStructure(
         prior=prior,
-        signals=tuple(signals),
-        widths=tuple(_number_row(widths[pos], "widths") for pos in positions),
-        cells=tuple(_number_row(cells[pos], "cells") for pos in positions),
+        signals=signals,
+        widths=tuple(_number_row(row, "widths") for row in widths),
+        cells=tuple(_number_row(row, "cells") for row in cells),
     )
 
 
 def encode_mechanism(m: Mechanism) -> dict:
     return {
-        "prior": encode_prior(m.prior),
-        "secret_order": list(m.prior.secrets),
-        "signals": list(m.signals),
+        **_header(m),
         "kernel": [
             [[encode_number(x) for x in row] for row in block]
             for block in m.kernel
@@ -189,21 +187,14 @@ def encode_mechanism(m: Mechanism) -> dict:
 
 
 def decode_mechanism(obj) -> Mechanism:
-    if not isinstance(obj, dict):
-        raise ValidationError("mechanism document must be a JSON object")
-    prior = _embedded_prior(obj, "mechanism")
-    positions = _canonical_positions(prior, obj.get("secret_order"))
-    signals = obj.get("signals")
-    if not isinstance(signals, list):
-        raise ValidationError("'signals' must be a list of labels")
-    kernel = _grid(obj, "kernel", prior.n)
+    prior, signals, (kernel,) = _read_document(obj, "mechanism", ("kernel",))
     decoded = []
-    for pos in positions:
-        block = kernel[pos]
-        if not isinstance(block, list) or len(block) != 2:
+    for block in kernel:
+        # Mechanism checks that the block holds rows for y=0 and y=1
+        if not isinstance(block, list):
             raise ValidationError("each kernel entry needs rows for y=0 and y=1")
         decoded.append(tuple(_number_row(row, "kernel") for row in block))
-    return Mechanism(prior=prior, signals=tuple(signals), kernel=tuple(decoded))
+    return Mechanism(prior=prior, signals=signals, kernel=tuple(decoded))
 
 
 def decode_rewards(obj) -> tuple[tuple[Scalar, ...], ...]:

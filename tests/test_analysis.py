@@ -113,6 +113,19 @@ class TestCheckIp:
         assert report.max_log_ratio == math.inf
         assert report.witness[0] == "t1"
 
+    def test_a_column_without_mass_is_skipped(self):
+        prior = load_prior([(0.5, 0.75), (0.5, 0.25)])
+        st = InfoStructure(
+            prior=prior,
+            signals=("t1", "t2", "t0"),
+            widths=((0.75, 0.25, 0.0), (0.25, 0.75, 0.0)),
+            cells=((1, 0, 0), (1, 0, 0)),
+        )
+        report = check_ip(st, math.log(3))
+        assert report.satisfied
+        assert report.max_log_ratio == pytest.approx(math.log(3))
+        assert set(report.binding) == {"t1", "t2"}
+
     def test_perfect_privacy_passes_any_budget(self, fixture_prior):
         st = solve_perfect_privacy(fixture_prior).structure
         assert check_ip(st, 1e-9).satisfied

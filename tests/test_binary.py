@@ -332,6 +332,15 @@ class TestGapInstance:
         with pytest.raises(ValidationError):
             gap_instance(0.5)
 
+    def test_float_budget_too_small_for_the_gap_is_refused(self):
+        # w/(1+w) and 1/(1+w) round to floats whose gap is 0.0, not delta
+        with pytest.raises(ValidationError, match="pass the budget exactly with exp_eps"):
+            gap_instance(3e-16, 0.1)
+
+    def test_small_float_budget_still_reaches_delta(self):
+        # rounding moves the gap off 1.5 * delta, but not below delta
+        assert gap_instance(1e-12, 0.1).gap >= 0.1
+
 
 class TestLazyMechanism:
     def test_solving_builds_no_kernel(self, fixture_prior_exact, kernel_builds):

@@ -624,6 +624,19 @@ class TestSolveGeneralCommand:
         assert payload["utility"] == pytest.approx(5 / 6, abs=1e-7)
         assert payload["assignment"] == [[2, 1, 3], [2, 0, 2]]
 
+    def test_writes_documents_that_read_back(self, three_secret_prior_file, tmp_path, capsys):
+        st_path, mech_path = str(tmp_path / "st.json"), str(tmp_path / "mech.json")
+        argv = ["solve-general", three_secret_prior_file, "--eps", "ln2", "--utility", "abs"]
+        assert main([*argv, "--out-structure", st_path, "--out-mechanism", mech_path]) == 0
+        capsys.readouterr()
+        prior = decode_prior(read_json(three_secret_prior_file))
+        solution = ipd.solve_general(prior, u=ipd.UtilityFn("abs"), exp_eps=Fraction(2))
+        structure = decode_structure(read_json(st_path))
+        assert (structure.widths, structure.cells) == (
+            solution.structure.widths, solution.structure.cells
+        )
+        assert decode_mechanism(read_json(mech_path)).kernel == solution.mechanism.kernel
+
     def test_size_cap_exits_3(self, tmp_path, capsys):
         n = MAX_SECRETS + 1
         path = tmp_path / "too_many.json"
@@ -645,10 +658,10 @@ class TestSolveGeneralCommand:
         assert "numerical difficulties" in err["message"]
 
     def test_lp_backend_failure_exits_2_with_json_error(
-        self, prior_file, monkeypatch, capsys
+        self, three_secret_prior_file, monkeypatch, capsys
     ):
         monkeypatch.setattr(ipd.general, "linprog", lambda *args, **kwargs: self.FAILED)
-        self._exits_2_with_json_error(prior_file, capsys)
+        self._exits_2_with_json_error(three_secret_prior_file, capsys)
 
     def test_highs_failure_exits_2_with_json_error(
         self, three_secret_prior_file, monkeypatch, capsys

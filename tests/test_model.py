@@ -13,6 +13,7 @@ from ipd import (
     Prior,
     ValidationError,
     ZeroMassContext,
+    check_ip,
     compress,
     load_prior,
     load_prior_joint,
@@ -33,6 +34,7 @@ from ipd.errors import (
     UnknownLabel,
 )
 from ipd.model import _over, _white, _yellow, column_stats
+from ipd.numeric import check_slack
 
 from conftest import random_binary_prior
 
@@ -234,6 +236,29 @@ class TestMechanismConversion:
         kernel = structure_to_mechanism(st).kernel
         assert kernel[1][1] == (1, 0, 0, 0)
         assert kernel[1][0] == (0, 0, Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValidationError,
+        reason=(
+            "InfoStructure accepts a yellow mass within the check slack of q, "
+            "but structure_to_mechanism divides by q and Mechanism holds kernel "
+            "entries to [0, 1]: kernel entry 1.0000000020000002 outside [0, 1]"
+        ),
+    )
+    def test_structure_within_the_slack_converts_to_a_mechanism(self):
+        prior = load_prior([(0.5, 0.75), (0.5, 0.25)])
+        st = InfoStructure(
+            prior=prior,
+            signals=("t1", "t2"),
+            widths=((0.5, 0.5), (0.5, 0.5)),
+            cells=((1.0, 0.5 - 1e-9), (0.5, 0.0)),
+        )
+        assert check_ip(st, 0.5).satisfied
+        back = mechanism_to_structure(structure_to_mechanism(st))
+        slack = check_slack()
+        for got, want in zip(back.cells, st.cells):
+            assert all(abs(a - b) <= slack for a, b in zip(got, want))
 
     def test_round_trip_on_random_float_structures(self):
         rng = np.random.default_rng(3)
@@ -449,15 +474,20 @@ def _random_structure(rng, prior, k):
     return mechanism_to_structure(m)
 
 
-def _degenerate_conditional(monkeypatch):
-    """A q=0 row with a 1e-4 yellow width, built under IPD_TOLERANCE=1e-3.
+def _degenerate_conditional(monkeypatch, q=0.0):
+    """A q=0 (or q=1) row with a 1e-4 width of the impossible state.
 
-    The structure holds under the looser slack; once the slack tightens,
-    deriving its mechanism finds yellow mass on an impossible state.
+    It is built under IPD_TOLERANCE=1e-3. The structure holds under the
+    looser slack; once the slack tightens, deriving its mechanism finds
+    mass on an impossible state.
     """
     monkeypatch.setenv("IPD_TOLERANCE", "1e-3")
-    prior = load_prior([(0.5, 0.5), (0.5, 0.0)])
-    st = InfoStructure(prior, ("a", "b"), ((0.5, 0.5), (1e-4, 1 - 1e-4)), ((1, 0), (1, 0)))
+    prior = load_prior([(0.5, 0.5), (0.5, q)])
+    if q == 0:  # rows in canonical order, the larger q first
+        widths = ((0.5, 0.5), (1e-4, 1 - 1e-4))
+    else:
+        widths = ((1 - 1e-4, 1e-4), (0.5, 0.5))
+    st = InfoStructure(prior, ("a", "b"), widths, ((1, 0), (1, 0)))
     monkeypatch.delenv("IPD_TOLERANCE")
     structure_to_mechanism(st)
 
@@ -472,6 +502,10 @@ def _two_signals():
 REJECTIONS = {
     "degenerate-conditional": (
         DegenerateConditional, "q=0 but yellow mass", _degenerate_conditional
+    ),
+    "degenerate-conditional-white": (
+        DegenerateConditional, "q=1 but white mass",
+        lambda monkeypatch: _degenerate_conditional(monkeypatch, 1.0),
     ),
     "summary-field-lengths": (
         ValidationError, "equal length",
@@ -498,6 +532,13 @@ REJECTIONS = {
     ),
     "split-label-collision": (
         ValidationError, "collide", lambda _: split_signal(_two_signals(), "y", (0.5, 0.5))
+    ),
+    "split-no-weights": (
+        BadWeights, "non-empty", lambda _: split_signal(_two_signals(), "y", ())
+    ),
+    "sample-state-2": (
+        ValidationError, "state must be 0 or 1",
+        lambda _: sample_signal(structure_to_mechanism(_two_signals()), "s0", 2, 1, 1),
     ),
     "merge-empty-group": (
         ValidationError, "non-empty", lambda _: merge_signals(_two_signals(), [])

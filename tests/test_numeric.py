@@ -168,6 +168,13 @@ def test_exactify_refuses_nan_and_infinities(x):
         exactify(x)
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-1e-9", "inf", "nan"])
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused(raw, monkeypatch):
+    monkeypatch.setenv("IPD_TOLERANCE", raw)
+    with pytest.raises(ValidationError, match="must be a finite positive number"):
+        check_slack()
+
+
 # The formulas the column statistics, the kernel and the two verifiers used
 # before the helpers and the shared joint masses.
 

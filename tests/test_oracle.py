@@ -229,6 +229,18 @@ class TestRandomOracle:
                 fixture_prior, u=UtilityFn("abs"), trials=10, exp_eps=Fraction(2)
             )
 
+    def test_a_weakened_solver_is_reported_dominated(self, fixture_prior, monkeypatch):
+        # the no-information structure, which most private candidates beat
+        monkeypatch.setattr(
+            "ipd.oracle._solver_structure",
+            lambda prior, u, w: solve_perfect_privacy(prior).structure,
+        )
+        report = random_structure_oracle(
+            fixture_prior, u=UtilityFn("abs"), trials=200, seed=4, exp_eps=Fraction(2)
+        )
+        assert not report.solver_dominates_all
+        assert report.best_utility > report.solver_utility
+
     def test_three_secret_prior_uses_the_lp_solver(self):
         prior = load_prior([(1 / 3, 0.9), (1 / 3, 0.5), (1 / 3, 0.1)])
         report = random_structure_oracle(
