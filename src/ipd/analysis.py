@@ -15,6 +15,7 @@ decision maker with a convex utility of the posterior.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
@@ -107,6 +108,19 @@ class UtilityFn(Record):
         return max(
             q * r1 + (1 - q) * r0 for r0, r1 in zip(self.rewards[0], self.rewards[1])
         )
+
+    def float_at(self, q: Scalar) -> float:
+        """float(self(q)), with no Fraction arithmetic for an exact abs or quadratic q.
+
+        For a Fraction q = y/t, abs is |2y - t|/t and quadratic is
+        (2y - t)**2/t**2, each one int / int, which Python rounds correctly,
+        as it does the one division that turns an exact result into a float.
+        """
+        if type(q) is Fraction and self.family in ("abs", "quadratic"):
+            y, t = q.numerator, q.denominator
+            x = 2 * y - t
+            return abs(x) / t if self.family == "abs" else x * x / (t * t)
+        return float(self(q))
 
     def _call_array(self, q):
         np = require("numpy")

@@ -65,7 +65,9 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .analysis import UtilityFn, check_ip, expected_utility
@@ -78,7 +80,7 @@ from .errors import (
     require,
 )
 from .model import InfoStructure, Mechanism, Prior, compress, structure_to_mechanism
-from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, log_of, ratio_bound
+from .numeric import CHECK_TOL, MAX_SECRETS, Scalar, is_exact, log_of, ratio_bound
 from .record import Record
 
 
@@ -173,8 +175,9 @@ class LpProblem(Record, eq=False):
     out. Its 2n rows are equalities: each secret's total width, then each
     secret's yellow width. then, when not None, is a second objective that
     solve_lp maximizes over the first one's optimal face (see linprog).
-    column_posteriors holds P(Y=1 | column) per middle column. Problems
-    compare by identity.
+    column_posteriors holds P(Y=1 | column) per middle column: lowest-terms
+    Fractions when the prior's masses and the budget are exact (int or
+    Fraction). Problems compare by identity.
     """
 
     prior: Prior
@@ -216,10 +219,13 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     mass, and their anchor rows make up the offset. The first n rows fix
     each secret's total width, the next n its yellow width.
 
-    One pass over the bank gives each middle column
-    - its posterior: its yellow block's prior mass over the column's, each
-      row's mass scaled by its width factor, so exact inputs give exact
-      posteriors; fixed by the cut, it keeps the objective linear;
+    Each middle column's posterior is its yellow block's prior mass over
+    the column's, each row's mass scaled by its width factor; fixed by the
+    cut, it keeps the objective linear. With an exact prior and w, every
+    column's posterior is four lookups in integer prefix sums of the masses
+    and one lowest-terms Fraction (_cut_posteriors), and u is scored on its
+    integers (UtilityFn.float_at); otherwise it is a ratio of n-term sums.
+    One pass over the bank then gives each middle column
     - its mass per unit of bottom-row width, and u at the posterior times
       that mass as its objective coefficient;
     - its matrix entries: its relative widths (its row widths over its
@@ -253,21 +259,17 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
             index += rows
             value += [anchor] * len(rows)
         start.append(len(index))
-    posts = []
-    given = list(prior.p)  # exact when the prior is, as the posteriors then are
+    posts = _cut_posteriors(prior.p, w, assignment.columns)
     # a bottom row that is narrow (c > n) makes the runs w, 1, w, a wide one
     # 1, 1/w, 1; 1/w is rounded once when w is exact
     w_float, inv_w = float(w), float(1 / w)
-    for i, b, c in assignment.columns:
+    for (i, b, c), post in zip(assignment.columns, posts):
         lo, hi = (1.0, w_float) if c > n else (inv_w, 1.0)
         rel = [hi] * b + [lo] * (c - 1 - b) + [hi] * (n + 1 - c)
-        scaled = [x * w for x in given[:b]] + given[b : c - 1] + [x * w for x in given[c - 1 :]]
         block = n + 1 - i
-        post = sum(scaled[:block]) / sum(scaled)
-        posts.append(post)
         mass = sum(map(operator.mul, rel, p))
         for f, cost in zip(utilities, costs):
-            cost.append(float(f(post)) * mass)
+            cost.append(f.float_at(post) * mass)
         index += range(n + block)
         value += rel  # relative widths are never zero
         value += rel[:block]
@@ -281,9 +283,44 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     objective, *then = costs
     return LpProblem(
         prior, assignment, objective, top * p[-1] + bottom * p[0], start, index, value,
-        rhs, [1.0] * ratios + [0.0] * m, [float(w)] * ratios + [1.0] * m, tuple(posts),
+        rhs, [1.0] * ratios + [0.0] * m, [float(w)] * ratios + [1.0] * m, posts,
         then[0] if then else None,
     )
+
+
+def _cut_posteriors(
+    masses: tuple[Scalar, ...], w: Scalar, columns: tuple[CutColumn, ...]
+) -> tuple[Scalar, ...]:
+    """P(Y=1 | column) per cut: its yellow block's mass over the column's.
+
+    Each row's mass is scaled by its width factor, w on rows 1..b and c..n,
+    1 between. When every mass and w are exact, the masses over their
+    common denominator are integers P_1..P_n with prefix sums S, and with
+    w = a/d a cut (i, b, c), whose block is its first n+1-i rows, holds
+    yellow = a S[b] + d (S[block] - S[b]) and total = yellow
+    + d (S[c-1] - S[block]) + a (S[n] - S[c-1]) of the scaled mass: its
+    posterior is the one lowest-terms Fraction(yellow, total). Otherwise
+    each posterior is a ratio of n-term sums, in the inputs' own arithmetic.
+    """
+    n = len(masses)
+    if not (is_exact(w) and all(map(is_exact, masses))):
+        posts = []
+        for i, b, c in columns:
+            scaled = [x * w for x in masses[:b]] + list(masses[b : c - 1])
+            scaled += [x * w for x in masses[c - 1 :]]
+            posts.append(sum(scaled[: n + 1 - i]) / sum(scaled))
+        return tuple(posts)
+    common = math.lcm(*(x.denominator for x in masses))
+    sums = list(accumulate((x.numerator * (common // x.denominator) for x in masses), initial=0))
+    a, d = w.numerator, w.denominator
+    wide, narrow = [a * s for s in sums], [d * s for s in sums]
+    posts = []
+    for i, b, c in columns:
+        block = n + 1 - i
+        yellow = wide[b] + narrow[block] - narrow[b]
+        total = yellow + narrow[c - 1] - narrow[block] + wide[n] - wide[c - 1]
+        posts.append(Fraction(yellow, total))
+    return tuple(posts)
 
 
 class LinprogResult(NamedTuple):

@@ -51,9 +51,10 @@ NORM_TOL = 1e-12
 CHECK_TOL = 1e-9
 PATH_TOL = 1e-7
 
-# Default secret cap of the general solver, whose dense LP has O(n**3)
-# columns and O(n**2) rows. It lives here, not in general.py, so the CLI
-# parser can show it as a default without importing the general solver.
+# Default secret cap of the general solver, whose LP, built column by
+# column, has O(n**3) columns and 2n equality rows. It lives here, not in
+# general.py, so the CLI parser can show it as a default without importing
+# the general solver.
 MAX_SECRETS = 20
 
 _TOLERANCE_ENV = "IPD_TOLERANCE"

@@ -1,6 +1,7 @@
 """Tests for utilities, the privacy check, region validators, and convex order."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,22 @@ class TestUtilityFn:
             np.testing.assert_allclose(u(qs), [u(float(q)) for q in qs], atol=1e-12)
             for q in qs:
                 assert u(np.float64(q)) == u(float(q)), (u.family, q)
+
+    def test_float_at_is_the_float_of_a_call(self):
+        # exact abs and quadratic values from their integers, with terms up
+        # to 200 bits and exact halves, zero and one among them
+        rng = random.Random(5)
+        qs = [Fraction(0), Fraction(1), Fraction(1, 2), 0.3, 1]
+        for bits in (4, 53, 54, 200):
+            for _ in range(300):
+                t = rng.randint(1, 2**bits)
+                qs.append(Fraction(rng.randint(0, t), t))
+        utilities = [UtilityFn(name) for name in ("abs", "quadratic", "negentropy")]
+        utilities.append(UtilityFn("rewards", rewards=((1, Fraction(1, 3), -2), (-1, 0, 3))))
+        for u in utilities:
+            for q in qs:
+                got, want = u.float_at(q), float(u(q))
+                assert type(got) is float and repr(got) == repr(want), (u.family, q)
 
     def test_builtin_family_rejects_reward_matrix(self):
         with pytest.raises(ValidationError):

@@ -46,6 +46,7 @@ from ipd.general import (
     all_cuts,
 )
 from ipd.errors import UnsupportedBudget
+from ipd.model import column_stats
 from ipd.numeric import CHECK_TOL, MAX_EPS, PATH_TOL
 
 from conftest import OVER_BUDGET_PRIOR, SIX_SECRET_PRIOR, random_binary_prior
@@ -295,6 +296,102 @@ class TestColumnwiseModel:
         self._assert_dense_form(_model_prior(n), CutAssignment(n, tuple(all_cuts(n)), self.W))
 
 
+def _exact_prior(n, seed):
+    """A seeded exact n-secret prior: masses of mixed denominators, q in twentieths (0 and 1 too)."""
+    rng = random.Random(seed)
+    p = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+    q = [Fraction(rng.randint(0, 20), 20) for _ in range(n)]
+    total = sum(p)
+    return load_prior([(x / total, y) for x, y in zip(p, q)])
+
+
+def _summed_posteriors(masses, w, columns):
+    """Each cut's posterior as n-term sums: its block's scaled mass over its column's."""
+    n, given = len(masses), list(masses)
+    posts = []
+    for i, b, c in columns:
+        scaled = [x * w for x in given[:b]] + given[b : c - 1] + [x * w for x in given[c - 1 :]]
+        posts.append(sum(scaled[: n + 1 - i]) / sum(scaled))
+    return tuple(posts)
+
+
+F = Fraction
+REWARDS = UtilityFn("rewards", ((3, 0, 1), (0, 2, 1)))
+# every family, with rewards given as exact entries and as floats
+ALL_UTILITIES = [
+    *(UtilityFn(f) for f in ("abs", "quadratic", "negentropy")),
+    REWARDS,
+    UtilityFn("rewards", ((3.0, 0.0, 1.25), (0.0, 2.0, 0.75))),
+]
+
+
+class TestExactPosteriors:
+    """assemble_lp on exact inputs against n-term sums and float(u(post))."""
+
+    @staticmethod
+    def _assert_as_summed(monkeypatch, prior, bank):
+        """Every LpProblem field, by repr, equal to the reference's, under every utility."""
+        for u in ALL_UTILITIES:
+            ours = assemble_lp(prior, u, bank)
+            with monkeypatch.context() as m:
+                m.setattr(ipd.general, "_cut_posteriors", _summed_posteriors)
+                m.setattr(UtilityFn, "float_at", lambda f, post: float(f(post)))
+                reference = assemble_lp(prior, u, bank)
+            for field in LpProblem._fields:
+                assert repr(getattr(ours, field)) == repr(getattr(reference, field)), (
+                    u.family, field,
+                )
+
+    @pytest.mark.parametrize("w", [Fraction(3, 2), Fraction(7, 3), 2, 1], ids=repr)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_prefix_sums_give_the_summed_lp(self, monkeypatch, n, w):
+        # every cut, the uniform ones with all rows wide or narrow included
+        prior, bank = _exact_prior(n, seed=n), CutAssignment(n, tuple(all_cuts(n)), w)
+        self._assert_as_summed(monkeypatch, prior, bank)
+        problem = assemble_lp(prior, ALL_UTILITIES[0], bank)
+        assert {type(x) for x in problem.column_posteriors} == {Fraction}
+
+    @pytest.mark.parametrize(
+        "pairs, w",
+        [
+            ([(F(1, 3), F(9, 10)), (F(1, 6), F(1, 2)), (F(1, 2), 0)], 1.7),
+            ([(F(1, 4), F(3, 4)), (0.25, 0.5), (F(1, 2), F(1, 4))], F(3, 2)),
+        ],
+        ids=["exact-prior-float-w", "mixed-prior"],
+    )
+    def test_float_arithmetic_stays_on_summed_posteriors(self, monkeypatch, pairs, w):
+        prior = load_prior(pairs)
+        self._assert_as_summed(monkeypatch, prior, CutAssignment(3, tuple(all_cuts(3)), w))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_chain_posteriors_are_the_rebuilt_columns(self, monkeypatch, n):
+        # the posteriors come from prefix-sum boundaries (b, block, c - 1),
+        # the rebuilt structure from the LP's relative widths and block rows
+        rebuilt = []
+        original = ipd.general._chain_and_structure
+
+        def recording(problem, solution):
+            chain, structure = original(problem, solution)
+            rebuilt.append((problem, chain, structure))
+            return chain, structure
+
+        monkeypatch.setattr(ipd.general, "_chain_and_structure", recording)
+        for seed in range(4):
+            prior = _exact_prior(n, seed=10 * n + seed)
+            for w in (F(3, 2), F(3)):
+                solve_general(prior, u=ALL_UTILITIES[seed], exp_eps=w)
+        checked = 0
+        for problem, chain, structure in rebuilt:
+            post = dict(zip(problem.assignment.columns, problem.column_posteriors))
+            middle = column_stats(structure)[1:-1]  # between the two anchor columns
+            assert len(middle) == len(chain.columns)
+            for col, (_, column_post, _) in zip(chain.columns, middle):
+                assert type(post[col]) is Fraction
+                assert abs(post[col] - column_post) <= CHECK_TOL, (col, post[col], column_post)
+                checked += 1
+        assert checked >= 2 * len(rebuilt)  # chains of several cuts, not just one
+
+
 class TestSolveLp:
     def test_optimum_of_the_worked_example(self, fixture_prior_exact):
         assignment = CutAssignment(
@@ -497,8 +594,6 @@ def _seeded(seed, n):
     return pairs, {"eps": float(rng.uniform(0.1, 2.0))}
 
 
-F = Fraction
-REWARDS = UtilityFn("rewards", ((3, 0, 1), (0, 2, 1)))
 EXACT_2 = [(F(1, 2), F(3, 4)), (F(1, 2), F(1, 4))]
 ONE_ZERO = [(F(3, 5), 1), (F(2, 5), 0)]
 FLOAT_2 = [(0.5, 0.75), (0.5, 0.25)]
