@@ -177,7 +177,7 @@ class LpProblem(Record, eq=False):
     solve_lp maximizes over the first one's optimal face (see linprog).
     column_posteriors holds P(Y=1 | column) per middle column: lowest-terms
     Fractions when the prior's masses and the budget are exact (int or
-    Fraction). Problems compare by identity.
+    Fraction), correctly rounded floats otherwise. Problems compare by identity.
     """
 
     prior: Prior
@@ -221,13 +221,14 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
 
     Each middle column's posterior is its yellow block's prior mass over
     the column's, each row's mass scaled by its width factor; fixed by the
-    cut, it keeps the objective linear. With an exact prior and w, every
-    column's posterior is four lookups in integer prefix sums of the masses
-    and one lowest-terms Fraction (_cut_posteriors), and u is scored on its
-    integers (UtilityFn.float_at); otherwise it is a ratio of n-term sums.
-    One pass over the bank then gives each middle column
-    - its mass per unit of bottom-row width, and u at the posterior times
-      that mass as its objective coefficient;
+    cut, it keeps the objective linear. Every column's posterior is four
+    lookups in integer prefix sums of the masses (_cut_posteriors): a
+    lowest-terms Fraction, whose u is scored on its integers
+    (UtilityFn.float_at), when the prior and w are exact, and a correctly
+    rounded float otherwise. One pass over the bank then gives each middle
+    column
+    - its mass per unit of bottom-row width (an n-term float sum), and u at
+      the posterior times that mass as its objective coefficient;
     - its matrix entries: its relative widths (its row widths over its
       bottom row's width, the three runs of its cut) in every total row and
       in the yellow rows of its block;
@@ -294,32 +295,29 @@ def _cut_posteriors(
     """P(Y=1 | column) per cut: its yellow block's mass over the column's.
 
     Each row's mass is scaled by its width factor, w on rows 1..b and c..n,
-    1 between. When every mass and w are exact, the masses over their
-    common denominator are integers P_1..P_n with prefix sums S, and with
-    w = a/d a cut (i, b, c), whose block is its first n+1-i rows, holds
+    1 between. Every mass and w is read as the ratio of integers it is, a
+    float exactly too (a dyadic rational). Over their common denominator the
+    masses are integers P_1..P_n with prefix sums S, and with w = a/d a cut
+    (i, b, c), whose block is its first n+1-i rows, holds
     yellow = a S[b] + d (S[block] - S[b]) and total = yellow
-    + d (S[c-1] - S[block]) + a (S[n] - S[c-1]) of the scaled mass: its
-    posterior is the one lowest-terms Fraction(yellow, total). Otherwise
-    each posterior is a ratio of n-term sums, in the inputs' own arithmetic.
+    + d (S[c-1] - S[block]) + a (S[n] - S[c-1]) of the scaled mass. Its
+    posterior is the lowest-terms Fraction(yellow, total) when every mass
+    and w are exact (int or Fraction), and the correctly rounded float
+    yellow / total otherwise.
     """
     n = len(masses)
-    if not (is_exact(w) and all(map(is_exact, masses))):
-        posts = []
-        for i, b, c in columns:
-            scaled = [x * w for x in masses[:b]] + list(masses[b : c - 1])
-            scaled += [x * w for x in masses[c - 1 :]]
-            posts.append(sum(scaled[: n + 1 - i]) / sum(scaled))
-        return tuple(posts)
-    common = math.lcm(*(x.denominator for x in masses))
-    sums = list(accumulate((x.numerator * (common // x.denominator) for x in masses), initial=0))
-    a, d = w.numerator, w.denominator
+    exact = is_exact(w) and all(map(is_exact, masses))
+    ratios = [x.as_integer_ratio() for x in masses]
+    common = math.lcm(*(y for _, y in ratios))
+    sums = list(accumulate((x * (common // y) for x, y in ratios), initial=0))
+    a, d = w.as_integer_ratio()
     wide, narrow = [a * s for s in sums], [d * s for s in sums]
     posts = []
     for i, b, c in columns:
         block = n + 1 - i
         yellow = wide[b] + narrow[block] - narrow[b]
         total = yellow + narrow[c - 1] - narrow[block] + wide[n] - wide[c - 1]
-        posts.append(Fraction(yellow, total))
+        posts.append(Fraction(yellow, total) if exact else yellow / total)
     return tuple(posts)
 
 

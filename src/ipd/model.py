@@ -120,6 +120,22 @@ def _over(x: Scalar, d: Scalar) -> Scalar:
     return x / d
 
 
+def _unit_row(row: tuple[Scalar, ...], widths: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+    """A kernel row as it is, or over its own sum when that misses 1 by more than NORM_TOL.
+
+    A structure's yellow (white) mass may miss q (1 - q) by up to the check
+    slack, which dividing by q (1 - q) alone leaves in the kernel row. A row
+    with no mass at all to divide (q within that slack of 0 or 1) takes the
+    secret's widths, which keeps its cells within the slack.
+    """
+    total = sum(filter(None, row))  # skipping zeros spares most Fraction additions
+    if not far(total, 1, NORM_TOL):
+        return row
+    if total == 0:
+        return widths
+    return tuple(x / total for x in row)
+
+
 def _label_index(labels: tuple[str, ...], label: str, kind: str) -> int:
     try:
         return labels.index(label)
@@ -511,7 +527,8 @@ class Mechanism(Record):
 def structure_to_mechanism(st: InfoStructure) -> Mechanism:
     """Convert a structure to its release kernel P(T | S, Y).
 
-    For y=1 the row is widths*cells/q_s, for y=0 it is widths*(1-cells)/(1-q_s).
+    For y=1 the row is widths*cells/q_s, for y=0 it is widths*(1-cells)/(1-q_s),
+    each divided again by its own sum when that misses 1 (_unit_row).
     Contexts of zero prior mass (q_s at 0 or 1) get a full-disclosure row: all
     mass on the signal whose posterior matches the impossible state, which
     keeps the kernel total without affecting the joint distribution.
@@ -535,7 +552,7 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
         yellow_row = tuple(map(_yellow, st.widths[s], st.cells[s]))
         white_row = tuple(map(_white, st.widths[s], st.cells[s]))
         if qs > 0:
-            row1 = tuple(_over(x, qs) for x in yellow_row)
+            row1 = _unit_row(tuple(_over(x, qs) for x in yellow_row), st.widths[s])
         else:
             if sum(yellow_row) > slack:
                 raise DegenerateConditional(
@@ -545,7 +562,7 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
             row1 = tuple(1 if t == top else 0 for t in range(k))
         if qs < 1:
             white_q = 1 - qs
-            row0 = tuple(_over(x, white_q) for x in white_row)
+            row0 = _unit_row(tuple(_over(x, white_q) for x in white_row), st.widths[s])
         else:
             if sum(white_row) > slack:
                 raise DegenerateConditional(

@@ -255,8 +255,9 @@ class TestColumnwiseModel:
                 a_eq[j, ratios + k] = float(factor[j] / factor[-1])
                 if j < top:
                     a_eq[n + j, ratios + k] = float(factor[j] / factor[-1])
-            scaled = [x * f for x, f in zip(prior.p, factor)]
-            posts.append(sum(scaled[:top]) / sum(scaled))
+            # exact sums of the float masses, rounded once
+            scaled = [Fraction(x) * f for x, f in zip(prior.p, factor)]
+            posts.append(float(sum(scaled[:top]) / sum(scaled)))
         b_eq = [1.0 - anchor_white, *[1.0] * (n - 2), 1.0 - anchor_yellow]
         b_eq += [float(x) for x in prior.q[:-1]] + [0.0]
         return a_eq, b_eq, tuple(posts)
@@ -306,12 +307,19 @@ def _exact_prior(n, seed):
 
 
 def _summed_posteriors(masses, w, columns):
-    """Each cut's posterior as n-term sums: its block's scaled mass over its column's."""
-    n, given = len(masses), list(masses)
+    """Each cut's posterior as n-term sums: its block's scaled mass over its column's.
+
+    The sums are exact, in Fraction, which holds a float exactly. The
+    posterior is that Fraction when every mass and w are exact (int or
+    Fraction), and its float, correctly rounded, otherwise.
+    """
+    exact = all(isinstance(x, (int, Fraction)) for x in (*masses, w))
+    n, given, w = len(masses), [Fraction(x) for x in masses], Fraction(w)
     posts = []
     for i, b, c in columns:
         scaled = [x * w for x in given[:b]] + given[b : c - 1] + [x * w for x in given[c - 1 :]]
-        posts.append(sum(scaled[: n + 1 - i]) / sum(scaled))
+        post = sum(scaled[: n + 1 - i]) / sum(scaled)
+        posts.append(post if exact else float(post))
     return tuple(posts)
 
 
@@ -326,7 +334,7 @@ ALL_UTILITIES = [
 
 
 class TestExactPosteriors:
-    """assemble_lp on exact inputs against n-term sums and float(u(post))."""
+    """assemble_lp's posteriors against exact n-term sums, and its LP against float(u(post))."""
 
     @staticmethod
     def _assert_as_summed(monkeypatch, prior, bank):
@@ -362,6 +370,45 @@ class TestExactPosteriors:
     def test_float_arithmetic_stays_on_summed_posteriors(self, monkeypatch, pairs, w):
         prior = load_prior(pairs)
         self._assert_as_summed(monkeypatch, prior, CutAssignment(3, tuple(all_cuts(3)), w))
+
+    @staticmethod
+    def _assert_rounded_exact(masses, q, w):
+        """Every cut's posterior is the exact one, floated unless every mass and w are exact.
+
+        q descends, so the prior keeps the masses' order.
+        """
+        bank = CutAssignment(len(masses), tuple(all_cuts(len(masses))), w)
+        prior = load_prior(list(zip(masses, q)))
+        posts = assemble_lp(prior, ALL_UTILITIES[0], bank).column_posteriors
+        assert posts == _summed_posteriors(masses, w, bank.columns)
+        exact = all(isinstance(x, (int, Fraction)) for x in (*masses, w))
+        assert {type(x) for x in posts} == {Fraction if exact else float}
+
+    @pytest.mark.parametrize("w", [F(7, 3), 3, 1.7, math.exp(35.0)], ids=repr)
+    @pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_posterior_is_the_rounded_exact_one(self, n, kind, w):
+        # the mixed prior reads every other mass as a float
+        prior = _exact_prior(n, seed=n)
+        masses = [
+            float(x) if kind == "float" or (kind == "mixed" and k % 2) else x
+            for k, x in enumerate(prior.p)
+        ]
+        self._assert_rounded_exact(masses, prior.q, w)
+
+    @pytest.mark.parametrize("w", [math.exp(46.0), 3, F(3, 2), 1.5], ids=repr)
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            (0.5, 1e-12, 0.5 - 1e-12),
+            (0.4, 5e-324, 0.6),  # a subnormal mass
+            (F(1, 4), 0.25, F(1, 2)),
+            (F(1, 2), F(1, 10**12), F(1, 2) - F(1, 10**12)),
+        ],
+        ids=["tiny", "subnormal", "mixed", "exact-tiny"],
+    )
+    def test_posteriors_at_the_corners(self, masses, w):
+        self._assert_rounded_exact(masses, (F(9, 10), F(1, 2), F(1, 10)), w)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_chain_posteriors_are_the_rebuilt_columns(self, monkeypatch, n):

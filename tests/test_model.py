@@ -237,15 +237,6 @@ class TestMechanismConversion:
         assert kernel[1][1] == (1, 0, 0, 0)
         assert kernel[1][0] == (0, 0, Fraction(1, 2), Fraction(1, 2))
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ValidationError,
-        reason=(
-            "InfoStructure accepts a yellow mass within the check slack of q, "
-            "but structure_to_mechanism divides by q and Mechanism holds kernel "
-            "entries to [0, 1]: kernel entry 1.0000000020000002 outside [0, 1]"
-        ),
-    )
     def test_structure_within_the_slack_converts_to_a_mechanism(self):
         prior = load_prior([(0.5, 0.75), (0.5, 0.25)])
         st = InfoStructure(
@@ -259,6 +250,18 @@ class TestMechanismConversion:
         slack = check_slack()
         for got, want in zip(back.cells, st.cells):
             assert all(abs(a - b) <= slack for a, b in zip(got, want))
+
+    def test_row_with_no_yellow_mass_to_divide_takes_the_widths(self):
+        # q within the slack of 0 but no yellow cell: there is nothing to
+        # divide by q, so the y=1 row is the secret's widths
+        prior = load_prior([(0.5, 0.75), (0.5, 5e-10)])
+        st = InfoStructure(
+            prior=prior,
+            signals=("t1", "t2"),
+            widths=((0.5, 0.5), (0.25, 0.75)),
+            cells=((1.0, 0.5), (0.0, 0.0)),
+        )
+        assert structure_to_mechanism(st).kernel[1] == ((0.25, 0.75), (0.25, 0.75))
 
     def test_round_trip_on_random_float_structures(self):
         rng = np.random.default_rng(3)

@@ -6,18 +6,22 @@ over meaningful inputs instead of fighting the validators.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ipd import (
     BUILTIN_FAMILIES,
+    InfoStructure,
     Mechanism,
     UtilityFn,
+    ValidationError,
     blackwell_dominates,
     check_ip,
+    check_slack,
     expected_utility,
     load_prior,
     mechanism_to_structure,
@@ -108,6 +112,65 @@ def test_every_summary_is_equivalent_to_itself(m):
     summary = posterior_summary(mechanism_to_structure(m))
     verdict = blackwell_dominates(summary, summary)
     assert verdict.dominates and verdict.equivalent
+
+
+@st.composite
+def structures_within_the_slack(draw):
+    """(structure, exact): rows whose yellow mass misses q by up to the check slack.
+
+    Each row's widths and cells are drawn first, cells of 0 and 1 among them,
+    so a row may hold no yellow or no white mass. Its q is the row's yellow
+    mass moved by up to the slack either way, clipped to [0, 1]. The whole
+    structure is Fractions or floats; a float one that InfoStructure refuses
+    (its round-off past the slack) is not drawn.
+    """
+    exact = draw(st.booleans())
+    n = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=4))
+    slack = Fraction(check_slack())
+    shift = st.sampled_from([-1, 1]) | st.fractions(min_value=-1, max_value=1, max_denominator=99)
+    cell = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(0, 1, max_denominator=16)
+    rows = []
+    for _ in range(n):
+        raw = draw(st.lists(st.integers(0, 8), min_size=k, max_size=k).filter(any))
+        widths = [Fraction(x, sum(raw)) for x in raw]
+        cells = draw(st.lists(cell, min_size=k, max_size=k))
+        yellow = sum(x * c for x, c in zip(widths, cells))
+        rows.append((min(max(yellow + draw(shift) * slack, 0), 1), widths, cells))
+    rows.sort(key=lambda row: -row[0])  # load_prior's order: q descending
+    masses = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    scalar = Fraction if exact else float
+    prior = load_prior(
+        [(scalar(Fraction(x, sum(masses))), scalar(q)) for x, (q, _, _) in zip(masses, rows)]
+    )
+    try:
+        structure = InfoStructure(
+            prior=prior,
+            signals=tuple(f"t{j}" for j in range(k)),
+            widths=tuple(tuple(map(scalar, widths)) for _, widths, _ in rows),
+            cells=tuple(tuple(map(scalar, cells)) for _, _, cells in rows),
+        )
+    except ValidationError:
+        assume(False)
+    return structure, exact
+
+
+@given(structures_within_the_slack())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_accepted_structure_converts_to_a_mechanism(drawn):
+    # Dividing a row by q when its yellow mass misses q by d moves each
+    # cell's yellow and white mass, and each width, by at most |d|. A cell
+    # posterior can move by more: |d| c (1 - c) / (q (1 - q)) to first order.
+    structure, exact = drawn
+    back = mechanism_to_structure(structure_to_mechanism(structure))
+    bound = check_slack() if exact else check_slack() + 4 * sys.float_info.epsilon
+    for s in range(structure.prior.n):
+        for x, c, y, d in zip(
+            structure.widths[s], structure.cells[s], back.widths[s], back.cells[s]
+        ):
+            assert abs(x - y) <= bound
+            assert abs(x * c - y * d) <= bound
+            assert abs(x * (1 - c) - y * (1 - d)) <= bound
 
 
 @given(binary_priors(), st.floats(min_value=0.05, max_value=2.5, allow_nan=False))
