@@ -24,10 +24,12 @@ from .model import InfoStructure, PosteriorSummary, Prior, column_stats
 from .numeric import (
     Scalar,
     check_slack,
+    common_terms,
     exactify,
     far,
     is_exact,
     log_of,
+    log_ratio,
     near,
     ratio_bound,
     typed_key,
@@ -109,17 +111,28 @@ class UtilityFn(Record):
             q * r1 + (1 - q) * r0 for r0, r1 in zip(self.rewards[0], self.rewards[1])
         )
 
+    def ratio_at(self, q: Scalar) -> tuple[int, int] | None:
+        """self(q) as ints (numerator, denominator > 0) for an exact abs or quadratic q.
+
+        For a Fraction q = y/t, abs is |2y - t|/t and quadratic is
+        (2y - t)**2/t**2. Any other q or family gives None.
+        """
+        if type(q) is Fraction and self.family in ("abs", "quadratic"):
+            y, t = q.as_integer_ratio()
+            x = 2 * y - t
+            return (abs(x), t) if self.family == "abs" else (x * x, t * t)
+        return None
+
     def float_at(self, q: Scalar) -> float:
         """float(self(q)), with no Fraction arithmetic for an exact abs or quadratic q.
 
-        For a Fraction q = y/t, abs is |2y - t|/t and quadratic is
-        (2y - t)**2/t**2, each one int / int, which Python rounds correctly,
-        as it does the one division that turns an exact result into a float.
+        There self(q) is one int / int (ratio_at), which Python rounds
+        correctly, as it does the one division that turns an exact result
+        into a float.
         """
-        if type(q) is Fraction and self.family in ("abs", "quadratic"):
-            y, t = q.numerator, q.denominator
-            x = 2 * y - t
-            return abs(x) / t if self.family == "abs" else x * x / (t * t)
+        ratio = self.ratio_at(q)
+        if ratio is not None:
+            return ratio[0] / ratio[1]
         return float(self(q))
 
     def _call_array(self, q):
@@ -196,8 +209,11 @@ def check_ip(
 
     Ratios are compared in log space with the check slack in float mode; when
     both the widths and the budget are exact rationals the comparison is
-    exact. Columns with no mass at all are skipped; a zero width against a
-    positive width in the same column is an infinite ratio and always fails.
+    exact, made on integers: each column's widths over their common
+    denominator, cross-multiplied with the budget's numerator and
+    denominator. Columns with no mass at all are skipped; a zero width
+    against a positive width in the same column is an infinite ratio and
+    always fails.
     """
     bound = ratio_bound(eps, exp_eps)
     eps_f = log_of(bound)
@@ -205,12 +221,23 @@ def check_ip(
     exact = is_exact(bound) and all(
         is_exact(x) for row in st.widths for x in row
     )
+    if exact:
+        # each column's widths as integers over their common denominator,
+        # which keeps their order, ties and ratios; the bound a/d then
+        # holds where hi * d <= a * lo
+        a, d = bound.as_integer_ratio()
+        columns = [
+            common_terms(x.as_integer_ratio() for x in column)[0]
+            for column in zip(*st.widths)
+        ]
+    else:
+        columns = list(zip(*st.widths))
     secrets = st.prior.secrets
     max_log_ratio = 0.0
     witness: tuple[str, str, str] | None = None
     binding: dict[str, bool] = {}
-    for t, label in enumerate(st.signals):
-        column = [(st.widths[s][t], s) for s in range(st.prior.n)]
+    for label, widths in zip(st.signals, columns):
+        column = list(zip(widths, range(st.prior.n)))
         positive = [(x, s) for x, s in column if x > 0]
         if not positive:
             continue
@@ -223,15 +250,15 @@ def check_ip(
             if witness is None:
                 witness = (label, secrets[s_hi], secrets[zeros[0]])
             continue
-        col_log = log_of(hi / lo)
-        max_log_ratio = max(max_log_ratio, col_log)
         if exact:
-            scaled = bound * lo
-            binding[label] = hi == scaled
-            ok = hi <= scaled
+            col_log = log_ratio(hi, lo)
+            binding[label] = hi * d == a * lo
+            ok = hi * d <= a * lo
         else:
+            col_log = log_of(hi / lo)
             binding[label] = near(col_log, eps_f, slack)
             ok = col_log <= eps_f + slack
+        max_log_ratio = max(max_log_ratio, col_log)
         if not ok and witness is None:
             witness = (label, secrets[s_hi], secrets[s_lo])
     return IpReport(max_log_ratio=max_log_ratio, witness=witness, binding=binding)
@@ -416,6 +443,10 @@ def expected_utility(st: InfoStructure, u: UtilityFn) -> Scalar:
     """E[u(q_T)] over positive-mass signals; exact for rational structures
     except with the negentropy family.
 
+    On an exact structure, abs and quadratic score each term mass * u(post)
+    as a ratio of integers (UtilityFn.ratio_at) and add the terms over
+    their common denominator, normalizing the sum once.
+
     The sum is computed once per structure and utility key (UtilityFn.key):
     a later call on the same structure with a utility of the same family
     and typed rewards returns the same value without summing again.
@@ -423,9 +454,20 @@ def expected_utility(st: InfoStructure, u: UtilityFn) -> Scalar:
     sums, key = st._utility_sums, u.key
     value = sums.get(key)
     if value is None:
-        value = sums[key] = sum(
-            mass * u(post) for mass, post, _ in column_stats(st) if post is not None
-        )
+        stats = column_stats(st)
+        if st._exact and u.family in ("abs", "quadratic"):
+            # each term mass * u(post) as ints, summed over their common
+            # denominator and normalized once
+            ratios = []
+            for mass, post, _ in stats:
+                if post is not None:
+                    (m, d), (y, t) = mass.as_integer_ratio(), u.ratio_at(post)
+                    ratios.append((m * y, d * t))
+            terms, common = common_terms(ratios)
+            value = Fraction(sum(terms), common)
+        else:
+            value = sum(mass * u(post) for mass, post, _ in stats if post is not None)
+        sums[key] = value
     return value
 
 

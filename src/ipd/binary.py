@@ -19,6 +19,7 @@ and row sums hold exactly.
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
 from .analysis import UtilityFn, expected_utility
@@ -81,6 +82,11 @@ def _require_binary(prior: Prior) -> None:
 def _width_ratios(q0: Scalar, q1: Scalar) -> tuple[Scalar, Scalar]:
     if q0 == q1:
         return 1, 1
+    if type(q0) is Fraction and type(q1) is Fraction:  # each one Fraction of ints
+        (a, b), (c, d) = q0.as_integer_ratio(), q1.as_integer_ratio()
+        r1 = float("inf") if c == 0 else Fraction(a * d, b * c)
+        r2 = float("inf") if a == b else Fraction((d - c) * b, d * (b - a))
+        return r1, r2
     r1 = float("inf") if q1 == 0 else q0 / q1
     r2 = float("inf") if q0 == 1 else (1 - q1) / (1 - q0)
     return r1, r2
@@ -108,15 +114,25 @@ def classify_regime(
     r1, r2 = _width_ratios(q0, q1)
     if q0 == q1:
         return Regime(RegimeTag.FULL_DISCLOSURE, r1, r2)
-    r1_within = q0 <= w * q1
-    r2_within = (1 - q1) <= w * (1 - q0)
+    # r1 <= w, r2 <= w, q1 (1 + w) >= 1 and q0 (1 + w) <= w, the last two
+    # written so that a float 1 + w that rounds to w (w > 2**53) cannot flip
+    # them; with q0 = a/b, q1 = c/d and w = e/f exact, cross-multiplied ints
+    if prior._exact and type(w) is Fraction:
+        (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (q0, q1, w))
+        r1_within = a * f * d <= e * c * b
+        r2_within = (d - c) * f * b <= e * (b - a) * d
+        t3_edge = e * c >= (d - c) * f
+        t2_edge = a * f <= e * (b - a)
+    else:
+        r1_within = q0 <= w * q1
+        r2_within = (1 - q1) <= w * (1 - q0)
+        t3_edge = w * q1 >= 1 - q1
+        t2_edge = q0 <= w * (1 - q0)
     if r1_within and r2_within:
         tag = RegimeTag.FULL_DISCLOSURE
-    # q1 (1 + w) >= 1 and q0 (1 + w) <= w, written so that a float 1 + w
-    # that rounds to w (w > 2**53) cannot flip them
-    elif not r2_within and (r1_within or w * q1 >= 1 - q1):
+    elif not r2_within and (r1_within or t3_edge):
         tag = RegimeTag.THREE_SIGNAL_T3
-    elif not r1_within and (r2_within or q0 <= w * (1 - q0)):
+    elif not r1_within and (r2_within or t2_edge):
         tag = RegimeTag.THREE_SIGNAL_T2
     else:
         tag = RegimeTag.FOUR_SIGNAL
@@ -141,6 +157,13 @@ def pack_columns(
         cells=tuple(tuple(cell_pairs[k][row] for k in kept) for row in (0, 1)),
     )
 
+
+# The canonical columns' cells (t1 yellow, t4 white, the middle ones yellow
+# on the high-q row only), as Fractions made once: a structure turns an int
+# cell into a new Fraction of the same value on the way in.
+_YES, _NO = Fraction(1), Fraction(0)
+_CELLS = ((_YES, _YES), (_YES, _NO), (_YES, _NO), (_NO, _NO))
+_PRIVATE_CELLS = ((_YES, _YES), (_YES, _NO), (_NO, _NO))
 
 # One-slot memos of the two solvers: (key, solution) of the last answer. The
 # key holds everything a fresh call reads: the prior's typed key
@@ -178,7 +201,7 @@ def solve_perfect_privacy(prior: Prior) -> BinarySolution:
     labels = ("t1", "t2", "t3")
     width_pairs = tuple((x, x) for x in (q1, q0 - q1, 1 - q0))
     solution = BinarySolution(
-        structure=pack_columns(prior, labels, width_pairs, ((1, 1), (1, 0), (0, 0))),
+        structure=pack_columns(prior, labels, width_pairs, _PRIVATE_CELLS),
         regime=Regime(RegimeTag.PERFECT_PRIVACY, r1, r2),
         widths_by_signal=width_pairs,
         signals=labels,
@@ -243,9 +266,8 @@ def solve_binary(
         (1 - q0, l41),
     )
     labels = ("t1", "t2", "t3", "t4")
-    cell_pairs = ((1, 1), (1, 0), (1, 0), (0, 0))
     solution = BinarySolution(
-        structure=pack_columns(prior, labels, width_pairs, cell_pairs),
+        structure=pack_columns(prior, labels, width_pairs, _CELLS),
         regime=regime,
         widths_by_signal=width_pairs,
         signals=labels,

@@ -18,6 +18,19 @@ row's division through _over. An optimal structure's cells are all 0 or 1,
 so where a cell is a Fraction 0 or 1 these select the width or the zero of
 the product's type instead of calling Fraction's pure-Python operators; each
 returns what the plain expression would, in value, type and repr.
+
+Where every value is exact (a Fraction; ints become Fractions on the way
+in), which each Prior, InfoStructure and Mechanism decides once, by type, on
+construction, the arithmetic runs on integer numerators and denominators:
+a column's joint masses go over one common denominator, so its mass and
+each posterior is a single Fraction of two integers; _over forms a kernel
+entry from the cross products of its two ratios; and the validation sums add
+over a running common denominator (numeric.exact_sum). Each output Fraction
+is normalized once, and equals what Fraction's operators give, in value,
+type and repr. Float and mixed inputs keep those operators and builtin sum,
+with one shortcut: beside widths that are all floats, an exact prior only
+ever meets floats, so its masses and conditionals are read as floats once
+(_read_prior), which is what Fraction's operators do with them anyway.
 """
 
 from __future__ import annotations
@@ -43,6 +56,8 @@ from .numeric import (
     NORM_TOL,
     Scalar,
     check_slack,
+    common_terms,
+    exact_sum,
     exactify,
     far,
     near,
@@ -113,27 +128,64 @@ def _over(x: Scalar, d: Scalar) -> Scalar:
     """x / d for a positive, finite d, with the value, type and repr of x / d.
 
     Over a Fraction d, a float or Fraction zero x is that quotient's zero
-    itself (a float zero keeps its sign), so it is returned undivided.
+    itself (a float zero keeps its sign), so it is returned undivided, and a
+    Fraction x is the one Fraction of the two ratios' cross products.
     """
-    if type(d) is Fraction and type(x) in _SELECTABLE and x == 0:
-        return x
+    if type(d) is Fraction and type(x) in _SELECTABLE:
+        if type(x) is Fraction:
+            a, b = x.as_integer_ratio()
+            if a == 0:
+                return x
+            c, e = d.as_integer_ratio()
+            return Fraction(a * e, b * c)
+        if x == 0:
+            return x
     return x / d
 
 
-def _unit_row(row: tuple[Scalar, ...], widths: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    """A kernel row as it is, or over its own sum when that misses 1 by more than NORM_TOL.
+def _float_sum(row: tuple[Scalar, ...]) -> Scalar:
+    return sum(filter(None, row))  # skipping zeros spares most mixed additions
+
+
+def _unit_row(
+    row: tuple[Scalar, ...], widths: tuple[Scalar, ...], total: Scalar
+) -> tuple[Scalar, ...]:
+    """A kernel row as it is, or over its sum total when that misses 1 by over NORM_TOL.
 
     A structure's yellow (white) mass may miss q (1 - q) by up to the check
     slack, which dividing by q (1 - q) alone leaves in the kernel row. A row
     with no mass at all to divide (q within that slack of 0 or 1) takes the
     secret's widths, which keeps its cells within the slack.
     """
-    total = sum(filter(None, row))  # skipping zeros spares most Fraction additions
     if not far(total, 1, NORM_TOL):
         return row
     if total == 0:
         return widths
     return tuple(x / total for x in row)
+
+
+def _all_fractions(*groups: Iterable[Scalar]) -> bool:
+    """Whether each value of the groups is a Fraction, as exact ones are after exactify."""
+    for group in groups:
+        for x in group:
+            if type(x) is not Fraction:
+                return False
+    return True
+
+
+def _read_prior(
+    prior: Prior, widths: Sequence[Sequence[Scalar]]
+) -> tuple[Sequence[Scalar], Sequence[Scalar]]:
+    """The prior's masses and conditionals as arithmetic with these widths meets them.
+
+    Beside widths that are all floats, an exact mass or conditional only
+    ever meets a float, and Fraction's operators turn it into float(x)
+    first (Fraction * float is float(Fraction) * float), so it is read as
+    that float once, with the same results bit for bit.
+    """
+    if prior._exact and all(isinstance(x, float) for row in widths for x in row):
+        return [float(x) for x in prior.p], [float(x) for x in prior.q]
+    return prior.p, prior.q
 
 
 def _label_index(labels: tuple[str, ...], label: str, kind: str) -> int:
@@ -185,7 +237,11 @@ class Prior(Record):
         for label, cond in zip(self.secrets, self.q):
             if outside_unit(cond):
                 raise ConditionalOutOfRange(f"q for secret {label!r} is {_shown(cond)}")
-        total = sum(self.p)
+        # Every mass and conditional is a Fraction (ints turn into them on the
+        # way in): decided once, by type, for the exact paths here and in the
+        # structures and mechanisms on this prior, which read them as integers.
+        object.__setattr__(self, "_exact", _all_fractions(self.p, self.q))
+        total = exact_sum(self.p) if self._exact else sum(self.p)
         if far(total, 1, NORM_TOL):
             raise MassNotNormalized(f"secret masses sum to {_shown(total)}")
         for a, b in zip(self.q, self.q[1:]):
@@ -336,13 +392,20 @@ class InfoStructure(Record):
         ):
             raise ValidationError("widths and cells need one column per signal")
         slack = check_slack()
+        # Every prior value, width and cell is a Fraction: decided once, by
+        # type, for the exact paths, which read them as integers.
+        exact = self.prior._exact and _all_fractions(*self.widths, *self.cells)
+        object.__setattr__(self, "_exact", exact)
+        add = exact_sum if exact else sum
         for s, row in enumerate(self.widths):
-            for x in row:
-                if x < 0:
-                    raise ValidationError(
-                        f"negative width {x} in row {self.prior.secrets[s]!r}"
-                    )
-            total = sum(row)
+            # a Fraction's sign is its numerator's
+            signs = [x.numerator for x in row] if exact else row
+            if min(signs) < 0:
+                x = next(x for x, sign in zip(row, signs) if sign < 0)
+                raise ValidationError(
+                    f"negative width {x} in row {self.prior.secrets[s]!r}"
+                )
+            total = add(row)
             if far(total, 1, NORM_TOL):
                 raise MassNotNormalized(
                     f"widths for secret {self.prior.secrets[s]!r} sum to {_shown(total)}"
@@ -353,9 +416,10 @@ class InfoStructure(Record):
                     raise ConditionalOutOfRange(
                         f"cell posterior {x} in row {self.prior.secrets[s]!r}"
                     )
+        _, q = _read_prior(self.prior, self.widths)
         for s in range(n):
-            yellow = sum(map(_yellow, self.widths[s], self.cells[s]))
-            if far(yellow, self.prior.q[s], slack):
+            yellow = add(map(_yellow, self.widths[s], self.cells[s]))
+            if far(yellow, q[s], slack):
                 raise ValidationError(
                     f"row {self.prior.secrets[s]!r} is inconsistent with the prior: "
                     f"yellow mass {_shown(yellow)} vs q={_shown(self.prior.q[s])}"
@@ -378,7 +442,9 @@ class InfoStructure(Record):
         # cannot go stale; Record's eq and hash look only at the fields.
         # Each joint mass p[s] * widths[s][t] is formed once and serves the
         # column mass, its yellow mass and the secret posteriors alike.
-        p, secrets = self.prior.p, range(self.prior.n)
+        if self._exact:
+            return self._exact_column_stats()
+        (p, _), secrets = _read_prior(self.prior, self.widths), range(self.prior.n)
         stats = []
         for t in range(self.num_signals):
             joint = [p[s] * self.widths[s][t] for s in secrets]
@@ -389,6 +455,29 @@ class InfoStructure(Record):
             yellow = sum(_yellow(x, self.cells[s][t]) for s, x in zip(secrets, joint))
             s_post = tuple(x / mass for x in joint)
             stats.append((mass, yellow / mass, s_post))
+        return tuple(stats)
+
+    def _exact_column_stats(self) -> tuple[ColumnStats, ...]:
+        # A column's joint masses over their common denominator are integers
+        # J_s, and with its cells c_s = e_s / f_s its mass is sum(J) over
+        # that denominator, its posterior sum(J_s e_s / f_s) / sum(J) and
+        # P(S=s | t) J_s / sum(J): each one Fraction of two integers.
+        masses = [x.as_integer_ratio() for x in self.prior.p]
+        stats = []
+        for widths, cells in zip(zip(*self.widths), zip(*self.cells)):
+            widths = [x.as_integer_ratio() for x in widths]
+            joint, common = common_terms(
+                (a * c, b * d) for (a, b), (c, d) in zip(masses, widths)
+            )
+            mass = sum(joint)
+            if mass == 0:
+                stats.append((Fraction(0), None, None))
+                continue
+            cells = [x.as_integer_ratio() for x in cells]
+            yellow, scale = common_terms((j * e, f) for j, (e, f) in zip(joint, cells))
+            post = Fraction(sum(yellow), mass * scale)
+            s_post = tuple(Fraction(j, mass) for j in joint)
+            stats.append((Fraction(mass, common), post, s_post))
         return tuple(stats)
 
     @cached_property
@@ -500,6 +589,9 @@ class Mechanism(Record):
         n, k = self.prior.n, len(self.signals)
         if len(self.kernel) != n:
             raise ValidationError("kernel needs one block per secret")
+        rows = [row for pair in self.kernel for row in pair]
+        exact = self.prior._exact and _all_fractions(*rows)
+        add = exact_sum if exact else sum
         for s, by_state in enumerate(self.kernel):
             if len(by_state) != 2:
                 raise ValidationError("each kernel entry needs rows for y=0 and y=1")
@@ -511,10 +603,14 @@ class Mechanism(Record):
                         raise ConditionalOutOfRange(
                             f"kernel entry {x} outside [0, 1]"
                         )
-                mass = self.prior.p[s] * (
-                    self.prior.q[s] if y == 1 else 1 - self.prior.q[s]
-                )
-                if mass > 0 and far(sum(row), 1, NORM_TOL):
+                if exact:  # p > 0, so the context has mass where q (1 - q) has
+                    num, den = self.prior.q[s].as_integer_ratio()
+                    positive = num > 0 if y == 1 else num < den
+                else:
+                    positive = self.prior.p[s] * (
+                        self.prior.q[s] if y == 1 else 1 - self.prior.q[s]
+                    ) > 0
+                if positive and far(add(row), 1, NORM_TOL):
                     raise MassNotNormalized(
                         f"kernel row for ({self.prior.secrets[s]!r}, y={y}) "
                         f"sums to {_shown(sum(row))}"
@@ -544,15 +640,26 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
     posts = {
         t: post for t, (_, post, _) in enumerate(column_stats(st)) if post is not None
     }
+    exact = st._exact
+    if exact:  # compared as integers over their common denominator
+        keys, _ = common_terms(x.as_integer_ratio() for x in posts.values())
+        posts = dict(zip(posts, keys))
     top = max(posts, key=posts.__getitem__)
     bot = min(posts, key=posts.__getitem__)
+    add = exact_sum if exact else _float_sum
     kernel = []
     for s in range(prior.n):
         qs = prior.q[s]
+        if exact:
+            num, den = qs.as_integer_ratio()
+            has_yellow, has_white = num > 0, num < den
+        else:
+            has_yellow, has_white = qs > 0, qs < 1
         yellow_row = tuple(map(_yellow, st.widths[s], st.cells[s]))
         white_row = tuple(map(_white, st.widths[s], st.cells[s]))
-        if qs > 0:
-            row1 = _unit_row(tuple(_over(x, qs) for x in yellow_row), st.widths[s])
+        if has_yellow:
+            row1 = tuple(_over(x, qs) for x in yellow_row)
+            row1 = _unit_row(row1, st.widths[s], add(row1))
         else:
             if sum(yellow_row) > slack:
                 raise DegenerateConditional(
@@ -560,9 +667,10 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
                     f"{_shown(sum(yellow_row))}"
                 )
             row1 = tuple(1 if t == top else 0 for t in range(k))
-        if qs < 1:
-            white_q = 1 - qs
-            row0 = _unit_row(tuple(_over(x, white_q) for x in white_row), st.widths[s])
+        if has_white:
+            white_q = Fraction(den - num, den) if exact else 1 - qs
+            row0 = tuple(_over(x, white_q) for x in white_row)
+            row0 = _unit_row(row0, st.widths[s], add(row0))
         else:
             if sum(white_row) > slack:
                 raise DegenerateConditional(

@@ -5,7 +5,10 @@ and every verification applies a small slack. In exact mode, inputs are
 ``fractions.Fraction`` (ints are promoted on the way in) and the closed-form
 solvers produce exact rationals; verifications then compare exactly. The mode
 is a property of the values, not a global switch: arithmetic here and in the
-solvers is written so that Fractions in give Fractions out. Where ipd.model
+solvers is written so that Fractions in give Fractions out, and where every
+input is exact the hot paths add Fractions as integers over a common
+denominator (``exact_sum``, ``common_terms``) and normalize each result once,
+with the value, type and repr Fraction's operators would give. Where ipd.model
 multiplies a width by a cell posterior, a Fraction cell of 0 or 1 (every
 cell of an optimal structure is one) selects the width or a zero instead;
 the result has the product's value, type and repr, so neither mode sees it.
@@ -41,7 +44,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import ValidationError
 
@@ -120,6 +123,39 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def common_terms(ratios: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Each n/d of the (n, d) pairs of ints, d > 0, as an int over the pairs' lcm.
+
+    Returns the scaled numerators and that common denominator; a sum over
+    them is one int addition per term, and Fraction(sum(terms), common)
+    normalizes it with one gcd.
+    """
+    ratios = list(ratios)
+    common = math.lcm(*[d for _, d in ratios])
+    return [n * (common // d) for n, d in ratios], common
+
+
+def exact_sum(values: Iterable[int | Fraction]) -> int | Fraction:
+    """sum(values) over ints and Fractions, with that sum's value, type and repr.
+
+    The terms are added as integers over their running least common
+    denominator and the total is normalized once, where builtin sum makes
+    one Fraction addition, gcds and a normalization in pure Python, per
+    term. Ints alone sum to an int, as they do under sum.
+    """
+    total, common, fraction = 0, 1, False
+    for x in values:
+        fraction = fraction or isinstance(x, Fraction)
+        num, den = x.as_integer_ratio()
+        if den == common:
+            total += num
+        else:
+            scale = math.lcm(common, den)
+            total = total * (scale // common) + num * (scale // den)
+            common = scale
+    return Fraction(total, common) if fraction else total
+
+
 def ratio_bound(eps: float | None = None, exp_eps: Scalar | None = None) -> Scalar:
     """Resolve the (eps, exp_eps) convention to the width-ratio bound e**eps.
 
@@ -168,6 +204,20 @@ def outside_unit(x: Scalar) -> bool:
         num = x.numerator
         return num < 0 or num > x.denominator
     return x < 0 or x > 1
+
+
+def log_ratio(num: int, den: int) -> float:
+    """log_of(Fraction(num, den)) for positive ints, read off the ints.
+
+    Their true division is correctly rounded, as the Fraction's float is,
+    and past the float range the lowest-terms ints are logged apart, as
+    log_of does with a Fraction's fields.
+    """
+    try:
+        return math.log(num / den)
+    except OverflowError:
+        g = math.gcd(num, den)
+        return math.log(num // g) - math.log(den // g)
 
 
 def log_of(x: Scalar) -> float:
