@@ -12,6 +12,12 @@ user's order as tie-break; the permutation back to the user's order is stored
 on the Prior. All values are immutable after construction and validated on
 construction.
 
+Every secret's mass is positive, so a context (s, y) carries prior mass
+exactly when its share of the secret, q_s for y=1 or 1 - q_s for y=0, is
+nonzero. structure_to_mechanism, Mechanism and sample_signal decide by that
+one rule (_carries_mass), never by the product p_s * q_s, which underflows
+to 0.0 for a possible context.
+
 Every width-times-cell product (a row's yellow mass, a column's yellow mass,
 a kernel row, a merged cell) goes through _yellow or _white, and each kernel
 row's division through _over. An optimal structure's cells are all 0 or 1,
@@ -143,8 +149,9 @@ def _over(x: Scalar, d: Scalar) -> Scalar:
     return x / d
 
 
-def _float_sum(row: tuple[Scalar, ...]) -> Scalar:
-    return sum(filter(None, row))  # skipping zeros spares most mixed additions
+def _carries_mass(q: Scalar, y: int) -> bool:
+    """Whether context (s, y) of a secret with conditional q has prior mass."""
+    return q != 0 if y else q != 1
 
 
 def _unit_row(
@@ -565,9 +572,12 @@ class Mechanism(Record):
     Attributes:
         prior: The underlying Prior.
         signals: Signal labels indexing the last kernel axis.
-        kernel: kernel[s][y][t] with y in {0, 1}; rows for (s, y) contexts of
-            positive prior mass sum to 1. Rows for zero-mass contexts are
-            stored as full-disclosure rows so the kernel stays total.
+        kernel: kernel[s][y][t] with y in {0, 1}. A context (s, y) carries
+            prior mass exactly when q_s (y=1) or 1 - q_s (y=0) is nonzero,
+            as every secret's mass is positive; its row must sum to 1.
+            Rows of the other contexts need not sum to 1;
+            structure_to_mechanism stores full-disclosure rows there so the
+            kernel stays total.
     """
 
     prior: Prior
@@ -603,14 +613,7 @@ class Mechanism(Record):
                         raise ConditionalOutOfRange(
                             f"kernel entry {x} outside [0, 1]"
                         )
-                if exact:  # p > 0, so the context has mass where q (1 - q) has
-                    num, den = self.prior.q[s].as_integer_ratio()
-                    positive = num > 0 if y == 1 else num < den
-                else:
-                    positive = self.prior.p[s] * (
-                        self.prior.q[s] if y == 1 else 1 - self.prior.q[s]
-                    ) > 0
-                if positive and far(add(row), 1, NORM_TOL):
+                if _carries_mass(self.prior.q[s], y) and far(add(row), 1, NORM_TOL):
                     raise MassNotNormalized(
                         f"kernel row for ({self.prior.secrets[s]!r}, y={y}) "
                         f"sums to {_shown(sum(row))}"
@@ -624,10 +627,12 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
     """Convert a structure to its release kernel P(T | S, Y).
 
     For y=1 the row is widths*cells/q_s, for y=0 it is widths*(1-cells)/(1-q_s),
-    each divided again by its own sum when that misses 1 (_unit_row).
-    Contexts of zero prior mass (q_s at 0 or 1) get a full-disclosure row: all
-    mass on the signal whose posterior matches the impossible state, which
-    keeps the kernel total without affecting the joint distribution.
+    each divided again by its own sum when that misses 1 (_unit_row). Every
+    secret's mass is positive, so context (s, y) carries mass exactly when
+    its share q_s (y=1) or 1 - q_s (y=0) is nonzero. The others (q_s at 0 or
+    1) get a full-disclosure row: all mass on the first column among those
+    with mass whose posterior is highest (y=1) or lowest (y=0), which keeps
+    the kernel total without affecting the joint distribution.
 
     Raises:
         DegenerateConditional: q_s is 0 or 1 but the row still carries cell
@@ -636,49 +641,38 @@ def structure_to_mechanism(st: InfoStructure) -> Mechanism:
     prior = st.prior
     k = st.num_signals
     slack = check_slack()
-    # The first highest- and lowest-posterior columns among those with mass.
     posts = {
         t: post for t, (_, post, _) in enumerate(column_stats(st)) if post is not None
     }
-    exact = st._exact
-    if exact:  # compared as integers over their common denominator
-        keys, _ = common_terms(x.as_integer_ratio() for x in posts.values())
-        posts = dict(zip(posts, keys))
     top = max(posts, key=posts.__getitem__)
     bot = min(posts, key=posts.__getitem__)
-    add = exact_sum if exact else _float_sum
+    add = exact_sum if st._exact else sum
     kernel = []
-    for s in range(prior.n):
-        qs = prior.q[s]
-        if exact:
+    for s, qs in enumerate(prior.q):
+        widths, cells = st.widths[s], st.cells[s]
+        # 1 - qs, a Fraction's from its two integers: Fraction's reverse
+        # operator would cost about 5% of an exact conversion
+        if type(qs) is Fraction:
             num, den = qs.as_integer_ratio()
-            has_yellow, has_white = num > 0, num < den
+            white = Fraction(den - num, den)
         else:
-            has_yellow, has_white = qs > 0, qs < 1
-        yellow_row = tuple(map(_yellow, st.widths[s], st.cells[s]))
-        white_row = tuple(map(_white, st.widths[s], st.cells[s]))
-        if has_yellow:
-            row1 = tuple(_over(x, qs) for x in yellow_row)
-            row1 = _unit_row(row1, st.widths[s], add(row1))
-        else:
-            if sum(yellow_row) > slack:
+            white = 1 - qs
+        rows = []
+        for y, times, share, fallback, state in (
+            (0, _white, white, bot, "q=1 but white"),
+            (1, _yellow, qs, top, "q=0 but yellow"),
+        ):
+            row = tuple(map(times, widths, cells))
+            if _carries_mass(qs, y):
+                row = tuple(_over(x, share) for x in row)
+                rows.append(_unit_row(row, widths, add(row)))
+            elif sum(row) > slack:
                 raise DegenerateConditional(
-                    f"secret {prior.secrets[s]!r} has q=0 but yellow mass "
-                    f"{_shown(sum(yellow_row))}"
+                    f"secret {prior.secrets[s]!r} has {state} mass {_shown(sum(row))}"
                 )
-            row1 = tuple(1 if t == top else 0 for t in range(k))
-        if has_white:
-            white_q = Fraction(den - num, den) if exact else 1 - qs
-            row0 = tuple(_over(x, white_q) for x in white_row)
-            row0 = _unit_row(row0, st.widths[s], add(row0))
-        else:
-            if sum(white_row) > slack:
-                raise DegenerateConditional(
-                    f"secret {prior.secrets[s]!r} has q=1 but white mass "
-                    f"{_shown(sum(white_row))}"
-                )
-            row0 = tuple(1 if t == bot else 0 for t in range(k))
-        kernel.append((row0, row1))
+            else:
+                rows.append(tuple(1 if t == fallback else 0 for t in range(k)))
+        kernel.append(tuple(rows))
     return Mechanism(prior=prior, signals=st.signals, kernel=tuple(kernel))
 
 
@@ -865,7 +859,8 @@ def sample_signal(
         UnknownLabel: The mechanism's prior has no secret s.
         ValidationError: y is not 0 or 1, count or rng_seed is negative, or
             count is above sys.maxsize.
-        ZeroMassContext: P(S=s, Y=y) is zero under the prior.
+        ZeroMassContext: P(S=s, Y=y) is zero under the prior, which is
+            where q_s is 0 (y=1) or 1 (y=0): every secret's mass is positive.
     """
     if y not in (0, 1):
         raise ValidationError(f"state must be 0 or 1, got {y!r}")
@@ -874,8 +869,7 @@ def sample_signal(
     if rng_seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {rng_seed}")
     idx = m.prior.secret_index(s)
-    mass = m.prior.p[idx] * (m.prior.q[idx] if y == 1 else 1 - m.prior.q[idx])
-    if mass == 0:
+    if not _carries_mass(m.prior.q[idx], y):
         raise ZeroMassContext(f"P(S={s!r}, Y={y}) is zero under the prior")
     if count == 0:
         return []

@@ -912,6 +912,24 @@ class TestSampleCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ZeroMassContext"
 
+    def test_context_with_an_underflowing_joint_mass_is_sampled(self, tmp_path, capsys):
+        # P(S=s0, Y=1) = 1e-200 * 1e-200 underflows to 0.0, but q is not 0,
+        # so the context is possible: its row must sum to 1, and is sampled
+        prior = load_prior([(1e-200, 1e-200), (1 - 1e-200, 0.5)])
+        doc = encode_mechanism(solve_binary(prior, eps=0.7).mechanism)
+        s0 = doc["secret_order"].index("s0")
+        path = str(tmp_path / "mech.json")
+        argv = ["sample", path, "--secret", "s0", "--y", "1", "--count", "3", "--seed", "1"]
+        write_json(path, doc)
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.split()) == 3
+        doc["kernel"][s0][1] = [0.5] + [0] * (len(doc["signals"]) - 1)
+        write_json(path, doc)
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "MassNotNormalized"
+        assert "('s0', y=1) sums to 0.5" in error["message"]
+
     def test_count_zero_writes_nothing(self, prior_file, tmp_path, capsys):
         mech_path = str(tmp_path / "mech.json")
         main(["solve", prior_file, "--eps", "ln2", "--out-mechanism", mech_path])

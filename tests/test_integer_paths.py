@@ -251,7 +251,7 @@ class TestExactInputs:
                 _assert_as_operators(st_, w)
 
     def test_a_mechanism_checks_only_the_rows_of_contexts_with_mass(self):
-        # q = 1 leaves the y=0 row of that secret unchecked, as p * (1 - q) = 0
+        # q = 1 leaves the y=0 row of that secret unchecked, as 1 - q = 0
         prior = load_prior([(F(1, 2), F(1)), (F(1, 2), F(1, 3))])
         loose = (F(1, 3), F(1, 3))
         Mechanism(prior, ("a", "b"), ((loose, (F(1), F(0))), ((F(1), F(0)), (F(0), F(1)))))
@@ -369,6 +369,18 @@ class TestFloatInputs:
         stats = column_stats(st_)
         assert repr(stats) == repr(operator_column_stats(st_))
         assert all(type(mass) is np.float64 for mass, _, _ in stats)
+
+    def test_a_row_of_fractions_and_floats_sums_as_builtin_sum(self):
+        # s1's yellow row is (Fraction, 0.0) over a q 1e-11 off its yellow
+        # mass, so it misses 1 and is divided by its sum; builtin sum turns
+        # that sum into a float at the 0.0, and so the whole row
+        prior = load_prior([(F(1, 2), F(3, 4)), (F(1, 2), F(1, 2) + F(1, 10**11))])
+        st_ = InfoStructure(
+            prior, ("a", "b"), ((F(1, 2), F(1, 2)), (F(1, 2), 0.5)), ((1, F(1, 2)), (1, 0))
+        )
+        kernel = structure_to_mechanism(st_).kernel
+        assert repr(kernel) == repr(operator_mechanism(st_).kernel)
+        assert type(kernel[1][1][0]) is float
 
     def test_float_budget_on_an_exact_prior_classifies_as_operators(self):
         for prior in _exact_binary_priors()[:10]:

@@ -9,6 +9,7 @@ from ipd import (
     CutAssignment,
     InfoStructure,
     MassNotNormalized,
+    Mechanism,
     PosteriorSummary,
     Prior,
     ValidationError,
@@ -237,6 +238,27 @@ class TestMechanismConversion:
         assert kernel[1][1] == (1, 0, 0, 0)
         assert kernel[1][0] == (0, 0, Fraction(1, 2), Fraction(1, 2))
 
+    @pytest.mark.parametrize("number", [Fraction, float], ids=["exact", "float"])
+    @pytest.mark.parametrize("y", [0, 1], ids=["lowest", "highest"])
+    def test_impossible_state_takes_the_first_of_two_tied_columns(self, number, y):
+        # Columns b and c tie for the lowest (y=0) or highest (y=1)
+        # posterior, with a at the other extreme; the secret whose q makes
+        # context (s, y) impossible gets its row on b, never c.
+        one, zero = number(1), number(0)
+        half, quarter = one / 2, one / 4
+        widths = ((half, quarter, quarter), (half, quarter, quarter))
+        if y == 1:  # s1 has q=0; posteriors (0, 1/2, 1/2)
+            prior = load_prior([(half, half), (half, zero)])
+            cells = ((zero, one, one), (zero, zero, zero))
+        else:  # s0 has q=1; posteriors (1, 1/2, 1/2)
+            prior = load_prior([(half, one), (half, half)])
+            cells = ((one, one, one), (one, zero, zero))
+        st = InfoStructure(prior, ("a", "b", "c"), widths, cells)
+        posts = [post for _, post, _ in column_stats(st)]
+        assert posts[1] == posts[2] != posts[0]
+        # s1 (canonical 1) for y=1, s0 (canonical 0) for y=0
+        assert structure_to_mechanism(st).kernel[y][y] == (0, 1, 0)
+
     def test_structure_within_the_slack_converts_to_a_mechanism(self):
         prior = load_prior([(0.5, 0.75), (0.5, 0.25)])
         st = InfoStructure(
@@ -437,6 +459,44 @@ class TestSampling:
         m = fixture_solution.mechanism
         assert set(sample_signal(m, "s0", 1, 3, 100_000)) == {"t1", "t2", "t3"}
         assert set(sample_signal(m, "s0", 0, 3, 100_000)) == {"t4"}
+
+
+class TestContextRule:
+    """A context (s, y) carries mass exactly when q_s (y=1) or 1 - q_s (y=0) is nonzero."""
+
+    # s0's joint mass P(S=s0, Y=1) = 1e-200 * 1e-200 underflows to 0.0, yet
+    # its q is nonzero, so the context is possible.
+    TINY = [(1e-200, 1e-200), (1 - 1e-200, 0.5)]
+
+    def _mechanism(self, s0_yellow_row):
+        prior = load_prior(self.TINY)
+        kernel = [None, None]
+        kernel[prior.secret_index("s0")] = ((1.0, 0.0), s0_yellow_row)
+        kernel[prior.secret_index("s1")] = ((1.0, 0.0), (0.0, 1.0))
+        return Mechanism(prior=prior, signals=("a", "b"), kernel=tuple(kernel))
+
+    def test_a_possible_context_whose_product_underflows_must_sum_to_one(self):
+        prior = load_prior(self.TINY)
+        s0 = prior.secret_index("s0")
+        assert prior.p[s0] * prior.q[s0] == 0.0
+        with pytest.raises(MassNotNormalized, match="'s0', y=1"):
+            self._mechanism((0.5, 0.0))
+
+    def test_a_possible_context_whose_product_underflows_is_sampled(self):
+        m = self._mechanism((0.0, 1.0))
+        assert sample_signal(m, "s0", 1, 5, 3) == ["b", "b", "b"]
+
+    @pytest.mark.parametrize("number", [Fraction, float], ids=["exact", "float"])
+    def test_q_of_zero_and_one_are_the_only_impossible_contexts(self, number):
+        half = number(1) / 2
+        prior = load_prior([(half, number(1)), (half, number(0))])
+        st = solve_binary(prior, exp_eps=number(2)).structure
+        m = structure_to_mechanism(st)
+        for s, y in (("s0", 1), ("s1", 0)):
+            assert len(sample_signal(m, s, y, 1, 5)) == 5
+        for s, y in (("s0", 0), ("s1", 1)):
+            with pytest.raises(ZeroMassContext):
+                sample_signal(m, s, y, 1, 5)
 
 
 # the last two are not selected but multiplied
