@@ -16,6 +16,11 @@ rebuilt structure is read back from those columns. All of it is plain
 Python, so this module imports no numpy; numpy arrives only with scipy's
 HiGHS bindings.
 
+One layout serves every bank of width columns, the cut bank and the
+pattern bank of ipd.oracle alike: _width_columns enters a column in the
+LP, _kept_columns reads the kept ones back, and _clamped_budget caps the
+budget at full disclosure.
+
 Every cut column meets the budget on its own, so one LP whose middle
 variables are all the non-uniform cut columns at once admits only private
 structures, and each chain's LP is that LP with some columns held at zero;
@@ -41,19 +46,19 @@ for: past eps 20, with a conditional of 0 or 1, or near a zero budget, an
 answer within HiGHS's tolerances can still break the budget by about 1e-9
 in log, and that is a SolverError.
 
-linprog is the one LP backend, and minimizes an optional second objective
-over the first one's optimal face, warm from the first one's answer. An LP
-of at most four rows (the two-secret one) is made dense and goes to a
-small bounded-variable simplex in pure Python, so a two-secret solve
-imports neither numpy nor scipy, and every other LP goes to HiGHS's dual
-simplex. HiGHS is called through the bindings scipy bundles, with the
-model and tolerances scipy's linprog(method="highs-ds") would pass it but
-none of that wrapper's per-call checks, and with an iteration cap of
-SIMPLEX_ITERATION_LIMIT, past which the LP fails instead of running on.
-Each thread keeps one HiGHS solver and reuses it for every LP it solves,
-and presolve runs only on an LP whose widest bound exceeds PRESOLVE_ABOVE
-(a budget past eps of about 9.2); below that it costs more than the
-simplex and removes next to nothing. A column whose widest cell is within
+linprog is the package's one LP backend, and minimizes an optional second
+objective over the first one's optimal face, warm from the first one's
+answer. An LP of at most four rows (a two-secret one) is made dense and
+goes to a small bounded-variable simplex in pure Python, so a two-secret
+solve or pattern LP imports neither numpy nor scipy, and every other LP
+goes to HiGHS's dual simplex. HiGHS is called through the bindings scipy
+bundles, with the model and tolerances scipy's linprog(method="highs-ds")
+would pass it but none of that wrapper's per-call checks, and with an
+iteration cap of SIMPLEX_ITERATION_LIMIT, past which the LP fails instead
+of running on. Each thread keeps one HiGHS solver and reuses it for every
+LP it solves, and presolve runs only on an LP whose widest bound exceeds
+PRESOLVE_ABOVE (a budget past eps of about 9.2); below that it costs more
+than the simplex and removes next to nothing. A column whose widest cell is within
 HiGHS's feasibility tolerance is round-off and is left out of the chain.
 solve_lp raises SolverError on any answer that is not optimal, and makes
 the one check of an optimal answer that matters, holding its x to
@@ -68,7 +73,7 @@ import threading
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .analysis import UtilityFn, check_ip, expected_utility
 from .binary import _width_ratios
@@ -166,22 +171,25 @@ class CutAssignment(Record):
 class LpProblem(Record, eq=False):
     """The linear program of one bank of columns, in HiGHS's column-wise form.
 
-    Variables: a width ratio per non-bottom row of the all-yellow column, a
-    width ratio per non-top row of the all-white column, then the bottom-row
-    width of each middle column. Maximize objective . x + offset subject to
+    Variables of a cut bank: a width ratio per non-bottom row of the
+    all-yellow column, a width ratio per non-top row of the all-white
+    column, then the bottom-row width of each middle column. A bank not
+    made of cuts (the pattern bank) has assignment None, no anchor
+    variables and offset 0. Maximize objective . x + offset subject to
     A x = rhs and col_lower <= x <= col_upper, every bound finite. A is kept
     by variable: variable j has the coefficients value[start[j]:start[j + 1]]
     in the rows index[start[j]:start[j + 1]], rows ascending, zeros left
     out. Its 2n rows are equalities: each secret's total width, then each
     secret's yellow width. then, when not None, is a second objective that
     solve_lp maximizes over the first one's optimal face (see linprog).
-    column_posteriors holds P(Y=1 | column) per middle column: lowest-terms
-    Fractions when the prior's masses and the budget are exact (int or
-    Fraction), correctly rounded floats otherwise. Problems compare by identity.
+    column_posteriors holds P(Y=1 | column) per width column: for a cut
+    bank lowest-terms Fractions when the prior's masses and the budget are
+    exact (int or Fraction), correctly rounded floats otherwise. Problems
+    compare by identity.
     """
 
     prior: Prior
-    assignment: CutAssignment
+    assignment: CutAssignment | None
     objective: list[float]
     offset: float
     start: list[int]
@@ -225,15 +233,11 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     lookups in integer prefix sums of the masses (_cut_posteriors): a
     lowest-terms Fraction, whose u is scored on its integers
     (UtilityFn.float_at), when the prior and w are exact, and a correctly
-    rounded float otherwise. One pass over the bank then gives each middle
-    column
-    - its mass per unit of bottom-row width (an n-term float sum), and u at
-      the posterior times that mass as its objective coefficient;
-    - its matrix entries: its relative widths (its row widths over its
-      bottom row's width, the three runs of its cut) in every total row and
-      in the yellow rows of its block;
-    - for a utility that is not strictly convex (abs, rewards), the same
-      coefficient for the quadratic utility, in then.
+    rounded float otherwise. Each middle column's relative widths are its
+    row widths over its bottom row's width, the three runs of its cut, and
+    its yellow rows are its block; _width_columns enters it in the LP. For a
+    utility that is not strictly convex (abs, rewards) each column also
+    gets its coefficient for the quadratic utility, in then.
     """
     if assignment.n != prior.n:
         raise ValidationError(
@@ -264,17 +268,13 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
     # a bottom row that is narrow (c > n) makes the runs w, 1, w, a wide one
     # 1, 1/w, 1; 1/w is rounded once when w is exact
     w_float, inv_w = float(w), float(1 / w)
-    for (i, b, c), post in zip(assignment.columns, posts):
+    blocks = [range(k) for k in range(n + 1)]  # one yellow-rows object per block
+    rels, yellows = [], []
+    for i, b, c in assignment.columns:
         lo, hi = (1.0, w_float) if c > n else (inv_w, 1.0)
-        rel = [hi] * b + [lo] * (c - 1 - b) + [hi] * (n + 1 - c)
-        block = n + 1 - i
-        mass = sum(map(operator.mul, rel, p))
-        for f, cost in zip(utilities, costs):
-            cost.append(f.float_at(post) * mass)
-        index += range(n + block)
-        value += rel  # relative widths are never zero
-        value += rel[:block]
-        start.append(len(index))
+        rels.append([hi] * b + [lo] * (c - 1 - b) + [hi] * (n + 1 - c))
+        yellows.append(blocks[n + 1 - i])
+    _width_columns(p, utilities, rels, yellows, posts, start, index, value, costs)
 
     # each row's total is 1 and its yellow width q, less what an anchor holds
     # (the bottom row's yellow width is all anchor)
@@ -287,6 +287,83 @@ def assemble_lp(prior: Prior, u: UtilityFn, assignment: CutAssignment) -> LpProb
         rhs, [1.0] * ratios + [0.0] * m, [float(w)] * ratios + [1.0] * m, posts,
         then[0] if then else None,
     )
+
+
+def _width_columns(
+    p: list[float],
+    utilities: list[UtilityFn],
+    rels: list[list[float]],
+    yellows: list[Sequence[int]],
+    posts: Sequence[Scalar],
+    start: list[int],
+    index: list[int],
+    value: list[float],
+    costs: list[list[float]],
+) -> None:
+    """Append width columns to an LP's column-wise lists, one cost list per utility.
+
+    Column j has the widths rels[j] relative to its variable, yellow cells
+    in the rows (secrets, from 0, ascending) of yellows[j] and the
+    posterior posts[j]. It enters every total row (0..n-1) with its
+    relative widths, never zero, and its yellow rows (n + each yellow
+    secret) with the same widths. Its cost under each utility f is f at its
+    posterior (UtilityFn.float_at) times its mass per unit of its variable.
+    """
+    n = len(p)
+    last = None
+    for rel, yellow, post in zip(rels, yellows, posts):
+        mass = sum(map(operator.mul, rel, p))
+        for f, cost in zip(utilities, costs):
+            cost.append(f.float_at(post) * mass)
+        if yellow is not last:  # a bank passes one object per run of equal sets
+            last = yellow
+            rows, yellow_widths = [*range(n), *(n + j for j in yellow)], _getter(yellow)
+        index += rows
+        value += rel
+        value += yellow_widths(rel)
+        start.append(len(index))
+
+
+def _getter(rows: Sequence[int]) -> operator.itemgetter:
+    """itemgetter(*rows), but giving a sequence for one row or none too."""
+    if len(rows) > 1:
+        return operator.itemgetter(*rows)
+    return operator.itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
+
+
+def _width_lp(
+    prior: Prior,
+    u: UtilityFn,
+    rels: list[list[float]],
+    yellows: list[Sequence[int]],
+    posts: list[Scalar],
+) -> LpProblem:
+    """The LP over a bank of width columns alone, with no anchors.
+
+    Each column's variable scales its relative widths and is bounded to
+    [0, 1], which the total rows imply for relative widths of at least 1,
+    so every bound is finite. The rows hold each secret's total width to 1
+    and its yellow width to q. The objective is the utility alone, with no
+    tie-break.
+    """
+    start, index, value, cost = [0], [], [], []
+    p = [float(x) for x in prior.p]
+    _width_columns(p, [u], rels, yellows, posts, start, index, value, [cost])
+    m = len(cost)
+    return LpProblem(
+        prior, None, cost, 0.0, start, index, value,
+        [*[1.0] * prior.n, *(float(x) for x in prior.q)], [0.0] * m, [1.0] * m,
+        tuple(posts), None,
+    )
+
+
+def _clamped_budget(prior: Prior, bound: Scalar) -> Scalar:
+    """The budget factor an LP solves at: bound, or less where that changes nothing.
+
+    Past the widest conditional ratio full disclosure is private, so it is
+    optimal, and a larger budget adds nothing but ill-conditioning.
+    """
+    return min(bound, max(_width_ratios(prior.q[0], prior.q[-1])))
 
 
 def _cut_posteriors(
@@ -381,20 +458,19 @@ def linprog(
 ) -> LinprogResult:
     """Minimize c . x subject to A x = rhs and col_lower <= x <= col_upper.
 
-    solve_lp's backend; the pattern-LP oracle goes through scipy's own
-    linprog instead, so that it stays an independent check of this path.
-    A is given by column as in LpProblem, and every bound is finite. With
-    then, every variable whose reduced cost at the optimum exceeds
+    solve_lp's backend, for the cut bank and the pattern-LP oracle's bank
+    alike. A is given by column as in LpProblem, and every bound is finite.
+    With then, every variable whose reduced cost at the optimum exceeds
     HIGHS_TOL in magnitude is held at its bound, which leaves the optimal
     face, and then . x is minimized over it, warm from the first optimum.
     The result carries scipy's status (0 optimal, 2 infeasible), x and a
-    message. An LP of at most four rows (of the solver's LPs, the
-    two-secret one) is made dense for a bounded-variable simplex in pure
-    Python, whose answer is taken only when it passes the GUARD_TOL checks.
+    message. An LP of at most four rows (a two-secret one, of either bank)
+    is made dense for a bounded-variable simplex in pure Python, whose
+    answer is taken only when it passes the GUARD_TOL checks.
     Every other LP, and every one the simplex fails or the guard rejects,
     goes to HiGHS's dual simplex through _highs, on this thread's solver and
     with presolve only past PRESOLVE_ABOVE; scipy is imported then, on first
-    use, so a two-secret solve normally never loads it.
+    use, so a two-secret solve or pattern LP normally never loads it.
     """
     if len(rhs) <= 4:
         a = [[0.0] * len(c) for _ in rhs]
@@ -739,42 +815,52 @@ def _chain_and_structure(
 ) -> tuple[CutAssignment, InfoStructure]:
     """The chain of the LP's answer, and its width grid rescaled to exact row sums.
 
-    Both are read from the LP's own columns: middle variable j's entries,
-    value[start[j]:start[j + 1]], are its n relative widths in the total
-    rows (never zero, so all present), then the same widths in the yellow
-    rows of its block, so its block holds the entry count less n rows. A
-    bank column is kept when its widest cell, its LP value times its
-    largest relative width, exceeds HIGHS_TOL. One no wider than HiGHS's
-    feasibility tolerance is round-off the LP cannot tell from zero, such
-    as a degenerate basic column that HiGHS leaves at 1e-17 to 1e-13, and
-    is left out of both. The kept columns, in the bank's (i, -b, -c) order,
-    must be a chain, or SolverError is raised. The structure's columns are
-    the all-yellow column, the chain's columns and the all-white column.
+    Both are read from the LP's own columns (_kept_columns). The kept
+    columns, in the bank's (i, -b, -c) order, must be a chain, or
+    SolverError is raised. The structure's columns are the all-yellow
+    column, the chain's columns and the all-white column.
     """
     prior, bank, x = problem.prior, problem.assignment, solution.values
     n, ratios = prior.n, 2 * (prior.n - 1)
-    start, value = problem.start, problem.value
-    kept = []  # (cut, LP value, relative widths, block length)
-    for col, v, s, e in zip(bank.columns, x[ratios:], start[ratios:], start[ratios + 1 :]):
-        rel = value[s : s + n]
-        if v * max(rel) > HIGHS_TOL:
-            kept.append((col, v, rel, e - s - n))
-    chain = CutAssignment(n, tuple(col for col, _, _, _ in kept), bank.exp_eps)
+    kept, widths, yellow = _kept_columns(problem, x, ratios)
+    chain = CutAssignment(n, tuple(bank.columns[j - ratios] for j in kept), bank.exp_eps)
     if not chain.is_chain:
         raise SolverError(f"LP optimum is not a chain of cuts: {chain.columns}")
-    # (columns x rows)
     anchor_yellow, anchor_white = float(prior.q[n - 1]), float(1 - prior.q[0])
-    widths = [
-        [*(v * anchor_yellow for v in x[: n - 1]), anchor_yellow],
-        *([r * v for r in rel] for _, v, rel, _ in kept),
-        [anchor_white, *(v * anchor_white for v in x[n - 1 : ratios])],
-    ]
-    yellow = [
-        [True] * n,
-        *([True] * block + [False] * (n - block) for _, _, _, block in kept),
-        [False] * n,
-    ]
+    widths.insert(0, [*(v * anchor_yellow for v in x[: n - 1]), anchor_yellow])
+    widths.append([anchor_white, *(v * anchor_white for v in x[n - 1 : ratios])])
+    yellow.insert(0, [True] * n)
+    yellow.append([False] * n)
     return chain, _rescaled_structure(prior, widths, yellow, solution.max_residual)
+
+
+def _kept_columns(
+    problem: LpProblem, x: list[float], first: int
+) -> tuple[list[int], list[list[float]], list[list[bool]]]:
+    """The width columns from variable first on that x keeps, as (columns x rows).
+
+    Returns each kept variable, its widths and its yellow marks. Width
+    variable j's entries, value[start[j]:start[j + 1]], are its n relative
+    widths in the total rows (never zero, so all present), then the same
+    widths in its yellow rows, n + each yellow secret. A column is kept
+    when its widest cell, its value in x times its largest relative width,
+    exceeds HIGHS_TOL. One no wider than HiGHS's feasibility tolerance is
+    round-off the LP cannot tell from zero, such as a degenerate basic
+    column that HiGHS leaves at 1e-17 to 1e-13.
+    """
+    n, start, index, value = problem.prior.n, problem.start, problem.index, problem.value
+    kept, widths, yellow = [], [], []
+    for j in range(first, len(x)):
+        s, v = start[j], x[j]
+        rel = value[s : s + n]
+        if v * max(rel) > HIGHS_TOL:
+            marks = [False] * n
+            for row in index[s + n : start[j + 1]]:
+                marks[row - n] = True
+            kept.append(j)
+            widths.append([r * v for r in rel])
+            yellow.append(marks)
+    return kept, widths, yellow
 
 
 def _rescaled_structure(
@@ -871,10 +957,8 @@ def solve_general(
             f"{prior.n} secrets exceeds the cap of {max_secrets}; "
             "raise max_secrets to proceed"
         )
-    # Past the widest conditional ratio full disclosure is private and optimal,
-    # so the LP runs there: a larger budget adds nothing but ill-conditioning.
     bound = ratio_bound(eps, exp_eps)
-    w = min(bound, max(_width_ratios(prior.q[0], prior.q[-1])))
+    w = _clamped_budget(prior, bound)
     problem = assemble_lp(prior, u, CutAssignment(prior.n, _bank_columns(prior.n, w != 1), w))
     chain, structure = _chain_and_structure(problem, solve_lp(problem))
     structure = compress(structure)

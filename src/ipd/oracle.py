@@ -6,7 +6,9 @@ middle widths from the row-sum algebra; random_structure_oracle throws
 random private structures at a solver; pattern_lp_oracle solves one LP over
 every (yellow set, width pattern) column type, which bounds every private
 structure without the structure theorem that the cut bank of solve_general
-rests on. Each gives an independent path to the same answers the closed
+rests on. Its independence is that bank: it is built and solved through
+ipd.general's one LP layout and backend (_width_lp, solve_lp), as the cut
+bank is. Each gives an independent path to the same answers the closed
 forms and the LP produce, which is the whole point: the tests assert the
 solvers are never beaten.
 """
@@ -14,18 +16,20 @@ solvers are never beaten.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .analysis import UtilityFn, blackwell_dominates, expected_utility
 from .binary import pack_columns, solve_binary
-from .errors import (
-    NotBinarySecret,
-    SolverError,
-    UnsupportedSize,
-    ValidationError,
-    require,
+from .errors import NotBinarySecret, UnsupportedSize, ValidationError, require
+from .general import (
+    _clamped_budget,
+    _kept_columns,
+    _rescaled_structure,
+    _width_lp,
+    solve_general,
+    solve_lp,
 )
-from .general import _rescaled_structure, solve_general
 from .model import InfoStructure, Prior, posterior_summary
 from .numeric import Scalar, check_slack, log_of, ratio_bound
 from .record import Record
@@ -34,9 +38,10 @@ if TYPE_CHECKING:  # numpy loads only inside the oracles that use it
     import numpy as np
 
 # Size caps of one oracle call. The grid scan keeps a few lists of grid + 1
-# floats and scores at most two points per lattice row; the other caps keep
-# the largest array under about 0.5 GB: (trials x signals x (signals + the
-# solver's signals)) dominance floats, a 2n x 2**n (2**n - 1) pattern matrix.
+# floats and scores at most two points per lattice row; the random search
+# keeps its largest array, (trials x signals x (signals + the solver's
+# signals)) dominance floats, under about 0.5 GB; the pattern LP has
+# 2**n (2**n - 1) columns, 65 280 at n=8, held as Python lists.
 MAX_GRID = 2_000
 MAX_TRIALS = 500_000
 MAX_SIGNALS = 32
@@ -394,11 +399,17 @@ def pattern_lp_oracle(
     linear; the 2n rows make each secret's total width 1 and its yellow
     width q.
 
+    A budget past the widest conditional ratio, where full disclosure is
+    private and so optimal, is solved at that ratio, as solve_general does.
+    The LP is built and solved by ipd.general (_width_lp, solve_lp), which
+    raises SolverError on an answer that is not optimal or misses its rows.
+
     The solver side is solve_binary for two secrets, solve_general
     otherwise. best_utility is the LP optimum, best_structure the witness
-    built from the positive types with each row rescaled to its exact sums,
-    and trials the number of types. The LP needs numpy and scipy, and
-    MissingDependency is raised without them.
+    built from the types the LP keeps (_kept_columns) with each row
+    rescaled to its exact sums, and trials the number of types. A
+    two-secret LP goes to the in-package simplex; a larger one needs numpy
+    and scipy, and MissingDependency is raised without them.
     """
     if u is None:
         raise TypeError("pattern_lp_oracle needs a utility function")
@@ -407,34 +418,30 @@ def pattern_lp_oracle(
         raise UnsupportedSize(
             f"{n} secrets exceeds the pattern LP cap of {MAX_PATTERN_SECRETS}"
         )
-    w = ratio_bound(eps, exp_eps)
-    solver = _solver_structure(prior, u, w)
-    np = require("numpy")
-    linprog = require("scipy.optimize").linprog
+    bound = ratio_bound(eps, exp_eps)
+    solver = _solver_structure(prior, u, bound)
+    w = float(_clamped_budget(prior, bound))
+    p = [float(x) for x in prior.p]
 
-    # Row k of subsets marks the secrets of the binary expansion of k; as a
-    # width pattern, the last row is the first at scale w.
-    subsets = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(bool)
-    yellow = np.repeat(subsets, len(subsets) - 1, axis=0)
-    widths = np.where(np.tile(subsets[:-1], (len(subsets), 1)), float(w), 1.0)
-    p = np.array([float(x) for x in prior.p])
-    gain = widths @ p * u((widths * yellow) @ p / (widths @ p))
-    a_eq = np.vstack([widths.T, (widths * yellow).T])
-    b_eq = np.array([1.0] * n + [float(x) for x in prior.q])
-    options = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
-    result = linprog(-gain, A_eq=a_eq, b_eq=b_eq, method="highs-ds", options=options)
-    if result.status != 0:
-        raise SolverError(f"pattern LP failed: {result.message}")
-    x = result.x
-    keep = x > 0
-    residual = float(np.max(np.abs(a_eq @ x - b_eq)))
-    witness = _rescaled_structure(
-        prior, (x[keep, None] * widths[keep]).tolist(), yellow[keep].tolist(), residual
-    )
+    # Pattern m makes row j wide when bit j of m is set, yellow set k holds
+    # the secrets of the bits of k; the all-wide pattern, the all-narrow one
+    # at scale w, is left out. Every yellow set takes every pattern.
+    patterns = [[w if m >> j & 1 else 1.0 for j in range(n)] for m in range(2**n - 1)]
+    subsets = [tuple(j for j in range(n) if k >> j & 1) for k in range(2**n)]
+    rels = patterns * len(subsets)
+    yellows = [yellow for yellow in subsets for _ in patterns]
+    posts = [
+        sum(rel[j] * p[j] for j in yellow) / sum(map(operator.mul, rel, p))
+        for rel, yellow in zip(rels, yellows)
+    ]
+    problem = _width_lp(prior, u, rels, yellows, posts)
+    solution = solve_lp(problem)
+    _, widths, marks = _kept_columns(problem, solution.values, 0)
+    witness = _rescaled_structure(prior, widths, marks, solution.max_residual)
     return OracleReport(
-        best_utility=float(gain @ x),
+        best_utility=solution.objective,
         best_structure=witness,
-        trials=len(gain),
+        trials=len(rels),
         solver_utility=float(expected_utility(solver, u)),
         solver_dominates_all=blackwell_dominates(
             posterior_summary(solver), posterior_summary(witness)

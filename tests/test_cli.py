@@ -542,6 +542,18 @@ print(*seen)
 """
         assert self._child(code, prior_file) == "0 False 0 True"
 
+    def test_two_secret_pattern_oracle_loads_neither_numpy_nor_scipy(self):
+        # its LP of four rows goes to the in-package simplex
+        code = """
+import sys
+from fractions import Fraction
+import ipd
+prior = ipd.load_prior([(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 2), Fraction(1, 4))])
+report = ipd.pattern_lp_oracle(prior, u=ipd.UtilityFn("abs"), exp_eps=2)
+print(report.trials, [m for m in ("numpy", "scipy.optimize") if m in sys.modules])
+"""
+        assert self._child(code) == "12 []"
+
     def test_solve_general_loads_scipy_only_when_it_runs(
         self, prior_file, three_secret_prior_file
     ):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ipd.general
+import ipd.oracle
 from ipd import (
     CHECK_TOL,
     UnsupportedSize,
@@ -261,6 +263,43 @@ class TestPatternOracle:
     def test_needs_a_utility(self, fixture_prior):
         with pytest.raises(TypeError):
             pattern_lp_oracle(fixture_prior, 0.5)
+
+    @pytest.mark.parametrize("family", ["abs", "quadratic", "negentropy"])
+    @pytest.mark.parametrize("eps", [30.0, 700.0])
+    def test_budgets_past_full_disclosure(self, eps, family):
+        # full disclosure is private from a width ratio of 4 on here; at the
+        # raw budget HiGHS failed this LP (a solve error at eps 30, a model
+        # error from eps 40 on), so it is solved at 4, as solve_general is
+        prior = load_prior([(0.3, 0.8), (0.3, 0.5), (0.4, 0.2)])
+        report = pattern_lp_oracle(prior, eps, UtilityFn(family))
+        assert abs(report.best_utility - report.solver_utility) <= CHECK_TOL
+        assert check_ip(report.best_structure, eps).satisfied
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(0.4, 0.8), (0.6, 0.3)], [(0.3, 0.8), (0.3, 0.5), (0.4, 0.2)]],
+        ids=["n2", "n3"],
+    )
+    def test_one_lp_through_the_solvers_backend(self, monkeypatch, pairs):
+        calls = []
+        real = ipd.general.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the pattern LP called scipy.optimize.linprog")
+
+        monkeypatch.setattr(ipd.general, "linprog", counting)
+        monkeypatch.setattr("scipy.optimize.linprog", refused)
+        prior, u = load_prior(pairs), UtilityFn("quadratic")
+        ipd.oracle._solver_structure(prior, u, 2.0)
+        solver_calls = len(calls)
+        pattern_lp_oracle(prior, u=u, exp_eps=2.0)
+        assert solver_calls == (0 if prior.n == 2 else 1)
+        assert len(calls) == 2 * solver_calls + 1
+        assert "linprog" not in vars(ipd.oracle)
 
 
 class TestOracleAgainstRandomInstances:

@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves, eager or lazy."""
 
 import importlib
+import sys
 import threading
 from fractions import Fraction
 
@@ -110,9 +111,23 @@ class TestMissingDependency:
 
     @pytest.mark.parametrize("package", ["numpy", "scipy"])
     def test_pattern_oracle_without_numpy_or_scipy(self, monkeypatch, package):
+        # a two-secret pattern LP (4 rows) goes to the in-package simplex; a
+        # three-secret one needs HiGHS, whatever the solver side needs. scipy
+        # is imported afresh, so that without numpy its import fails.
+        for name in [m for m in sys.modules if m.partition(".")[0] == "scipy"]:
+            monkeypatch.delitem(sys.modules, name)
         hide_packages(monkeypatch, package)
+        report = ipd.pattern_lp_oracle(load_prior(self.BINARY), u=UtilityFn("abs"),
+                                       exp_eps=Fraction(2))
+        assert report.best_utility == pytest.approx(5 / 6, abs=1e-9)
+
+        def no_information(prior, u, w):  # needs neither package
+            return ipd.InfoStructure(prior, ("t1",), ((1,),) * prior.n,
+                                     tuple((q,) for q in prior.q))
+
+        monkeypatch.setattr("ipd.oracle._solver_structure", no_information)
         with pytest.raises(MissingDependency, match=f"needs {package}"):
-            ipd.pattern_lp_oracle(load_prior(self.BINARY), u=UtilityFn("abs"),
+            ipd.pattern_lp_oracle(load_prior(self.TERNARY), u=UtilityFn("abs"),
                                   exp_eps=Fraction(2))
 
     def test_array_utility_without_numpy(self, monkeypatch):
